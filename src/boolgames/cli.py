@@ -44,7 +44,7 @@ class UsageError(Exception):
 def _fr(text):
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, TypeError):
         raise UsageError("bad rational %r (want a/b)" % (text,))
 
 
@@ -52,7 +52,9 @@ def _fr_str(x):
     return str(Fraction(x))
 
 
-def _read(path):
+def _read(path, flag):
+    if path is None:
+        raise UsageError("missing %s" % flag)
     try:
         with open(path) as fh:
             return fh.read()
@@ -62,18 +64,34 @@ def _read(path):
 
 def load_game(path):
     """Boolean game (textual format) or normal form (JSON with payoffs)."""
-    text = _read(path)
+    text = _read(path, "--game")
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
             return NormalForm(data["payoffs"])
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, IndexError,
+                ZeroDivisionError) as e:
             raise UsageError("bad normal-form file %s: %s" % (path, e))
     return parse_game(text)
 
 
 def load_machine(path):
-    return reductions.TuringMachine.from_json(_read(path))
+    text = _read(path, "--machine")
+    try:
+        return reductions.TuringMachine.from_json(text)
+    except json.JSONDecodeError as e:
+        raise UsageError("bad machine file %s: %s" % (path, e))
+
+
+def load_profile(path, g):
+    """A mixed profile (JSON) validated against the Boolean game ``g``."""
+    if isinstance(g, NormalForm):
+        raise UsageError("a profile needs a Boolean game")
+    text = _read(path, "--profile")
+    try:
+        return profile_from_json(text, g)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        raise UsageError("bad profile file %s: %s" % (path, e))
 
 
 def _emit(data, fmt):
@@ -99,6 +117,15 @@ def _decision(answer, extra=None, mode="exact"):
     if extra:
         data.update(extra)
     return (0 if answer else 1), data
+
+
+def _payoff_pair(args):
+    if args.payoffs is None:
+        raise UsageError("missing --payoffs")
+    v = [_fr(x) for x in args.payoffs.split(",")]
+    if len(v) != 2:
+        raise UsageError("--payoffs takes two rationals, one per player")
+    return v
 
 
 def _parse_assign(text):
@@ -136,9 +163,7 @@ def cmd_eval(args):
     if args.game is None or args.profile is None:
         raise UsageError("eval needs --formula or both --game and --profile")
     g = load_game(args.game)
-    if isinstance(g, NormalForm):
-        raise UsageError("eval --profile works on Boolean games")
-    profile = profile_from_json(_read(args.profile), g)
+    profile = load_profile(args.profile, g)
     utilities = [
         _fr_str(game.expected_utility(g, profile, i)) for i in range(g.players)
     ]
@@ -158,51 +183,49 @@ def cmd_normal_form(args):
 
 def cmd_value(args):
     nf = solver.as_normal_form(load_game(args.game), cap=args.cap_cells)
-    c = solver.constant_sum(nf)
-    if c is None:
-        raise UsageError("value is defined for constant-sum games")
+    # zero_sum_value checks that the game is constant-sum (exit 2 if not)
     value, strategy = solver.zero_sum_value(nf)
-    return 0, {"value": _fr_str(value), "constant": _fr_str(c),
-               "maxmin": [_fr_str(w) for w in strategy]}
+    a, b = nf.payoffs
+    return 0, {"value": _fr_str(value), "constant": _fr_str(a[0][0] + b[0][0]),
+               "maxmin": [str(w) for w in strategy]}
 
 
 def cmd_nash(args):
-    g = load_game(args.game) if args.game else None
-    if args.what == "find":
-        w = solver.exists_guarantee_nash(g, (0, 0), cap=args.cap_deviations)
-        return _decision(w is not None, {"witness": _witness_json(w)})
-    if args.what == "unique":
-        return _decision(solver.unique_nash(g, cap=args.cap_deviations))
+    g = load_game(args.game)
     if args.what == "pure":
         eqs = solver.pure_equilibria(g, cap=args.cap_cells)
         shown = [list(e) if isinstance(e, tuple) else
                  {k: v for k, v in sorted(e.items())} for e in eqs]
         return _decision(bool(eqs), {"equilibria": shown})
-    if args.what == "irrational":
-        ans = solver.irrational_nash(g, cap=args.cap_deviations,
-                                     zero_sum_fast_path=args.zero_sum)
-        return _decision(ans)
-    if args.what == "guarantee":
-        v = [_fr(x) for x in args.payoffs.split(",")]
-        w = solver.exists_guarantee_nash(g, v, cap=args.cap_deviations)
-        return _decision(w is not None, {"witness": _witness_json(w)})
-    if args.what == "forall-guarantee":
-        v = [_fr(x) for x in args.payoffs.split(",")]
-        return _decision(solver.forall_guarantee_nash(g, v,
-                                                      cap=args.cap_deviations))
     if args.what == "sat":
+        if args.formula is None:
+            raise UsageError("missing --formula")
         phi = parse_formula(args.formula)
         ans = solver.nash_sat(g, phi, args.mode, cap=args.cap_deviations,
                               cell_cap=args.cap_cells)
         return _decision(ans)
     if args.what == "is":
-        if isinstance(g, NormalForm):
-            raise UsageError("nash is works on Boolean games")
-        profile = profile_from_json(_read(args.profile), g)
+        profile = load_profile(args.profile, g)
         ans = solver.is_nash(g, profile, cap=args.cap_deviations,
                              sample=args.sample, seed=args.seed)
         return _decision(ans,
                          mode="sampled" if args.sample else "exact")
+    # the support-enumeration queries, on the game expanded once
+    v = (_payoff_pair(args) if args.what in ("guarantee", "forall-guarantee")
+         else None)
+    nf = solver.as_normal_form(g, cap=args.cap_cells)
+    if args.what in ("find", "guarantee"):
+        w = solver.exists_guarantee_nash(nf, v, cap=args.cap_deviations)
+        return _decision(w is not None, {"witness": _witness_json(w)})
+    if args.what == "unique":
+        return _decision(solver.unique_nash(nf, cap=args.cap_deviations))
+    if args.what == "irrational":
+        ans = solver.irrational_nash(nf, cap=args.cap_deviations,
+                                     zero_sum_fast_path=args.zero_sum)
+        return _decision(ans)
+    if args.what == "forall-guarantee":
+        return _decision(solver.forall_guarantee_nash(nf, v,
+                                                      cap=args.cap_deviations))
     raise UsageError("unknown nash query %r" % args.what)
 
 
@@ -310,7 +333,7 @@ def cmd_reduce(args):
             if kind == "irrational":
                 v = _fr(args.value)
             else:
-                v = [_fr(x) for x in args.payoffs.split(",")]
+                v = _payoff_pair(args)
             g2, phi = reductions.transform_game(kind, g, v,
                                                 namespace=args.namespace)
         data = {"game": render_game(g2)}

@@ -337,29 +337,51 @@ def eval_formula(f, assignment):
     Raises MissingVariableError naming the first (depth-first) unbound
     variable if the assignment does not cover the formula.
     """
+    masks = {}
     for name in _iter_vars(f):
-        if name not in assignment:
-            raise MissingVariableError(name)
-    return _eval(f, assignment)
+        if name not in masks:
+            if name not in assignment:
+                raise MissingVariableError(name)
+            masks[name] = 1 if assignment[name] else 0
+    return eval_bits(f, masks, 1) == 1
 
 
-def _eval(f, a):
+def eval_bits(f, var_masks, full):
+    """Bit-parallel truth table of ``f``.
+
+    ``var_masks`` maps each variable to a Python-int mask whose bit p is the
+    variable's value in assignment p; ``full`` has one bit set for every
+    assignment.  The result is the mask of assignments satisfying ``f``
+    (the truth-table-as-bit-vector technique, Knuth TAOCP 4A 7.1.1-7.1.3).
+    """
     if isinstance(f, Var):
-        return a[f.name]
-    if isinstance(f, ConstTrue):
-        return True
-    if isinstance(f, ConstFalse):
-        return False
+        return var_masks[f.name]
     if isinstance(f, Not):
-        return not _eval(f.child, a)
+        return eval_bits(f.child, var_masks, full) ^ full
     if isinstance(f, And):
-        return all(_eval(c, a) for c in f.children)
+        out = full
+        for c in f.children:
+            out &= eval_bits(c, var_masks, full)
+            if not out:
+                break
+        return out
     if isinstance(f, Or):
-        return any(_eval(c, a) for c in f.children)
+        out = 0
+        for c in f.children:
+            out |= eval_bits(c, var_masks, full)
+            if out == full:
+                break
+        return out
     if isinstance(f, Implies):
-        return (not _eval(f.left, a)) or _eval(f.right, a)
+        return (eval_bits(f.left, var_masks, full) ^ full) | eval_bits(
+            f.right, var_masks, full)
     if isinstance(f, Iff):
-        return _eval(f.left, a) == _eval(f.right, a)
+        return (eval_bits(f.left, var_masks, full)
+                ^ eval_bits(f.right, var_masks, full) ^ full)
+    if isinstance(f, ConstTrue):
+        return full
+    if isinstance(f, ConstFalse):
+        return 0
     raise FormulaError("not a formula node: %r" % (f,))
 
 

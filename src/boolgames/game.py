@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .formula import (
@@ -15,6 +16,7 @@ from .formula import (
     Not,
     compile_formula,
     conj,
+    eval_bits,
     eval_formula,
     free_vars,
     is_valid_var,
@@ -170,15 +172,14 @@ def expected_utility(g, profile, i):
 class NormalForm:
     """Explicit payoff tensors, one per player, over indexed strategy lists.
 
-    payoffs[i] is nested lists of Fractions with one nesting level per
-    player; strategy_index[i] optionally records what each index means
-    (assignment dicts for Boolean-game expansions).
+    payoffs[i] is nested lists with one nesting level per player; each cell
+    is an exact int when integral and a Fraction otherwise.
+    strategy_index[i] optionally records what each index means (assignment
+    dicts for Boolean-game expansions).
     """
 
     def __init__(self, payoffs, strategy_index=None):
-        self.payoffs = [
-            _to_fraction_tensor(t) for t in payoffs
-        ]
+        self.payoffs = [_exact_tensor(t) for t in payoffs]
         self.shape = _tensor_shape(self.payoffs[0])
         if len(self.shape) != len(self.payoffs):
             raise ValidationError("tensor rank must equal player count")
@@ -186,6 +187,16 @@ class NormalForm:
             if _tensor_shape(t) != self.shape:
                 raise ValidationError("payoff tensors disagree on shape")
         self.strategy_index = strategy_index
+
+    @classmethod
+    def _exact(cls, payoffs, shape, strategy_index):
+        """A normal form over tensors already of the given shape and holding
+        exact cells, without the per-cell pass of ``__init__``."""
+        nf = cls.__new__(cls)
+        nf.payoffs = payoffs
+        nf.shape = shape
+        nf.strategy_index = strategy_index
+        return nf
 
     @property
     def players(self):
@@ -198,10 +209,11 @@ class NormalForm:
         return t
 
 
-def _to_fraction_tensor(t):
+def _exact_tensor(t):
     if isinstance(t, (list, tuple)):
-        return [_to_fraction_tensor(x) for x in t]
-    return Fraction(t)
+        return [_exact_tensor(x) for x in t]
+    q = Fraction(t)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _tensor_shape(t):
@@ -214,6 +226,23 @@ def _tensor_shape(t):
     return tuple(shape)
 
 
+class _Assignments(Sequence):
+    """``player_assignments`` as a sequence that builds each assignment
+    dict when it is looked up, for the strategy index of an expansion."""
+
+    def __init__(self, names):
+        self._names = names
+
+    def __len__(self):
+        return 1 << len(self._names)
+
+    def __getitem__(self, j):
+        if not 0 <= j < len(self):
+            raise IndexError("strategy index out of range")
+        top = len(self._names) - 1
+        return {v: bool(j >> (top - t) & 1) for t, v in enumerate(self._names)}
+
+
 def player_assignments(g, i):
     """Player i's pure strategies, lexicographic by variable name, F < T."""
     names = list(g.var_sets[i])  # already sorted
@@ -223,7 +252,51 @@ def player_assignments(g, i):
     ]
 
 
+def _var_mask(b, total):
+    """The assignments p < total whose bit b is set, as a mask, by doubling
+    one period of 2^b clear then 2^b set bits."""
+    half = 1 << b
+    mask, width = ((1 << half) - 1) << half, half << 1
+    while width < total:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def truth_tables(g, formulas):
+    """Each formula's 0/1 value at every pure profile of ``g``, as nested
+    lists indexed like the normal form, from one bit-parallel evaluation
+    per formula.  The caller checks the cell count first.
+
+    Bit p of a mask is the profile whose normal-form index, read in mixed
+    radix with player 0 most significant, is p: the variables of all
+    players in order (each player's sorted) are the bits of p from the most
+    significant down.
+    """
+    names = g.all_vars()
+    total = 1 << len(names)
+    masks = {name: _var_mask(b, total)
+             for b, name in enumerate(reversed(names))}
+    full = (1 << total) - 1
+    shape = [1 << len(vs) for vs in g.var_sets]
+    tables = []
+    for f in formulas:
+        # the mask as bytes of 0/1 in index order: linear in the cell count
+        cells = format(eval_bits(f, masks, full), "0%db" % total)[::-1]
+        cells = cells.encode().translate(_BIT_BYTES)
+        t = [list(cells[i:i + shape[-1]])
+             for i in range(0, total, shape[-1])]
+        for size in reversed(shape[1:-1]):
+            t = [t[i:i + size] for i in range(0, len(t), size)]
+        tables.append(t)
+    return tables
+
+
 def to_normal_form(g, cap=DEFAULT_CELL_CAP):
+    """The expansion of ``g``; payoff cells are the ints 0 and 1."""
     cells = 1
     for vs in g.var_sets:
         cells *= 1 << len(vs)
@@ -231,32 +304,9 @@ def to_normal_form(g, cap=DEFAULT_CELL_CAP):
             raise ResourceCapError(
                 "normal form needs %d cells; cap is %d" % (cells, cap)
             )
-    index = [player_assignments(g, i) for i in range(g.players)]
-    goals = [compile_formula(goal) for goal in g.goals]
-    n = g.players
-
-    def fill(level, partial):
-        if level == n:
-            return None
-        out = []
-        for a in index[level]:
-            merged = dict(partial)
-            merged.update(a)
-            if level == n - 1:
-                out.append(merged)
-            else:
-                out.append(fill(level + 1, merged))
-        return out
-
-    assignments = fill(0, {})
-
-    def tensor(goal, node, level):
-        if level == n:
-            return Fraction(1) if goal(node) else Fraction(0)
-        return [tensor(goal, child, level + 1) for child in node]
-
-    payoffs = [tensor(goal, assignments, 0) for goal in goals]
-    return NormalForm(payoffs, strategy_index=index)
+    shape = tuple(1 << len(vs) for vs in g.var_sets)
+    index = [_Assignments(vs) for vs in g.var_sets]
+    return NormalForm._exact(truth_tables(g, g.goals), shape, index)
 
 
 def profile_from_indices(nf, weight_vectors):

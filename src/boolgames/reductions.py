@@ -24,7 +24,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .encodings import build_cardinality, build_comparison, const_bits, var_bits
+from .encodings import (
+    build_cardinality,
+    build_comparison,
+    const_bits,
+    decode_bits,
+    var_bits,
+)
 from .formula import And, Iff, Implies, Not, Or, Var, conj, disj
 from .game import (
     BooleanGame,
@@ -732,9 +738,16 @@ def decode_square(ro, assign):
     or well-formedness conditions fail."""
     vi = ro.var_index
     k, size = ro.k, 1 << ro.k
+    # the flag checks first: they are cheaper than decoding positions
+    entries = []
+    for p in ENTRY_PREFIXES:
+        e = _decode_entry(assign, vi.flags2[p], ro.machine.states)
+        if e is None:
+            return None
+        entries.append(e)
 
     def val(bits):
-        return sum(1 << idx for idx, name in enumerate(bits) if assign[name])
+        return decode_bits(bits, assign)
 
     i, j = val(vi.time2[""]), val(vi.tape2[""])
     want = {
@@ -745,12 +758,6 @@ def decode_square(ro, assign):
     for p, (r, c) in want.items():
         if val(vi.time2[p]) != r or val(vi.tape2[p]) != c:
             return None
-    entries = []
-    for p in ENTRY_PREFIXES:
-        e = _decode_entry(assign, vi.flags2[p], ro.machine.states)
-        if e is None:
-            return None
-        entries.append(e)
     return Square2x2(entries[0], entries[1], entries[2], entries[3], i, j, k)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .game import (
     NormalForm,
     ResourceCapError,
     to_normal_form,
+    truth_tables,
     validate_profile,
 )
 from .lp import Infeasible, LinearProgram, Optimal, solve_lp, solution_unique
@@ -50,10 +52,10 @@ def constant_sum(nf):
     """The constant c with A+B = c everywhere, or None if not constant-sum."""
     a, b = _require_two_player(nf)
     c = a[0][0] + b[0][0]
-    for i in range(nf.shape[0]):
-        for j in range(nf.shape[1]):
-            if a[i][j] + b[i][j] != c:
-                return None
+    want = {c}
+    for row_a, row_b in zip(a, b):
+        if set(map(operator.add, row_a, row_b)) != want:
+            return None
     return c
 
 
@@ -86,18 +88,18 @@ def zero_sum_value(nf):
     if constant_sum(nf) is None:
         raise SolverError("game is not constant-sum")
     a, _ = _require_two_player(nf)
-    m, n = nf.shape
-    col_seen, cols = {}, []
-    for j in range(n):
-        key = tuple(a[i][j] for i in range(m))
+    m = nf.shape[0]
+    col_seen, cols = set(), []
+    for j, key in enumerate(zip(*a)):
         if key not in col_seen:
-            col_seen[key] = True
+            col_seen.add(key)
             cols.append(j)
-    row_seen, rows = {}, []
-    for i in range(m):
-        key = tuple(a[i][j] for j in cols)
+    row_key = operator.itemgetter(*cols)
+    row_seen, rows = set(), []
+    for i, row in enumerate(a):
+        key = row_key(row)
         if key not in row_seen:
-            row_seen[key] = len(rows)
+            row_seen.add(key)
             rows.append(i)
     matrix = [[a[i][j] for j in cols] for i in rows]
     lp = _value_lp(matrix, len(rows), len(cols))
@@ -214,7 +216,10 @@ def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
 
 
 def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
-    """First equilibrium witness with payoffs at least v, else None."""
+    """First equilibrium witness with payoffs at least v, else None.
+
+    ``v`` is a pair of lower bounds, or None for any equilibrium.
+    """
     nf = as_normal_form(g_or_nf)
     for sp in support_pairs(nf, cap):
         w = equilibrium_for_support(nf, sp, bounds=v)
@@ -347,14 +352,7 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
         raise SolverError("formula uses foreign variables: %s"
                           % ", ".join(sorted(foreign)))
     nf = to_normal_form(g, cell_cap)
-    check = compile_formula(phi)
-    m, n = nf.shape
-    sat = [[None] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            merged = dict(nf.strategy_index[0][i])
-            merged.update(nf.strategy_index[1][j])
-            sat[i][j] = check(merged)
+    (sat,) = truth_tables(g, [phi])
     if mode == "exists":
         for X, Y in support_pairs(nf, cap):
             if all(sat[i][j] for i in X for j in Y):

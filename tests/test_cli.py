@@ -166,3 +166,76 @@ def test_text_format(mp_file, capsys):
     assert run(["value", "--game", mp_file, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "value: 1/2" in out
+
+
+PD_JSON = json.dumps(
+    {"payoffs": [[[-4, 0], [-5, -1]], [[-4, -5], [0, -1]]]}
+)
+
+
+def test_nash_find_on_negative_payoffs(tmp_path, capsys):
+    # the prisoner's dilemma's only equilibrium pays both players -4
+    path = tmp_path / "pd.nf"
+    path.write_text(PD_JSON)
+    data = run_json(["nash", "find", "--game", str(path)], capsys)
+    assert data["answer"] == "yes"
+    assert data["witness"]["payoffs"] == ["-4", "-4"]
+    assert data["witness"]["x"] == {"0": "1"}
+    assert data["witness"]["y"] == {"0": "1"}
+
+
+@pytest.mark.parametrize("what", ["find", "unique", "guarantee",
+                                  "forall-guarantee", "irrational"])
+def test_nash_verbs_honour_cap_cells(mp_file, capsys, what):
+    argv = ["nash", what, "--game", mp_file, "--payoffs", "0,0"]
+    assert run(argv) in (0, 1)  # answered without a cap
+    capsys.readouterr()
+    assert run(argv + ["--cap-cells", "1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("what", ["guarantee", "forall-guarantee"])
+def test_nash_guarantee_needs_payoffs(mp_file, capsys, what):
+    assert run(["nash", what, "--game", mp_file]) == 2
+    assert "--payoffs" in capsys.readouterr().err
+    assert run(["nash", what, "--game", mp_file, "--payoffs", "1/2"]) == 2
+
+
+def test_eval_profile_malformed_json_exits_2(mp_file, tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text('{"players": [')
+    assert run(["eval", "--game", mp_file, "--profile", str(path)]) == 2
+    path.write_text('{"players": [{"support": [{"weight": "1"}]}]}')
+    assert run(["eval", "--game", mp_file, "--profile", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_reduce_malformed_machine_exits_2(tmp_path, capsys):
+    path = tmp_path / "machine.json"
+    for text in ('{"states": ["q0"', '{"states": ["q0"]}', "[1, 2]"):
+        path.write_text(text)
+        assert run(["reduce", "nexptm", "--machine", str(path)]) == 2, text
+    assert capsys.readouterr().out == ""
+
+
+def test_malformed_normal_form_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.nf"
+    for payoffs in ('[[["x", 0]], [[0, 0]]]', '[[["1/0", 0]], [[0, 0]]]',
+                    "[]"):
+        path.write_text('{"payoffs": %s}' % payoffs)
+        assert run(["check", "--game", str(path)]) == 2, payoffs
+    assert capsys.readouterr().out == ""
+
+
+def test_missing_inputs_exit_2(mp_file, capsys):
+    for argv in (["nash", "is", "--game", mp_file],
+                 ["nash", "sat", "--game", mp_file],
+                 ["reduce", "nexptm"],
+                 ["reduce", "transform", "--kind", "unique-nash"],
+                 ["reduce", "transform", "--kind", "unique-nash",
+                  "--game", mp_file],
+                 ["reduce", "transform", "--kind", "irrational",
+                  "--game", mp_file],
+                 ["gadget", "build"]):
+        assert run(argv) == 2, argv
+    assert capsys.readouterr().out == ""

@@ -1,0 +1,184 @@
+"""Differential checks of the bit-parallel normal-form expansion.
+
+Every cell of ``to_normal_form`` and of ``truth_tables`` (the sat matrix of
+``nash_sat``) is compared with per-cell evaluation of the same formula, by
+``eval_formula`` and by the independent ``compile_formula``, and the
+zero-sum route is run on an expansion and on the same payoffs loaded as a
+JSON normal form.
+"""
+
+import itertools
+import json
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from boolgames.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    compile_formula,
+    eval_formula,
+    parse_formula,
+)
+from boolgames.game import (
+    BooleanGame,
+    NormalForm,
+    ResourceCapError,
+    parse_game,
+    player_assignments,
+    to_normal_form,
+    truth_tables,
+    utility_pure,
+)
+from boolgames.solver import constant_sum, nash_sat, zero_sum_value
+
+VARS = ["a", "b", "c", "d", "e", "f"]
+
+
+def formulas(names):
+    leaf = st.one_of(st.sampled_from([TRUE, FALSE]),
+                     st.sampled_from(names).map(Var))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.lists(sub, min_size=2, max_size=3).map(lambda fs: And(tuple(fs))),
+            st.lists(sub, min_size=2, max_size=3).map(lambda fs: Or(tuple(fs))),
+            st.tuples(sub, sub).map(lambda t: Implies(*t)),
+            st.tuples(sub, sub).map(lambda t: Iff(*t)),
+        ),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def games(draw, players):
+    """A game with at most six variables, each player owning at least one;
+    two-player games are win-lose zero-sum about half of the time."""
+    n = draw(st.integers(min_value=players, max_value=len(VARS)))
+    owners = list(range(players)) + draw(st.lists(
+        st.integers(min_value=0, max_value=players - 1),
+        min_size=n - players, max_size=n - players))
+    owners = draw(st.permutations(owners))
+    names = VARS[:n]
+    var_sets = [[v for v, o in zip(names, owners) if o == i]
+                for i in range(players)]
+    goals = [draw(formulas(names)) for _ in range(players)]
+    if players == 2 and draw(st.booleans()):
+        goals[1] = Not(goals[0])
+    return BooleanGame(var_sets, goals)
+
+
+def profiles(g):
+    """(index tuple, merged assignment) for every pure profile, in order."""
+    for combo in itertools.product(*(
+            enumerate(player_assignments(g, i)) for i in range(g.players))):
+        idx = tuple(j for j, _ in combo)
+        merged = {}
+        for _, a in combo:
+            merged.update(a)
+        yield idx, merged
+
+
+def cell(t, idx):
+    for j in idx:
+        t = t[j]
+    return t
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=3).flatmap(games))
+def test_expansion_cells_match_pure_utilities(g):
+    nf = to_normal_form(g)
+    assert nf.shape == tuple(1 << len(vs) for vs in g.var_sets)
+    compiled = [compile_formula(goal) for goal in g.goals]
+    for idx, merged in profiles(g):
+        for i in range(g.players):
+            got = nf.payoff(i, idx)
+            assert type(got) is int
+            assert got == utility_pure(g, merged, i) == compiled[i](merged)
+    for i in range(g.players):
+        index = nf.strategy_index[i]
+        assert list(index) == player_assignments(g, i)
+        with pytest.raises(IndexError):
+            index[len(index)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_truth_tables_match_eval_formula(data):
+    g = data.draw(st.integers(min_value=2, max_value=3).flatmap(games))
+    phi = data.draw(formulas(g.all_vars()))
+    (table,) = truth_tables(g, [phi])
+    check = compile_formula(phi)
+    for idx, merged in profiles(g):
+        assert cell(table, idx) == eval_formula(phi, merged) == check(merged)
+
+
+@settings(deadline=None)
+@given(games(2))
+def test_zero_sum_route_agrees_on_expansion_and_json(g):
+    nf = to_normal_form(g)
+    # the same payoffs as a JSON file would give them: plain ints, and
+    # integral fractions written as "2/2"
+    loaded = NormalForm(json.loads(json.dumps({"payoffs": nf.payoffs}))
+                        ["payoffs"])
+    halves = NormalForm([[["%d/2" % (2 * x) for x in row] for row in t]
+                         for t in nf.payoffs])
+    assert loaded.payoffs == nf.payoffs == halves.payoffs
+    assert all(type(x) is int for t in halves.payoffs for row in t
+               for x in row)
+    sums = {utility_pure(g, merged, 0) + utility_pure(g, merged, 1)
+            for _, merged in profiles(g)}
+    c = sums.pop() if len(sums) == 1 else None
+    assert constant_sum(nf) == c == constant_sum(loaded) \
+        == constant_sum(halves)
+    if c is not None:
+        value, x = zero_sum_value(nf)
+        assert zero_sum_value(loaded) == zero_sum_value(halves) == (value, x)
+        # the maxmin strategy secures exactly the value
+        a = nf.payoffs[0]
+        assert min(sum(w * row[j] for w, row in zip(x, a))
+                   for j in range(nf.shape[1])) == value
+
+
+def test_normal_form_keeps_fractions_that_are_not_integral():
+    nf = NormalForm([[["1/2", "4/2"]], [["1/2", 0]]])
+    assert nf.payoffs == [[[Fraction(1, 2), 2]], [[Fraction(1, 2), 0]]]
+    assert type(nf.payoffs[0][0][1]) is int
+
+
+def test_nash_sat_reads_the_truth_table():
+    # matching pennies: the only equilibrium mixes uniformly, so every cell
+    # has positive weight and only a formula true in all four holds
+    mp = parse_game("players: 2\nvars 1: x\nvars 2: y\n"
+                    "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n")
+    for phi in ("x <-> y", "~(x <-> y)", "x"):
+        assert not nash_sat(mp, parse_formula(phi), "exists")
+    for mode in ("exists", "forall"):
+        assert nash_sat(mp, parse_formula("x | ~x"), mode)
+
+
+def test_huge_expansion_trips_cap_without_allocating():
+    # 2^40 cells; the cap is checked before any mask is built
+    g = BooleanGame([["a%d" % i for i in range(20)],
+                     ["b%d" % i for i in range(20)]],
+                    [Var("a0"), Iff(Var("a0"), Var("b19"))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            to_normal_form(g)
+        with pytest.raises(ResourceCapError):
+            nash_sat(g, Var("b0"), "exists")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -12,6 +12,7 @@ from boolgames.game import (
     validate_profile,
 )
 from boolgames.reductions import (
+    ENTRY_PREFIXES,
     CellDescriptor,
     ReductionError,
     Square2x2,
@@ -213,3 +214,44 @@ def test_transform_exists_nash_sat_structure():
     assert set(ro.game.var_sets[0]) <= set(g.var_sets[0])
     assert set(ro.game.var_sets[1]) <= set(g.var_sets[1])
     assert phi is not None
+
+
+def two_step_acceptor():
+    """Writes 0 and steps right, writes 1 and steps back, accepting at
+    step 2: too late for bound 2, in time for bound 4."""
+    halt = [Transition("qa", s, s, "L", "qa") for s in ("0", "1", "_")]
+    return TuringMachine(
+        ["q0", "q1", "qa"], "q0", "qa",
+        [Transition("q0", "_", "0", "R", "q1"),
+         Transition("q1", "_", "1", "L", "qa")] + halt)
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
+@pytest.mark.parametrize("build", [build_guarantee_game,
+                                   build_forall_guarantee_game])
+def test_oracle_agrees_with_require_on_witness_windows_k2(machine, build):
+    # every window of a genuine accepting run is legal: Require holds on all
+    # of them (exists mode) and Illegal on none (forall mode), and the
+    # decoding oracle must say the same window by window; each window with
+    # one descriptor flag or position bit flipped must get the same verdict
+    # from both
+    m = machine()
+    ro = build(m, "", 4)
+    assert ro.k == 2
+    size = 1 << ro.k
+    table = simulate_tm(m, "", size, size, accept_row=3)
+    assert table is not None
+    req = compile_formula(ro.require)
+    windows = [a for a, _ in witness_profile(ro, table).strategies[1]]
+    assert len(windows) == 64
+    legal = ro.mode == "exists"
+    vi = ro.var_index
+    flips = [v for p in ENTRY_PREFIXES
+             for v in vi.entry2_vars(p) + list(vi.time2[p] + vi.tape2[p])]
+    for a in windows:
+        assert req(a) == legal
+        assert oracle_requires(ro, a) == legal
+        for v in flips:
+            b = dict(a)
+            b[v] = not b[v]
+            assert req(b) == oracle_requires(ro, b), v
