@@ -9,6 +9,7 @@ rendered as reduced "a/b" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -67,7 +68,7 @@ def load_game(path):
     text = _read(path, "--game")
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_float=Fraction)
             return NormalForm(data["payoffs"])
         except (ValueError, KeyError, TypeError, IndexError,
                 ZeroDivisionError) as e:
@@ -362,6 +363,7 @@ def cmd_verify(args):
         mode = "exact"
         if args.sample:
             b2, best2 = solver.best_deviation_gain(ro.game, wp, 1,
+                                                   cap=args.cap_deviations,
                                                    sample=args.sample,
                                                    seed=args.seed)
             ok = ok and best2 <= b2
@@ -388,6 +390,8 @@ def cmd_verify(args):
 # --- argument parsing ---------------------------------------------------------
 
 
+# built on the first run, not at import, and reused: a build costs ~30 parses
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="bg", description="Boolean-games toolkit")

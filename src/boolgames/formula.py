@@ -285,6 +285,11 @@ def free_vars(f):
     return set(_iter_vars(f))
 
 
+def var_order(f):
+    """The variables of ``f`` in order of first occurrence, left to right."""
+    return list(dict.fromkeys(_iter_vars(f)))
+
+
 def formula_size(f):
     """Node count of the AST."""
     n = 0
@@ -388,15 +393,14 @@ def eval_bits(f, var_masks, full):
 def compile_formula(f):
     """Compile ``f`` to a fast callable taking an assignment dict.
 
-    Used on hot paths (large deviation sweeps); semantically identical to
-    eval_formula on complete assignments.
+    For one formula checked on many separate assignments; semantically
+    identical to eval_formula on complete assignments.
     """
-    names = {}
+    keys = var_order(f)
+    names = {name: "v%d" % k for k, name in enumerate(keys)}
 
     def expr(node):
         if isinstance(node, Var):
-            if node.name not in names:
-                names[node.name] = "v%d" % len(names)
             return names[node.name]
         if isinstance(node, ConstTrue):
             return "True"
@@ -415,13 +419,11 @@ def compile_formula(f):
         raise FormulaError("not a formula node: %r" % (node,))
 
     body = expr(f)
-    ordered = sorted(names, key=lambda n: names[n])
-    args = ", ".join(names[n] for n in ordered)
+    args = ", ".join(names.values())
     src = "def _compiled(%s):\n    return %s\n" % (args, body)
     env = {}
     exec(src, env)  # noqa: S102 - generated from our own AST
     fn = env["_compiled"]
-    keys = ordered
 
     def call(assignment):
         return fn(*[assignment[k] for k in keys])

@@ -8,20 +8,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .formula import (
     Var,
     Not,
-    compile_formula,
+    compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
     conj,
     eval_bits,
     eval_formula,
     free_vars,
     is_valid_var,
     parse_formula,
+    rename_vars,
     render_formula,
+    var_order,
 )
 
 DEFAULT_CELL_CAP = 1 << 22
@@ -152,18 +155,74 @@ def validate_profile(g, profile):
 
 def expected_utility(g, profile, i):
     """Exact expected utility of player i under the profile."""
+    return utility_sweep(g, profile, i)[0]
+
+
+def utility_sweep(g, profile, i, deviations=0, masks=()):
+    """(expected utility, best of it and ``deviations`` pure deviations)
+    of player i; deviation r sets the t-th own goal variable, in order of
+    first occurrence (``var_order``), to bit r of ``masks[t]``.
+
+    The goal is evaluated bit-parallel over rows: player i's support
+    entries, then the deviations.  Opponent entries are merged by their
+    values on the goal's variables; each merged combination is one
+    evaluation with its variables as constant masks, and adds its
+    satisfaction mask times its integer weight into bit-sliced counters.
+    """
     validate_profile(g, profile)
-    goal = compile_formula(g.goals[i])
-    total = Fraction(0)
-    for combo in itertools.product(*profile.strategies):
-        full = {}
-        weight = Fraction(1)
-        for a, w in combo:
-            full.update(a)
+    names = [[] for _ in g.var_sets]  # the goal's variables by owner
+    for v in var_order(g.goals[i]):
+        names[g.owner(v)].append(v)
+    support = profile.strategies[i]
+    s = len(support)
+    full = (1 << (s + deviations)) - 1
+    var_masks = {}
+    for t, v in enumerate(names[i]):
+        m = masks[t] << s if deviations else 0
+        for r, (a, _) in enumerate(support):
+            if a[v]:
+                m |= 1 << r
+        var_masks[v] = m
+    den, merged = 1, []
+    for j, opp in enumerate(profile.strategies):
+        if j == i:
+            continue
+        dist = {}
+        for a, w in opp:
+            key = tuple(a[v] for v in names[j])
+            dist[key] = dist.get(key, 0) + w
+        d = math.lcm(*(w.denominator for w in dist.values()))
+        den *= d
+        merged.append([({v: full if b else 0 for v, b in zip(names[j], key)},
+                         w.numerator * (d // w.denominator))
+                        for key, w in dist.items()])
+    # planes[b]: rows whose count has bit b set (counts are at most den)
+    planes = [0] * den.bit_length()
+    for combo in itertools.product(*merged):
+        weight = 1
+        for consts, w in combo:
+            var_masks.update(consts)
             weight *= w
-        if goal(full):
-            total += weight
-    return total
+        sat = eval_bits(g.goals[i], var_masks, full)
+        b = 0
+        while weight:
+            if weight & 1:
+                carry, p = sat, b
+                while carry:
+                    planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                    p += 1
+            weight >>= 1
+            b += 1
+    own = (1 << s) - 1
+    low = [p & own for p in planes]
+    eu = sum(w * sum((p >> r & 1) << b for b, p in enumerate(low))
+             for r, (_, w) in enumerate(support)) / den
+    rows, best = full ^ own, 0  # the deviation rows, narrowed to the max
+    for b in reversed(range(len(planes))):
+        if rows & planes[b]:
+            rows &= planes[b]
+            best |= 1 << b
+    return eu, max(eu, Fraction(best, den))
 
 
 # --- normal form ------------------------------------------------------------
@@ -212,6 +271,8 @@ class NormalForm:
 def _exact_tensor(t):
     if isinstance(t, (list, tuple)):
         return [_exact_tensor(x) for x in t]
+    if isinstance(t, float):
+        raise ValidationError("payoff %r is a float, not exact" % (t,))
     q = Fraction(t)
     return q.numerator if q.denominator == 1 else q
 
@@ -252,7 +313,7 @@ def player_assignments(g, i):
     ]
 
 
-def _var_mask(b, total):
+def var_mask(b, total):
     """The assignments p < total whose bit b is set, as a mask, by doubling
     one period of 2^b clear then 2^b set bits."""
     half = 1 << b
@@ -278,7 +339,7 @@ def truth_tables(g, formulas):
     """
     names = g.all_vars()
     total = 1 << len(names)
-    masks = {name: _var_mask(b, total)
+    masks = {name: var_mask(b, total)
              for b, name in enumerate(reversed(names))}
     full = (1 << total) - 1
     shape = [1 << len(vs) for vs in g.var_sets]
@@ -307,19 +368,6 @@ def to_normal_form(g, cap=DEFAULT_CELL_CAP):
     shape = tuple(1 << len(vs) for vs in g.var_sets)
     index = [_Assignments(vs) for vs in g.var_sets]
     return NormalForm._exact(truth_tables(g, g.goals), shape, index)
-
-
-def profile_from_indices(nf, weight_vectors):
-    """MixedProfile from per-player index->weight maps over nf.strategy_index."""
-    if nf.strategy_index is None:
-        raise GameError("normal form carries no strategy index")
-    strategies = []
-    for i, wv in enumerate(weight_vectors):
-        support = [
-            (nf.strategy_index[i][j], Fraction(w)) for j, w in wv.items() if w != 0
-        ]
-        strategies.append(support)
-    return MixedProfile(strategies)
 
 
 # --- marginals --------------------------------------------------------------
@@ -392,18 +440,12 @@ def compose_disjoint(games, player_map, goal_builder, outer_players,
             outer = player_map[(c, i)]
             var_sets[outer].extend(mapping[v] for v in g.var_sets[i])
         renamed_goals.append([
-            _rename(goal, mapping) for goal in g.goals
+            rename_vars(goal, mapping) for goal in g.goals
         ])
     goals = list(goal_builder(renamed_goals))
     if len(goals) != outer_players:
         raise ValidationError("goal_builder must emit one goal per outer player")
     return BooleanGame(var_sets, goals)
-
-
-def _rename(goal, mapping):
-    from .formula import rename_vars
-
-    return rename_vars(goal, mapping)
 
 
 def characteristic_formula(a):
@@ -422,8 +464,7 @@ def characteristic_formula(a):
 def parse_game(text):
     """Parse the textual game format into a validated BooleanGame."""
     players = None
-    var_sets = {}
-    goals = {}
+    entries = {"vars": {}, "goal": {}}  # player -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -438,19 +479,26 @@ def parse_game(text):
                 players = int(rest)
             except ValueError:
                 raise GameError("line %d: bad player count" % lineno) from None
-        elif head.startswith("vars "):
-            idx = _player_index(head[5:], lineno)
-            var_sets[idx] = rest.split()
-        elif head.startswith("goal "):
-            idx = _player_index(head[5:], lineno)
+        elif head[:5] in ("vars ", "goal "):
+            kind, idx = head[:4], _player_index(head[5:], lineno)
+            if idx in entries[kind]:
+                raise GameError("line %d: repeated '%s %d:' (first on line %d)"
+                                % (lineno, kind, idx + 1, entries[kind][idx][0]))
             try:
-                goals[idx] = parse_formula(rest)
+                value = rest.split() if kind == "vars" else parse_formula(rest)
             except Exception as e:
                 raise GameError("line %d: %s" % (lineno, e)) from None
+            entries[kind][idx] = (lineno, value)
         else:
             raise GameError("line %d: unknown directive %r" % (lineno, head))
     if players is None:
         raise GameError("missing 'players:' line")
+    extra = min(((n, kind, idx + 1) for kind, found in entries.items()
+                 for idx, (n, _) in found.items() if idx >= players), default=None)
+    if extra:
+        raise GameError("line %d: '%s %d:' but the game has %d players"
+                        % (*extra, players))
+    var_sets, goals = entries["vars"], entries["goal"]
     missing = [
         str(i + 1)
         for i in range(players)
@@ -459,8 +507,8 @@ def parse_game(text):
     if missing:
         raise GameError("missing vars/goal for players: %s" % ", ".join(missing))
     return BooleanGame(
-        [var_sets[i] for i in range(players)],
-        [goals[i] for i in range(players)],
+        [var_sets[i][1] for i in range(players)],
+        [goals[i][1] for i in range(players)],
     )
 
 

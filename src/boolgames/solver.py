@@ -9,12 +9,12 @@ or a NormalForm directly.  Player indices are 0-based.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 import random
 from fractions import Fraction
 
-from .formula import compile_formula, free_vars
+from .formula import compile_formula  # noqa: F401 - perfbench patches it here
+from .formula import free_vars
 from .game import (
     DEFAULT_CELL_CAP,
     DEFAULT_DEVIATION_CAP,
@@ -25,7 +25,8 @@ from .game import (
     ResourceCapError,
     to_normal_form,
     truth_tables,
-    validate_profile,
+    utility_sweep,
+    var_mask,
 )
 from .lp import Infeasible, LinearProgram, Optimal, solve_lp, solution_unique
 
@@ -384,78 +385,34 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
 # --- equilibrium verification -------------------------------------------------
 
 
-def _boolean_player_sweep(g, profile, i):
-    """Expected utilities for player i: (baseline, deviation evaluator).
-
-    Deviations are enumerated over the variables that occur in player i's
-    goal; assignments to the player's other variables cannot change any
-    utility, so the sweep is complete up to utility equivalence.
-    """
-    goal = compile_formula(g.goals[i])
-    keys = goal.keys
-    own = set(g.var_sets[i])
-    own_pos = [(pos, k) for pos, k in enumerate(keys) if k in own]
-    other_pos = [(pos, k) for pos, k in enumerate(keys) if k not in own]
-    combos = []
-    others = [profile.strategies[j] for j in range(g.players) if j != i]
-    for combo in itertools.product(*others):
-        merged = {}
-        w = Fraction(1)
-        for a, wt in combo:
-            merged.update(a)
-            w *= wt
-        args = [None] * len(keys)
-        for pos, k in other_pos:
-            args[pos] = merged[k]
-        combos.append((args, w))
-    raw = goal.raw
-
-    def eu(assign):
-        total = Fraction(0)
-        for args, w in combos:
-            filled = list(args)
-            for pos, k in own_pos:
-                filled[pos] = assign[k]
-            if raw(*filled):
-                total += w
-        return total
-
-    baseline = Fraction(0)
-    for a, w in profile.strategies[i]:
-        baseline += w * eu(a)
-    used_own = [k for _, k in own_pos]
-    return baseline, eu, used_own
-
-
 def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
                         seed=0):
     """(baseline EU, best pure-deviation EU) for player i against sigma.
 
-    Exhaustive over the variables occurring in the player's goal by
-    default; with ``sample`` set, that many uniformly random pure
-    strategies are tried instead (no-counterexample-found semantics).
+    Deviations range over the player's variables that occur in its goal
+    (the others cannot change any utility), exhaustively by default; more
+    than ``cap`` of them raise ResourceCapError before any work.  With
+    ``sample`` set, that many uniformly random pure strategies are tried
+    instead (no-counterexample-found semantics): ``random.Random(seed)``
+    draws one ``getrandbits(1)`` per used variable, deviation by deviation,
+    each in the goal's first-occurrence order (``formula.var_order``), so a
+    seed always names the same deviations.
     """
-    baseline, eu, used = _boolean_player_sweep(g, sigma, i)
-    best = baseline
+    used = len(free_vars(g.goals[i]) & set(g.var_sets[i]))
+    count = 1 << used if sample is None else max(sample, 0)
+    if count > cap:
+        raise ResourceCapError(
+            "player %d: %d pure deviations to try; cap is %d"
+            % (i + 1, count, cap)
+        )
     if sample is None:
-        count = 1 << len(used)
-        if count > cap:
-            raise ResourceCapError(
-                "player %d has %d pure deviations; cap is %d "
-                "(use sampling)" % (i + 1, count, cap)
-            )
-        for bits in itertools.product((False, True), repeat=len(used)):
-            got = eu(dict(zip(used, bits)))
-            if got > best:
-                best = got
+        masks = [var_mask(t, count) for t in range(used)]
     else:
-        rng = random.Random(seed)
-        for _ in range(sample):
-            assign = {k: bool(rng.getrandbits(1)) for k in used}
-            got = eu(assign)
-            if got > best:
-                best = got
-    return baseline, best
+        bit = random.Random(seed).getrandbits
+        draws = bytes(b"01"[bit(1)] for _ in range(count * used))
+        # deviation r's bit for variable t is draws[r * used + t]
+        masks = [int(b"0" + draws[t::used][::-1], 2) for t in range(used)]
+    return utility_sweep(g, sigma, i, count, masks)
 
 
 def is_nash(g_or_nf, sigma, cap=DEFAULT_DEVIATION_CAP, sample=None, seed=0):
@@ -463,14 +420,13 @@ def is_nash(g_or_nf, sigma, cap=DEFAULT_DEVIATION_CAP, sample=None, seed=0):
 
     Exact over all pure deviations by default; with ``sample`` set, each
     player's deviations are checked on that many uniformly random pure
-    strategies instead (no-counterexample-found semantics).
+    strategies instead, drawn from ``random.Random(seed)`` in the order
+    ``best_deviation_gain`` documents (no-counterexample-found semantics).
     """
     if isinstance(g_or_nf, NormalForm):
         return _is_nash_nf(g_or_nf, sigma)
-    g = g_or_nf
-    validate_profile(g, sigma)
-    for i in range(g.players):
-        baseline, best = best_deviation_gain(g, sigma, i, cap=cap,
+    for i in range(g_or_nf.players):
+        baseline, best = best_deviation_gain(g_or_nf, sigma, i, cap=cap,
                                              sample=sample, seed=seed)
         if best > baseline:
             return False
@@ -540,15 +496,4 @@ def witness_to_profile(nf, witness):
             [(nf.strategy_index[0][i], w) for i, w in sorted(witness.x.items())],
             [(nf.strategy_index[1][j], w) for j, w in sorted(witness.y.items())],
         ]
-    )
-
-
-def result_json(answer, witness=None, payoffs=None, mode="exact"):
-    return json.dumps(
-        {
-            "answer": "yes" if answer else "no",
-            "witness": witness,
-            "payoffs": None if payoffs is None else [str(p) for p in payoffs],
-            "mode": mode,
-        }
     )

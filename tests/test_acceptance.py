@@ -9,6 +9,7 @@ import json
 import random
 from fractions import Fraction
 
+from boolgames.cli import run
 from boolgames.encodings import (
     build_arithmetic,
     build_cardinality,
@@ -58,7 +59,6 @@ from boolgames.solver import (
     irrational_nash,
     is_nash,
     pure_equilibria,
-    result_json,
     support_pairs,
     unique_nash,
     witness_to_profile,
@@ -302,7 +302,7 @@ def test_model_counting_via_expected_utility():
 #    sweep for player 2
 
 
-def test_acceptance_game_desk_scale():
+def test_acceptance_game_desk_scale(tmp_path, capsys):
     m = immediate_acceptor()
     ro = build_guarantee_game(m, "", 2)
     assert ro.k == 1
@@ -336,8 +336,13 @@ def test_acceptance_game_desk_scale():
     base2, best2 = best_deviation_gain(ro.game, wp, 1, sample=100000, seed=17)
     assert base2 == Fraction(7, 16)
     assert best2 <= base2
-    report = json.loads(result_json(True, mode="sampled"))
-    assert report["mode"] == "sampled"
+    machine = tmp_path / "machine.json"
+    machine.write_text(m.to_json())
+    capsys.readouterr()
+    code = run(["verify", "witness", "--machine", str(machine), "--bound", "2",
+                "--sample", "2000", "--seed", "17"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["answer"], report["mode"]) == (0, "yes", "sampled")
 
 
 # 8. the tableau-admissibility formula agrees with the independent

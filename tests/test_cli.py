@@ -140,6 +140,20 @@ def test_nash_is_with_sample_flag(machine_file, tmp_path, capsys):
     assert data["answer"] == "yes" and data["mode"] == "sampled"
 
 
+def test_sampled_sweeps_honour_cap_deviations(machine_file, tmp_path, capsys):
+    # at bound 2 player 1 has 2^10 exhaustive deviations, within the cap;
+    # player 2's sample of 2000 is not
+    out = str(tmp_path / "red")
+    run_json(["reduce", "nexptm", "--machine", machine_file, "--bound", "2",
+              "--emit-witness", "--out", out], capsys)
+    capped = ["--sample", "2000", "--cap-deviations", "1500"]
+    assert run(["verify", "witness", "--machine", machine_file, "--bound",
+                "2"] + capped) == 3
+    assert run(["nash", "is", "--game", out + ".game", "--profile",
+                out + ".witness.json"] + capped) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_transform_formula_verbatim(mp_file, capsys):
     data = run_json(["reduce", "transform", "--kind", "forall-nash-sat",
                      "--game", mp_file, "--payoffs", "1/2,1/2"], capsys)
@@ -225,6 +239,31 @@ def test_malformed_normal_form_exits_2(tmp_path, capsys):
         path.write_text('{"payoffs": %s}' % payoffs)
         assert run(["check", "--game", str(path)]) == 2, payoffs
     assert capsys.readouterr().out == ""
+
+
+def test_normal_form_decimals_read_exactly(tmp_path, capsys):
+    path = tmp_path / "dec.nf"
+    path.write_text('{"payoffs": [[[0.1, 0], [0, 1]], [[0, 1], [1, 0]]]}')
+    data = run_json(["normal-form", "--game", str(path)], capsys)
+    assert data["payoffs"][0][0] == ["1/10", "0"]
+
+
+@pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
+def test_normal_form_non_finite_exits_2(tmp_path, capsys, cell):
+    path = tmp_path / "nan.nf"
+    path.write_text('{"payoffs": [[[%s, 0]], [[0, 0]]]}' % cell)
+    assert run(["normal-form", "--game", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra", ["vars 3: z", "goal 3: x", "vars 1: z",
+                                   "goal 2: x"])
+def test_inconsistent_game_file_exits_2(mp_file, capsys, extra):
+    with open(mp_file, "a") as fh:
+        fh.write(extra + "\n")
+    assert run(["check", "--game", mp_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line " in captured.err
 
 
 def test_missing_inputs_exit_2(mp_file, capsys):

@@ -11,6 +11,7 @@ from boolgames.game import (
     MixedProfile,
     NormalForm,
     ResourceCapError,
+    ValidationError,
     characteristic_formula,
     compose_disjoint,
     expected_utility,
@@ -62,6 +63,18 @@ def test_parse_rejects_overlapping_vars():
     bad = "players: 2\nvars 1: x\nvars 2: x\ngoal 1: x\ngoal 2: ~x\n"
     with pytest.raises(GameError):
         validate_game(parse_game(bad))
+
+
+@pytest.mark.parametrize("extra, lineno", [
+    ("vars 3: z", 4),   # a player the game does not have
+    ("goal 3: x", 4),
+    ("vars 1: z", 4),   # a repeated line: the first would be dropped
+    ("goal 2: x", 6),
+])
+def test_parse_rejects_inconsistent_lines(extra, lineno):
+    text = "players: 2\nvars 1: x\nvars 2: y\n%s\ngoal 1: x\ngoal 2: y\n"
+    with pytest.raises(GameError, match="line %d:" % lineno):
+        parse_game(text % extra)
 
 
 def test_parse_rejects_goal_over_unknown_vars():
@@ -152,6 +165,15 @@ def test_to_normal_form_cap():
 def test_normal_form_validates_shape():
     with pytest.raises(GameError):
         NormalForm([[[1, 2]], [[1]]])
+
+
+def test_normal_form_rejects_float_cells():
+    # a float is not exact: 0.1 would read as 3602879701896397/2^55
+    for cell in (0.1, 1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            NormalForm([[[cell, 0]], [[0, 0]]])
+    assert NormalForm([[[Fraction("0.1"), 0]], [[0, 0]]]).payoffs[0] == [
+        [Fraction(1, 10), 0]]
 
 
 def test_marginalize_product_structure():

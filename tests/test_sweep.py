@@ -1,0 +1,168 @@
+"""Differential checks of the bit-parallel utility sweep.
+
+``expected_utility`` and ``best_deviation_gain`` (exhaustive and sampled)
+are compared with a brute force written here from ``eval_formula``: one
+evaluation per (own strategy, opponent support combination), weights
+multiplied as Fractions.  Supports carry non-uniform weights with different
+denominators per player, and most drawn profiles are not equilibria, so a
+wrong merge, weight or maximum shows as a different exact value.
+"""
+
+import itertools
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from boolgames.formula import And, Not, Or, Var, compile_formula, eval_formula
+from boolgames.game import (
+    BooleanGame,
+    MixedProfile,
+    ResourceCapError,
+    expected_utility,
+    player_assignments,
+)
+from boolgames.reductions import (
+    build_guarantee_game,
+    immediate_acceptor,
+    simulate_tm,
+    witness_profile,
+)
+from boolgames.solver import best_deviation_gain, is_nash
+
+from test_expansion import games
+from test_reductions import two_step_acceptor
+
+
+@st.composite
+def game_and_profile(draw):
+    g = draw(st.integers(min_value=2, max_value=3).flatmap(games))
+    strategies = []
+    for i in range(g.players):
+        pure = player_assignments(g, i)
+        picks = draw(st.lists(st.integers(0, len(pure) - 1), min_size=1,
+                              max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(picks),
+                                max_size=len(picks)))
+        strategies.append([(pure[k], Fraction(w, sum(weights)))
+                           for k, w in zip(picks, weights)])
+    return g, MixedProfile(strategies)
+
+
+def brute_eu(g, profile, i, own=None):
+    """Player i's expected utility over every support combination; with
+    ``own`` given, player i plays that pure assignment instead."""
+    supports = list(profile.strategies)
+    if own is not None:
+        supports[i] = [(own, Fraction(1))]
+    total = Fraction(0)
+    for combo in itertools.product(*supports):
+        merged, weight = {}, Fraction(1)
+        for a, w in combo:
+            merged.update(a)
+            weight *= w
+        if eval_formula(g.goals[i], merged):
+            total += weight
+    return total
+
+
+def sampled_deviations(g, i, sample, seed):
+    """The pure deviations a sampled sweep tries: one ``getrandbits(1)``
+    per own goal variable, in the goal's first-occurrence order (the
+    argument order of ``compile_formula``), unused variables left False."""
+    own = set(g.var_sets[i])
+    used = [v for v in compile_formula(g.goals[i]).keys if v in own]
+    rng = random.Random(seed)
+    for _ in range(sample):
+        a = dict.fromkeys(g.var_sets[i], False)
+        a.update({v: bool(rng.getrandbits(1)) for v in used})
+        yield a
+
+
+@settings(deadline=None, max_examples=150)
+@given(game_and_profile(), st.integers(0, 4), st.integers(0, 99))
+def test_sweep_matches_brute_force(gp, sample, seed):
+    g, profile = gp
+    for i in range(g.players):
+        base = brute_eu(g, profile, i)
+        assert expected_utility(g, profile, i) == base
+        best = max([base] + [brute_eu(g, profile, i, a)
+                             for a in player_assignments(g, i)])
+        assert best_deviation_gain(g, profile, i) == (base, best)
+        sampled = max([base] + [brute_eu(g, profile, i, a) for a in
+                                sampled_deviations(g, i, sample, seed)])
+        assert best_deviation_gain(g, profile, i, sample=sample,
+                                   seed=seed) == (base, sampled)
+
+
+def test_sweep_exact_gain_off_equilibrium():
+    # player 1 wins with a when c, with b when not c; playing only a
+    # against c weighted 2/3 pays 2/3, and a & b pays 1
+    g = BooleanGame([["a", "b"], ["c"]],
+                    [Or((And((Var("a"), Var("c"))),
+                         And((Var("b"), Not(Var("c")))))), Var("c")])
+    profile = MixedProfile([
+        [({"a": True, "b": False}, Fraction(1))],
+        [({"c": True}, Fraction(2, 3)), ({"c": False}, Fraction(1, 3))],
+    ])
+    assert expected_utility(g, profile, 0) == Fraction(2, 3)
+    assert best_deviation_gain(g, profile, 0) == (Fraction(2, 3), 1)
+    assert best_deviation_gain(g, profile, 1) == (Fraction(2, 3), 1)
+    assert not is_nash(g, profile)
+    # seed 3 draws (a, b) = (0, 1), (1, 0), (0, 1) and misses the gain;
+    # seed 0 draws (1, 0), (1, 1), (0, 0) and finds it
+    assert best_deviation_gain(g, profile, 0, sample=3, seed=3) == (
+        Fraction(2, 3), Fraction(2, 3))
+    assert best_deviation_gain(g, profile, 0, sample=3, seed=0) == (
+        Fraction(2, 3), 1)
+
+
+def test_sampled_draw_order_is_first_occurrence():
+    # the goal names b before a, so a deviation's first bit sets b; only
+    # a = 1, b = 0 wins.  Seed 1 draws (0, 1) and seed 5 draws (1, 0): in
+    # sorted order (a first) the verdicts would swap
+    g = BooleanGame([["a", "b"], ["c"]],
+                    [And((Not(Var("b")), Var("a"))), Var("c")])
+    profile = MixedProfile([[({"a": False, "b": False}, Fraction(1))],
+                            [({"c": True}, Fraction(1))]])
+    assert best_deviation_gain(g, profile, 0, sample=1, seed=1) == (0, 1)
+    assert best_deviation_gain(g, profile, 0, sample=1, seed=5) == (0, 0)
+    assert is_nash(g, profile, sample=1, seed=5)
+    assert not is_nash(g, profile, sample=1, seed=1)
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
+def test_bound_4_witness_player_1_sweep(machine):
+    m = machine()
+    ro = build_guarantee_game(m, "", 4)
+    assert ro.k == 2
+    table = simulate_tm(m, "", 4, 4, accept_row=3)
+    wp = witness_profile(ro, table)
+    assert best_deviation_gain(ro.game, wp, 0) == (Fraction(57, 64),
+                                                   Fraction(57, 64))
+    assert expected_utility(ro.game, wp, 1) == ro.payoff[1]
+
+
+def test_deviation_cap_trips_before_allocating():
+    # 2^40 deviations; the cap is checked before any mask is built
+    names = ["a%d" % t for t in range(40)]
+    g = BooleanGame([names, ["b"]],
+                    [And(tuple(map(Var, names))), Var("b")])
+    profile = MixedProfile([[(dict.fromkeys(names, True), Fraction(1))],
+                            [({"b": True}, Fraction(1))]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            best_deviation_gain(g, profile, 0, cap=1 << 39)
+        with pytest.raises(ResourceCapError):
+            is_nash(g, profile)
+        # sampled deviations are masks as long as the sample
+        with pytest.raises(ResourceCapError):
+            best_deviation_gain(g, profile, 0, cap=1 << 20,
+                                sample=(1 << 20) + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
