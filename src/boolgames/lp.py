@@ -1,7 +1,9 @@
 """Exact-rational linear programming: two-phase simplex with Bland's rule.
 
 All arithmetic is over fractions.Fraction; results are deterministic for a
-given input.  Free variables are split into two nonnegative parts.
+given input.  Free variables are split into two nonnegative parts.  Phase 1
+is shared: ``variable_ranges`` (the range probes behind uniqueness and
+equilibrium-payoff questions) runs it once and every bound from its basis.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ def _reduced_costs(rows, basis, costs):
     return zrow
 
 
-def solve_lp(lp):
-    """Two-phase simplex.  Returns Optimal, Infeasible, or Unbounded."""
+def _feasible_tableau(lp):
+    """Phase 1: (rows, basis, col_of, ncols), a feasible basis of ``lp`` in
+    standard equality form, or None if ``lp`` is infeasible."""
     # column layout: one column per nonneg variable, two per free variable
     columns = []  # (name, sign)
     for name in lp.variables:
@@ -204,7 +207,7 @@ def solve_lp(lp):
         zrow = _reduced_costs(rows, basis, costs)
         status = _run_simplex(rows, zrow, basis)
         if status != "optimal" or -zrow[-1] != 0:
-            return Infeasible()
+            return None
         # drive remaining artificials out of the basis
         for r in range(len(rows)):
             if basis[r] >= ncols:
@@ -221,31 +224,53 @@ def solve_lp(lp):
         basis = [basis[r] for r in keep]
         # drop artificial columns
         rows = [row[:ncols] + [row[-1]] for row in rows]
+    return rows, basis, col_of, ncols
 
-    # phase 2
-    obj_coeffs, sense = lp.objective
+
+def _optimize(tab, coeffs, sense):
+    """Phase 2 from a ``_feasible_tableau``: Optimal or Unbounded.  Shallow
+    copies leave ``tab`` reusable, as ``_pivot`` replaces rows it changes."""
+    rows, basis, col_of, ncols = tab
+    rows, basis = list(rows), list(basis)
     sign = -1 if sense == "maximize" else 1
     costs = [_ZERO] * ncols
-    for name, v in obj_coeffs.items():
+    for name, v in coeffs.items():
         for idx, s in col_of[name]:
             costs[idx] += sign * s * v
     zrow = _reduced_costs(rows, basis, costs)
-    status = _run_simplex(rows, zrow, basis)
-    if status == "unbounded":
+    if _run_simplex(rows, zrow, basis) == "unbounded":
         return Unbounded()
-
-    values = {}
-    for r, b in enumerate(basis):
-        values[b] = rows[r][-1]
-    solution = {}
-    for name in lp.variables:
-        v = _ZERO
-        for idx, s in col_of[name]:
-            v += s * values.get(idx, _ZERO)
-        solution[name] = v
+    values = {b: row[-1] for b, row in zip(basis, rows)}
+    solution = {name: sum((s * values.get(idx, _ZERO) for idx, s in cols),
+                          _ZERO)
+                for name, cols in col_of.items()}
     # internal objective (minimized) sits at -zrow[-1]; undo the sign flip
     internal = -zrow[-1]
     return Optimal(solution, internal if sense == "minimize" else -internal)
+
+
+def solve_lp(lp):
+    """Two-phase simplex.  Returns Optimal, Infeasible, or Unbounded."""
+    tab = _feasible_tableau(lp)
+    return Infeasible() if tab is None else _optimize(tab, *lp.objective)
+
+
+def variable_ranges(lp, names):
+    """{name: (min, max)} over the feasible region of ``lp``, None for an
+    unbounded side; None if ``lp`` is infeasible.
+
+    Phase 1 runs once; each bound is a phase 2 from its feasible basis.
+    """
+    tab = _feasible_tableau(lp)
+    if tab is None:
+        return None
+    ranges = {}
+    for name in names:
+        ends = (_optimize(tab, {name: _ONE}, sense)
+                for sense in ("minimize", "maximize"))
+        ranges[name] = tuple(out.value if isinstance(out, Optimal) else None
+                             for out in ends)
+    return ranges
 
 
 def verify_solution(lp, sol):
@@ -274,8 +299,8 @@ def objective_value(lp, sol):
 def solution_unique(lp, sol):
     """True iff ``sol`` is the only optimal solution of ``lp``.
 
-    Pins the objective at its optimal value and, for every variable,
-    maximizes and minimizes it; unique iff every bound equals sol's value.
+    Pins the objective at its optimal value; unique iff every variable's
+    range over the pinned program is the single point sol gives it.
     """
     if not verify_solution(lp, sol):
         raise LpError("solution is not feasible")
@@ -285,17 +310,8 @@ def solution_unique(lp, sol):
     if objective_value(lp, sol) != opt.value:
         raise LpError("solution is not optimal")
     pinned = lp.copy()
-    coeffs, sense = lp.objective
-    pinned.add_constraint(coeffs, "=", opt.value)
-    for name in lp.variables:
-        for direction in ("maximize", "minimize"):
-            probe = pinned.copy()
-            probe.set_objective({name: 1}, direction)
-            out = solve_lp(probe)
-            if isinstance(out, Unbounded):
-                return False
-            if not isinstance(out, Optimal):
-                raise LpError("pinned program unexpectedly infeasible")
-            if out.value != sol[name]:
-                return False
-    return True
+    pinned.add_constraint(lp.objective[0], "=", opt.value)
+    ranges = variable_ranges(pinned, lp.variables)
+    if ranges is None:
+        raise LpError("pinned program unexpectedly infeasible")
+    return all(ranges[name] == (sol[name], sol[name]) for name in lp.variables)

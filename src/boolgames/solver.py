@@ -28,7 +28,8 @@ from .game import (
     utility_sweep,
     var_mask,
 )
-from .lp import Infeasible, LinearProgram, Optimal, solve_lp, solution_unique
+from .lp import (LinearProgram, Optimal, solve_lp, solution_unique,
+                 variable_ranges)
 
 
 class SolverError(Exception):
@@ -193,11 +194,12 @@ def equilibrium_for_support(nf, support, bounds=None):
 
 def classify_support(nf, support):
     """'none', 'unique', or 'continuum' equilibria for the support system."""
-    lp, X, Y = _support_system(nf, support)
-    out = solve_lp(lp)
-    if not isinstance(out, Optimal):
+    lp, _, _ = _support_system(nf, support)
+    ranges = variable_ranges(lp, lp.variables)
+    if ranges is None:
         return "none"
-    return "unique" if solution_unique(lp, out.solution) else "continuum"
+    point = all(lo == hi for lo, hi in ranges.values())
+    return "unique" if point else "continuum"
 
 
 def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
@@ -234,32 +236,23 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     nf = as_normal_form(g_or_nf)
     v = [Fraction(x) for x in v]
     for sp in support_pairs(nf, cap):
-        lp, X, Y = _support_system(nf, sp)
-        for target, bound in (("alpha", v[0]), ("beta", v[1])):
-            probe = lp.copy()
-            probe.set_objective({target: 1}, "minimize")
-            out = solve_lp(probe)
-            if isinstance(out, Optimal) and out.value < bound:
-                return False
+        lp, _, _ = _support_system(nf, sp)
+        ranges = variable_ranges(lp, ("alpha", "beta"))
+        if ranges is not None and (ranges["alpha"][0] < v[0]
+                                   or ranges["beta"][0] < v[1]):
+            return False
     return True
-
-
-def _pin_probe(lp, name, sense):
-    probe = lp.copy()
-    probe.set_objective({name: 1}, sense)
-    out = solve_lp(probe)
-    if not isinstance(out, Optimal):
-        raise SolverError("support system probe failed unexpectedly")
-    return out.value
 
 
 def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP, use_zero_sum_path=None):
     """True iff the game has exactly one equilibrium.
 
     Constant-sum games use the value-program route (each player's optimal
-    strategy polytope must be a single point); otherwise every support
-    system's weight variables are maximized/minimized against the first
-    witness found.
+    strategy polytope must be a single point).  Otherwise one pass over the
+    support pairs: every solution of a feasible support system is an
+    equilibrium, so each such system's weight ranges must all be points,
+    and the same point (weights outside a support are zero) as the first
+    feasible system's.
     """
     nf = as_normal_form(g_or_nf)
     if use_zero_sum_path is None:
@@ -268,36 +261,20 @@ def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP, use_zero_sum_path=None):
         return not _zero_sum_continuum(nf)
     first = None
     for sp in support_pairs(nf, cap):
-        w = equilibrium_for_support(nf, sp)
-        if w is not None:
-            first = w
-            break
+        lp, X, Y = _support_system(nf, sp)
+        weights = ["x%d" % i for i in X] + ["y%d" % j for j in Y]
+        ranges = variable_ranges(lp, weights)
+        if ranges is None:
+            continue
+        if any(lo != hi for lo, hi in ranges.values()):
+            return False
+        point = {name: lo for name, (lo, _) in ranges.items() if lo}
+        if first is None:
+            first = point
+        elif point != first:
+            return False
     if first is None:
         raise SolverError("no equilibrium found (should be impossible)")
-    xs, ys = first.weight_vectors(nf.shape)
-    for sp in support_pairs(nf, cap):
-        lp, X, Y = _support_system(nf, sp)
-        out = solve_lp(lp)
-        if not isinstance(out, Optimal):
-            continue
-        # any solution of this system is an equilibrium; indices outside the
-        # support are implicitly zero
-        for i in range(nf.shape[0]):
-            if i not in X and xs[i] != 0:
-                return False
-        for j in range(nf.shape[1]):
-            if j not in Y and ys[j] != 0:
-                return False
-        for i in X:
-            name = "x%d" % i
-            if (_pin_probe(lp, name, "maximize") != xs[i]
-                    or _pin_probe(lp, name, "minimize") != xs[i]):
-                return False
-        for j in Y:
-            name = "y%d" % j
-            if (_pin_probe(lp, name, "maximize") != ys[j]
-                    or _pin_probe(lp, name, "minimize") != ys[j]):
-                return False
     return True
 
 
@@ -361,22 +338,19 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
                     return True
         return False
     if mode == "forall":
-        for sp in support_pairs(nf, cap):
-            lp, X, Y = _support_system(nf, sp)
-            out = solve_lp(lp)
-            if not isinstance(out, Optimal):
-                continue
-            bad = [(i, j) for i in X for j in Y if not sat[i][j]]
+        for X, Y in support_pairs(nf, cap):
+            bad = [("x%d" % i, "y%d" % j) for i in X for j in Y
+                   if not sat[i][j]]
             if not bad:
                 continue
             # a violating pair occurs with positive probability in some
             # equilibrium of this system iff both coordinates can be made
             # positive (the solution set is convex: take the midpoint)
-            max_x = {i: _pin_probe(lp, "x%d" % i, "maximize")
-                     for i in {i for i, _ in bad}}
-            max_y = {j: _pin_probe(lp, "y%d" % j, "maximize")
-                     for j in {j for _, j in bad}}
-            if any(max_x[i] > 0 and max_y[j] > 0 for i, j in bad):
+            lp, _, _ = _support_system(nf, (X, Y))
+            ranges = variable_ranges(lp, {name for pair in bad
+                                          for name in pair})
+            if ranges is not None and any(
+                    ranges[x][1] > 0 and ranges[y][1] > 0 for x, y in bad):
                 return False
         return True
     raise SolverError("mode must be 'exists' or 'forall'")

@@ -154,6 +154,16 @@ def test_sampled_sweeps_honour_cap_deviations(machine_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_exact_verify_witness_sweeps_player_2(machine_file, capsys):
+    # without --sample player 2's 2^34 deviations are swept exhaustively,
+    # so the default cap trips on them rather than an unchecked "exact" yes
+    assert run(["verify", "witness", "--machine", machine_file,
+                "--bound", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "player 2" in captured.err
+
+
 def test_transform_formula_verbatim(mp_file, capsys):
     data = run_json(["reduce", "transform", "--kind", "forall-nash-sat",
                      "--game", mp_file, "--payoffs", "1/2,1/2"], capsys)

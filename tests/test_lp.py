@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boolgames.lp import (
     Infeasible,
@@ -12,6 +12,7 @@ from boolgames.lp import (
     objective_value,
     solution_unique,
     solve_lp,
+    variable_ranges,
     verify_solution,
 )
 
@@ -149,3 +150,85 @@ def test_duality_gap_zero_on_boxes(costs, bound):
     assert isinstance(out, Optimal)
     assert out.value == sum(bound * c for c in costs if c > 0)
     assert verify_solution(lp, out.solution)
+
+
+@st.composite
+def small_lps(draw):
+    """Random LPs with =/<=/>= rows and free variables; boxing the free
+    variables is optional, so infeasible and unbounded programs occur."""
+    lp = LinearProgram()
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    names = ["v%d" % k for k in range(nvars)]
+    for name in names:
+        lp.add_variable(name, nonneg=draw(st.booleans()))
+    coeff = st.integers(min_value=-3, max_value=3)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lp.add_constraint({name: draw(coeff) for name in names},
+                          draw(st.sampled_from(("<=", "=", ">="))),
+                          draw(st.integers(min_value=-4, max_value=4)))
+    if draw(st.booleans()):
+        for name in names:
+            lp.add_constraint({name: 1}, "<=", 5)
+            lp.add_constraint({name: 1}, ">=", -5)
+    return lp
+
+
+@settings(deadline=None)
+@given(small_lps())
+def test_variable_ranges_match_cold_solves(lp):
+    ranges = variable_ranges(lp, lp.variables)
+    if isinstance(solve_lp(lp), Infeasible):
+        assert ranges is None
+        return
+    assert list(ranges) == lp.variables
+    for name in lp.variables:
+        want = []
+        for sense in ("minimize", "maximize"):
+            probe = lp.copy()
+            probe.set_objective({name: 1}, sense)
+            out = solve_lp(probe)
+            assert isinstance(out, (Optimal, Unbounded))
+            if isinstance(out, Optimal):
+                assert verify_solution(lp, out.solution)
+                assert out.solution[name] == out.value
+            want.append(out.value if isinstance(out, Optimal) else None)
+        assert ranges[name] == tuple(want)
+
+
+def _dual(lp):
+    """The dual of a maximization, rows read as sum <= rhs (>= rows
+    negated): min b.y with y >= 0 on <= rows, y free on = rows, and
+    A^T y >= c on nonneg variables, = c on free ones."""
+    rows = [(c, rel, rhs) if rel != ">=" else
+            ({k: -v for k, v in c.items()}, "<=", -rhs)
+            for c, rel, rhs in lp.constraints]
+    dual = LinearProgram()
+    for k, (_, rel, _) in enumerate(rows):
+        dual.add_variable("y%d" % k, nonneg=rel == "<=")
+    costs = lp.objective[0]
+    for name in lp.variables:
+        dual.add_constraint(
+            {"y%d" % k: c.get(name, 0) for k, (c, _, _) in enumerate(rows)},
+            ">=" if lp.nonneg[name] else "=", costs.get(name, 0))
+    dual.set_objective({"y%d" % k: rhs for k, (_, _, rhs) in enumerate(rows)},
+                       "minimize")
+    return dual
+
+
+@settings(deadline=None)
+@given(small_lps(), st.lists(st.integers(min_value=-3, max_value=3),
+                             min_size=3, max_size=3))
+def test_optimum_certified_by_dual(lp, costs):
+    lp.set_objective(dict(zip(lp.variables, costs)), "maximize")
+    primal = solve_lp(lp)
+    assume(isinstance(primal, Optimal))
+    dual = _dual(lp)
+    out = solve_lp(dual)
+    assert isinstance(out, Optimal)
+    # feasible primal and dual points with equal objectives are both
+    # optimal (weak duality), whatever the pivots did
+    assert verify_solution(lp, primal.solution)
+    assert verify_solution(dual, out.solution)
+    assert objective_value(lp, primal.solution) == primal.value
+    assert objective_value(dual, out.solution) == out.value
+    assert primal.value == out.value

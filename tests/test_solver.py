@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolgames.formula import Not, Var, parse_formula
 from boolgames.game import (
@@ -132,6 +133,18 @@ def test_nash_sat_pure_example():
     assert not nash_sat(g, parse_formula("x & y"), "forall")
 
 
+def test_nash_sat_forall_maximizes_violating_weights():
+    # player 2 is indifferent; player 1 plays x = T iff P(y & z) >= P(~y & z)
+    g = parse_game("players: 2\nvars 1: x\nvars 2: y z\n"
+                   "goal 1: (x & y & z) | (~x & ~y & z)\ngoal 2: y | ~y\n")
+    # x = T with y & z and ~y & z at 1/2 each puts mass on the violating
+    # cell, yet in every support system containing it x or P(~y & z) can
+    # be zero: only the maxima of the weights see the violation
+    phi = parse_formula("~(x & ~y & z)")
+    assert nash_sat(g, phi, "exists")
+    assert not nash_sat(g, phi, "forall")
+
+
 def test_pure_equilibria_boolean_and_nf():
     g = parse_game("players: 2\nvars 1: x\nvars 2: y\n"
                    "goal 1: x & y\ngoal 2: x & y\n")
@@ -203,3 +216,52 @@ def test_nash_in_subset_reduces_to_sat():
     # T = {(T,F)} contains no equilibrium
     phi2 = characteristic_formula({"x": True, "y": False})
     assert not nash_sat(g, phi2, "exists")
+
+
+@st.composite
+def constant_sum_games(draw):
+    """Constant-sum games whose rows and columns repeat those of a small
+    base matrix, so that continua of equilibria occur."""
+    cell = st.integers(min_value=0, max_value=2)
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = [[draw(cell) for _ in range(l)] for _ in range(k)]
+    rows = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
+    cols = draw(st.lists(st.integers(0, l - 1), min_size=1, max_size=3))
+    a = [[base[i][j] for j in cols] for i in rows]
+    c = draw(cell)
+    return NormalForm([a, [[c - x for x in row] for row in a]])
+
+
+@settings(deadline=None)
+@given(constant_sum_games())
+def test_zero_sum_routes_match_support_routes(nf):
+    assert (unique_nash(nf, use_zero_sum_path=True)
+            == unique_nash(nf, use_zero_sum_path=False))
+    assert (irrational_nash(nf, zero_sum_fast_path=True)
+            == irrational_nash(nf))
+
+
+@st.composite
+def small_games(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = st.integers(min_value=0, max_value=3)
+    return NormalForm([[[draw(cell) for _ in range(n)] for _ in range(m)]
+                       for _ in range(2)])
+
+
+@settings(deadline=None)
+@given(small_games(),
+       st.none() | st.tuples(*[st.fractions(0, 3, max_denominator=3)] * 2))
+def test_guarantee_witness_is_equilibrium(nf, v):
+    w = exists_guarantee_nash(nf, v)
+    if w is None:
+        # every finite game has an equilibrium, and none pays v
+        assert v is not None and not forall_guarantee_nash(nf, v)
+        return
+    assert is_nash(nf, [w.x, w.y])
+    xs, ys = w.weight_vectors(nf.shape)
+    assert w.payoffs == tuple(
+        sum(xs[i] * p[i][j] * ys[j] for i in range(nf.shape[0])
+            for j in range(nf.shape[1])) for p in nf.payoffs)
+    if v is not None:
+        assert w.payoffs[0] >= v[0] and w.payoffs[1] >= v[1]
