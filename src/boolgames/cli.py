@@ -53,11 +53,15 @@ def _fr_str(x):
     return str(Fraction(x))
 
 
-def _read(path, flag):
-    if path is None:
+def _need(value, flag):
+    if value is None:
         raise UsageError("missing %s" % flag)
+    return value
+
+
+def _read(path, flag):
     try:
-        with open(path) as fh:
+        with open(_need(path, flag)) as fh:
             return fh.read()
     except OSError as e:
         raise UsageError("cannot read %s: %s" % (path, e))
@@ -121,9 +125,7 @@ def _decision(answer, extra=None, mode="exact"):
 
 
 def _payoff_pair(args):
-    if args.payoffs is None:
-        raise UsageError("missing --payoffs")
-    v = [_fr(x) for x in args.payoffs.split(",")]
+    v = [_fr(x) for x in _need(args.payoffs, "--payoffs").split(",")]
     if len(v) != 2:
         raise UsageError("--payoffs takes two rationals, one per player")
     return v
@@ -193,15 +195,16 @@ def cmd_value(args):
 
 def cmd_nash(args):
     g = load_game(args.game)
+    if args.zero_sum and solver.constant_sum(
+            solver.as_normal_form(g, cap=args.cap_cells)) is None:
+        raise UsageError("game is not constant-sum")
     if args.what == "pure":
         eqs = solver.pure_equilibria(g, cap=args.cap_cells)
         shown = [list(e) if isinstance(e, tuple) else
                  {k: v for k, v in sorted(e.items())} for e in eqs]
         return _decision(bool(eqs), {"equilibria": shown})
     if args.what == "sat":
-        if args.formula is None:
-            raise UsageError("missing --formula")
-        phi = parse_formula(args.formula)
+        phi = parse_formula(_need(args.formula, "--formula"))
         ans = solver.nash_sat(g, phi, args.mode, cap=args.cap_deviations,
                               cell_cap=args.cap_cells)
         return _decision(ans)
@@ -210,7 +213,7 @@ def cmd_nash(args):
         ans = solver.is_nash(g, profile, cap=args.cap_deviations,
                              sample=args.sample, seed=args.seed)
         return _decision(ans,
-                         mode="sampled" if args.sample else "exact")
+                         mode="exact" if args.sample is None else "sampled")
     # the support-enumeration queries, on the game expanded once
     v = (_payoff_pair(args) if args.what in ("guarantee", "forall-guarantee")
          else None)
@@ -221,9 +224,7 @@ def cmd_nash(args):
     if args.what == "unique":
         return _decision(solver.unique_nash(nf, cap=args.cap_deviations))
     if args.what == "irrational":
-        ans = solver.irrational_nash(nf, cap=args.cap_deviations,
-                                     zero_sum_fast_path=args.zero_sum)
-        return _decision(ans)
+        return _decision(solver.irrational_nash(nf, cap=args.cap_deviations))
     if args.what == "forall-guarantee":
         return _decision(solver.forall_guarantee_nash(nf, v,
                                                       cap=args.cap_deviations))
@@ -260,14 +261,14 @@ def cmd_encode(args):
             return encodings.const_bits(int(tok), m)
         return encodings.var_bits(tok, m)
     if kind in ("equal", "succ", "less", "lesseq"):
-        ops = args.args.split(",")
+        ops = _need(args.args, "--args").split(",")
         if len(ops) != 2:
             raise UsageError("%s takes two operands" % kind)
         m = args.width
         name = "less_eq" if kind == "lesseq" else kind
         f = encodings.build_comparison(name, operand(ops[0], m), operand(ops[1], m))
     elif kind in ("add", "sub"):
-        ops = args.args.split(",")
+        ops = _need(args.args, "--args").split(",")
         if len(ops) != 3:
             raise UsageError("%s takes three operands" % kind)
         m = args.width
@@ -281,7 +282,7 @@ def cmd_encode(args):
         partials = [encodings.var_bits("P%d" % j, 2 * k) for j in range(k + 1)]
         f = encodings.build_square(r, rsq, summands, partials)
     elif kind in ("oneof", "noneof"):
-        names = [s.strip() for s in args.names.split(",")]
+        names = [s.strip() for s in _need(args.names, "--names").split(",")]
         f = encodings.build_cardinality(
             "one_of" if kind == "oneof" else "none_of", names)
     else:
@@ -322,7 +323,7 @@ def cmd_reduce(args):
                     data["witness"] = json.loads(profile_to_json(wp))
         return 0, data
     if args.what == "transform":
-        if args.kind == "exists-nash-sat":
+        if _need(args.kind, "--kind") == "exists-nash-sat":
             m = load_machine(args.machine)
             g2, phi = reductions.transform_exists_nash_sat(
                 m, args.input, args.bound)
@@ -387,19 +388,29 @@ def cmd_verify(args):
 # --- argument parsing ---------------------------------------------------------
 
 
+def _positive(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % n)
+    return n
+
+
 # built on the first run, not at import, and reused: a build costs ~30 parses
 @functools.lru_cache(maxsize=None)
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="bg", description="Boolean-games toolkit")
+    # each shared flag goes only to the verbs that read it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--cap-cells", type=int,
-                        default=game.DEFAULT_CELL_CAP)
-    common.add_argument("--cap-deviations", type=int,
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument("--cap-cells", type=int,
+                       default=game.DEFAULT_CELL_CAP)
+    sweeps = argparse.ArgumentParser(add_help=False)
+    sweeps.add_argument("--cap-deviations", type=int,
                         default=game.DEFAULT_DEVIATION_CAP)
-    common.add_argument("--sample", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
+    sweeps.add_argument("--sample", type=_positive, default=None)
+    sweeps.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", parents=[common])
@@ -413,15 +424,15 @@ def _build_parser():
     p.add_argument("--assign")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("normal-form", parents=[common])
+    p = sub.add_parser("normal-form", parents=[common, cells])
     p.add_argument("--game", required=True)
     p.set_defaults(fn=cmd_normal_form)
 
-    p = sub.add_parser("value", parents=[common])
+    p = sub.add_parser("value", parents=[common, cells])
     p.add_argument("--game", required=True)
     p.set_defaults(fn=cmd_value)
 
-    p = sub.add_parser("nash", parents=[common])
+    p = sub.add_parser("nash", parents=[common, cells, sweeps])
     p.add_argument("what", choices=(
         "find", "unique", "guarantee", "forall-guarantee", "sat", "is",
         "pure", "irrational"))
@@ -431,10 +442,10 @@ def _build_parser():
     p.add_argument("--mode", choices=("exists", "forall"), default="exists")
     p.add_argument("--profile")
     p.add_argument("--zero-sum", action="store_true",
-                   help="use the zero-sum fast path where applicable")
+                   help="assert the game is constant-sum (exit 2 if not)")
     p.set_defaults(fn=cmd_nash)
 
-    p = sub.add_parser("gadget", parents=[common])
+    p = sub.add_parser("gadget", parents=[common, cells])
     p.add_argument("what", choices=("build", "value", "combine"))
     p.add_argument("--value")
     p.add_argument("--kind", choices=("sum", "product", "complement"))
@@ -468,13 +479,13 @@ def _build_parser():
     p.add_argument("--namespace", default="t")
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("verify", parents=[common])
+    p = sub.add_parser("verify", parents=[common, sweeps])
     p.add_argument("what", choices=("witness", "squares", "cover-matrix"))
     p.add_argument("--machine")
     p.add_argument("--input", default="")
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--mode", choices=("exists", "forall"), default="exists")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_positive, default=10000)
     p.add_argument("--m", type=int, default=2)
     p.set_defaults(fn=cmd_verify)
 

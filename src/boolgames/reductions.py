@@ -343,7 +343,7 @@ def square_oracle(sq, m, word, K):
 # --- the window conditions: per-rule pattern generation -----------------------------
 
 
-def admissible_squares(m, word=None, K=None):
+def admissible_squares(m):
     """Per transition rule, the content/head patterns consistent with it.
 
     Each pattern is a (tl, tr, bl, br) tuple of CellDescriptors; generation

@@ -244,7 +244,7 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     return True
 
 
-def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP, use_zero_sum_path=None):
+def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
     """True iff the game has exactly one equilibrium.
 
     Constant-sum games use the value-program route (each player's optimal
@@ -255,9 +255,7 @@ def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP, use_zero_sum_path=None):
     feasible system's.
     """
     nf = as_normal_form(g_or_nf)
-    if use_zero_sum_path is None:
-        use_zero_sum_path = constant_sum(nf) is not None
-    if use_zero_sum_path:
+    if constant_sum(nf) is not None:
         return not _zero_sum_continuum(nf)
     first = None
     for sp in support_pairs(nf, cap):
@@ -285,8 +283,6 @@ def _zero_sum_continuum(nf):
     maxmin/minmax strategies, so there is a continuum iff either player's
     value program has multiple optima.
     """
-    if constant_sum(nf) is None:
-        raise SolverError("game is not constant-sum")
     a, b = nf.payoffs
     m, n = nf.shape
     bt = [[b[i][j] for i in range(m)] for j in range(n)]
@@ -300,7 +296,7 @@ def _zero_sum_continuum(nf):
     return False
 
 
-def irrational_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP, zero_sum_fast_path=False):
+def irrational_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
     """True iff the game has an irrational equilibrium.
 
     A two-player game has one exactly when some support system admits a
@@ -308,7 +304,7 @@ def irrational_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP, zero_sum_fast_path=False
     the value programs' optima.
     """
     nf = as_normal_form(g_or_nf)
-    if zero_sum_fast_path:
+    if constant_sum(nf) is not None:
         return _zero_sum_continuum(nf)
     for sp in support_pairs(nf, cap):
         if classify_support(nf, sp) == "continuum":

@@ -505,9 +505,9 @@ def test_zero_sum_equilibrium_midpoint():
 
 def test_irrational_fast_path():
     mp = boolean_matching_pennies()
-    assert not irrational_nash(as_normal_form(mp), zero_sum_fast_path=True)
+    assert not irrational_nash(as_normal_form(mp))
     dup = NormalForm([
         [[1, 0], [0, 1], [1, 0]],
         [[0, 1], [1, 0], [0, 1]],
     ])
-    assert irrational_nash(dup, zero_sum_fast_path=True)
+    assert irrational_nash(dup)

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from boolgames.cli import run
-from boolgames.game import parse_game, profile_from_json
+from boolgames.game import (MixedProfile, parse_game, profile_from_json,
+                            profile_to_json)
 from boolgames.reductions import immediate_acceptor
 
 MP_TEXT = """\
@@ -288,3 +290,62 @@ def test_missing_inputs_exit_2(mp_file, capsys):
                  ["gadget", "build"]):
         assert run(argv) == 2, argv
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "check --game GAME --cap-cells 1",
+    "value --game GAME --sample 3",
+    "encode oneof --names a --seed 1",
+])
+def test_unread_flags_are_usage_errors(mp_file, capsys, argv):
+    argv = [mp_file if a == "GAME" else a for a in argv.split()]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_sample_and_trials_below_1_exit_2(mp_file, machine_file, tmp_path,
+                                          capsys):
+    # matching pennies at (T, T): player 1 gains by deviating
+    profile = tmp_path / "tt.json"
+    profile.write_text(profile_to_json(MixedProfile([
+        [({"x": True}, Fraction(1))], [({"y": True}, Fraction(1))]])))
+    is_argv = ["nash", "is", "--game", mp_file, "--profile", str(profile)]
+    assert run(is_argv) == 1
+    capsys.readouterr()
+    for argv in (is_argv + ["--sample", "0"],
+                 is_argv + ["--sample", "-3"],
+                 ["verify", "witness", "--machine", machine_file,
+                  "--sample", "0"],
+                 ["verify", "squares", "--machine", machine_file,
+                  "--trials", "0"],
+                 ["verify", "squares", "--machine", machine_file,
+                  "--trials", "-5"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err, argv
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("encode " + what, "--args")
+    for what in ("equal", "succ", "less", "lesseq", "add", "sub")
+] + [
+    ("encode oneof", "--names"),
+    ("encode noneof", "--names"),
+    ("reduce transform", "--kind"),
+])
+def test_missing_flags_are_named(capsys, argv, flag):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "missing %s" % flag in captured.err
+
+
+def test_zero_sum_flag_asserts_constant_sum(mp_file, bos_file, capsys):
+    plain = run(["nash", "irrational", "--game", mp_file])
+    out = capsys.readouterr().out
+    assert run(["nash", "irrational", "--zero-sum", "--game", mp_file]) == plain
+    assert capsys.readouterr().out == out
+    assert run(["nash", "irrational", "--zero-sum", "--game", bos_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "game is not constant-sum" in captured.err

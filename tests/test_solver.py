@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from boolgames import solver
 from boolgames.formula import Not, Var, parse_formula
 from boolgames.game import (
     BooleanGame,
@@ -235,10 +236,31 @@ def constant_sum_games(draw):
 @settings(deadline=None)
 @given(constant_sum_games())
 def test_zero_sum_routes_match_support_routes(nf):
-    assert (unique_nash(nf, use_zero_sum_path=True)
-            == unique_nash(nf, use_zero_sum_path=False))
-    assert (irrational_nash(nf, zero_sum_fast_path=True)
-            == irrational_nash(nf))
+    # adding a column constant to A and a row constant to B keeps every
+    # equilibrium; the shifted game is not constant-sum, so its answers
+    # come from support enumeration
+    (a, b), (m, n) = nf.payoffs, nf.shape
+    shifted = NormalForm([
+        [[a[i][j] + j for j in range(n)] for i in range(m)],
+        [[b[i][j] + i for j in range(n)] for i in range(m)],
+    ])
+    assume(constant_sum(shifted) is None)
+    assert unique_nash(nf) == unique_nash(shifted)
+    assert irrational_nash(nf) == irrational_nash(shifted)
+
+
+def test_constant_sum_games_skip_support_enumeration(monkeypatch):
+    def no_enumeration(nf, cap=None):
+        raise AssertionError("support enumeration on a constant-sum game")
+    monkeypatch.setattr(solver, "support_pairs", no_enumeration)
+    rng = random.Random(5)
+    games = [as_normal_form(MP)]
+    for _ in range(30):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+        games.append(NormalForm([a, [[2 - x for x in row] for row in a]]))
+    for nf in games:
+        assert unique_nash(nf) != irrational_nash(nf)
 
 
 @st.composite
