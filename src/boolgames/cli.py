@@ -18,8 +18,11 @@ from fractions import Fraction
 from . import encodings, gadgets, game, reductions, solver
 from .formula import (
     FormulaError,
-    compile_formula,
+    compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
+    eval_bits,
+    eval_formula,
     free_vars,
+    is_valid_var,
     parse_formula,
     render_formula,
 )
@@ -139,9 +142,14 @@ def _parse_assign(text):
         if "=" not in item:
             raise UsageError("bad assignment item %r (want name=0|1)" % item)
         name, _, val = item.partition("=")
+        name = name.strip()
+        if not is_valid_var(name):
+            raise UsageError("bad variable name %r in --assign" % name)
+        if name in out:
+            raise UsageError("variable %s assigned twice in --assign" % name)
         if val not in ("0", "1"):
             raise UsageError("assignment values must be 0 or 1")
-        out[name.strip()] = val == "1"
+        out[name] = val == "1"
     return out
 
 
@@ -161,7 +169,6 @@ def cmd_eval(args):
     if args.formula is not None:
         f = parse_formula(args.formula)
         assign = _parse_assign(args.assign or "")
-        from .formula import eval_formula
         return 0, {"value": bool(eval_formula(f, assign))}
     if args.game is None or args.profile is None:
         raise UsageError("eval needs --formula or both --game and --profile")
@@ -232,25 +239,24 @@ def cmd_nash(args):
 
 
 def cmd_gadget(args):
+    if args.what == "combine":
+        kind = _need(args.kind, "--kind")
+        b1 = gadgets.fixed_value_game(_fr(_need(args.a, "--a")), "a")
+        b2 = gadgets.fixed_value_game(_fr(args.b), "b") if args.b else None
+        c = gadgets.combine_games(kind, b1, b2, namespace=args.namespace)
+        return 0, {"value": _fr_str(c.value), "game": render_game(c.game)}
+    b = gadgets.fixed_value_game(_fr(_need(args.value, "--value")),
+                                 args.namespace)
     if args.what == "build":
-        b = gadgets.fixed_value_game(_fr(args.value), args.namespace)
         return 0, {
             "value": _fr_str(b.value),
             "game": render_game(b.game),
             "roles": {k: list(v) for k, v in b.role_vars.items()},
             "equilibrium": json.loads(profile_to_json(b.equilibrium)),
         }
-    if args.what == "value":
-        b = gadgets.fixed_value_game(_fr(args.value), args.namespace)
-        nf = solver.as_normal_form(b.game, cap=args.cap_cells)
-        value, _ = solver.zero_sum_value(nf)
-        return _decision(value == b.value, {"value": _fr_str(value)})
-    if args.what == "combine":
-        b1 = gadgets.fixed_value_game(_fr(args.a), "a")
-        b2 = gadgets.fixed_value_game(_fr(args.b), "b") if args.b else None
-        c = gadgets.combine_games(args.kind, b1, b2, namespace=args.namespace)
-        return 0, {"value": _fr_str(c.value), "game": render_game(c.game)}
-    raise UsageError("unknown gadget command %r" % args.what)
+    nf = solver.as_normal_form(b.game, cap=args.cap_cells)
+    value, _ = solver.zero_sum_value(nf)
+    return _decision(value == b.value, {"value": _fr_str(value)})
 
 
 def cmd_encode(args):
@@ -333,7 +339,7 @@ def cmd_reduce(args):
                 raise UsageError("transform works on Boolean games")
             kind = args.kind.replace("-", "_")
             if kind == "irrational":
-                v = _fr(args.value)
+                v = _fr(_need(args.value, "--value"))
             else:
                 v = _payoff_pair(args)
             g2, phi = reductions.transform_game(kind, g, v,
@@ -371,14 +377,20 @@ def cmd_verify(args):
         build = (reductions.build_guarantee_game if args.mode == "exists"
                  else reductions.build_forall_guarantee_game)
         ro = build(m, args.input, args.bound)
-        check = compile_formula(ro.require)
-        rng = random.Random(args.seed)
+        # all trials in one eval_bits pass: bit r of each mask is trial r,
+        # drawn one getrandbits(1) per player-2 variable in var_sets order
+        bit = random.Random(args.seed).getrandbits
         names = ro.game.var_sets[1]
-        mismatches = 0
+        draws, oracle = bytearray(), bytearray()
         for _ in range(args.trials):
-            assign = {v: bool(rng.getrandbits(1)) for v in names}
-            if check(assign) != reductions.oracle_requires(ro, assign):
-                mismatches += 1
+            assign = {v: bool(bit(1)) for v in names}
+            draws.extend(b"01"[a] for a in assign.values())
+            oracle.append(b"01"[reductions.oracle_requires(ro, assign)])
+        # trial r's bit for variable t is draws[r * len(names) + t]
+        masks = {v: int(b"0" + draws[t::len(names)][::-1], 2)
+                 for t, v in enumerate(names)}
+        said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
+        mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()
         return _decision(mismatches == 0,
                          {"trials": args.trials, "mismatches": mismatches},
                          mode="sampled")

@@ -1,5 +1,9 @@
 """Propositional formulas: AST, parser, renderer, evaluation.
 
+One evaluator, ``eval_bits``, walks the tree over Python-int masks, one bit
+per assignment; ``eval_formula`` and ``compile_formula`` call it with one
+assignment (masks 0/1, ``full = 1``).
+
 Variables are plain strings (letters, digits, underscore, dot; not starting
 with a digit).  Connective precedence, tightest first: ~  &  |  ->  <->.
 "->" associates to the right, "<->" to the left; "&" and "|" parse into
@@ -342,13 +346,7 @@ def eval_formula(f, assignment):
     Raises MissingVariableError naming the first (depth-first) unbound
     variable if the assignment does not cover the formula.
     """
-    masks = {}
-    for name in _iter_vars(f):
-        if name not in masks:
-            if name not in assignment:
-                raise MissingVariableError(name)
-            masks[name] = 1 if assignment[name] else 0
-    return eval_bits(f, masks, 1) == 1
+    return compile_formula(f)(assignment)
 
 
 def eval_bits(f, var_masks, full):
@@ -391,45 +389,24 @@ def eval_bits(f, var_masks, full):
 
 
 def compile_formula(f):
-    """Compile ``f`` to a fast callable taking an assignment dict.
+    """A callable checking ``f`` on one assignment dict at a time.
 
-    For one formula checked on many separate assignments; semantically
-    identical to eval_formula on complete assignments.
+    The variables are read once, in first-occurrence order (``.keys``, also
+    the positional order of ``.raw(*values)``); each call is one eval_bits
+    pass with 0/1 masks.  A missing variable raises MissingVariableError.
     """
     keys = var_order(f)
-    names = {name: "v%d" % k for k, name in enumerate(keys)}
-
-    def expr(node):
-        if isinstance(node, Var):
-            return names[node.name]
-        if isinstance(node, ConstTrue):
-            return "True"
-        if isinstance(node, ConstFalse):
-            return "False"
-        if isinstance(node, Not):
-            return "(not %s)" % expr(node.child)
-        if isinstance(node, And):
-            return "(" + " and ".join(expr(c) for c in node.children) + ")"
-        if isinstance(node, Or):
-            return "(" + " or ".join(expr(c) for c in node.children) + ")"
-        if isinstance(node, Implies):
-            return "((not %s) or %s)" % (expr(node.left), expr(node.right))
-        if isinstance(node, Iff):
-            return "(%s == %s)" % (expr(node.left), expr(node.right))
-        raise FormulaError("not a formula node: %r" % (node,))
-
-    body = expr(f)
-    args = ", ".join(names.values())
-    src = "def _compiled(%s):\n    return %s\n" % (args, body)
-    env = {}
-    exec(src, env)  # noqa: S102 - generated from our own AST
-    fn = env["_compiled"]
 
     def call(assignment):
-        return fn(*[assignment[k] for k in keys])
+        masks = {}
+        for k in keys:
+            if k not in assignment:
+                raise MissingVariableError(k)
+            masks[k] = 1 if assignment[k] else 0
+        return eval_bits(f, masks, 1) == 1
 
-    call.keys = keys  # positional argument order of .raw
-    call.raw = fn
+    call.keys = keys
+    call.raw = lambda *values: call(dict(zip(keys, values)))
     return call
 
 

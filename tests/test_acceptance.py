@@ -6,6 +6,7 @@ sweep is explicitly sampled, in which case the result is tagged as sampled.
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from boolgames.formula import (
     Var,
     compile_formula,
     disj,
+    eval_bits,
     render_formula,
 )
 from boolgames.game import (
@@ -313,24 +315,27 @@ def test_acceptance_game_desk_scale(tmp_path, capsys):
     validate_profile(ro.game, wp)
     assert expected_utility(ro.game, wp, 1) == Fraction(7, 16)
 
-    # player 1: full pure sweep over all 2^16 strategies
+    # player 1: full pure sweep over all 2^16 strategies, strategy p giving
+    # vars1[t] the value of bit t of p; one bit-parallel goal evaluation per
+    # support entry of player 2, weights summed per strategy here
     vars1 = list(ro.game.var_sets[0])
     assert len(vars1) == 16
-    goal1 = compile_formula(ro.game.goals[0])
+    n = 1 << 16
+    full = (1 << n) - 1
+    # the binary string lists p from n - 1 down to 0, bit t's runs 2^t long
+    columns = {v: int(("1" * (1 << t) + "0" * (1 << t)) * (n >> t + 1), 2)
+               for t, v in enumerate(vars1)}
     support2 = wp.strategies[1]
-    baseline = expected_utility(ro.game, wp, 0)
-    best = Fraction(0)
-    for mask in range(1 << 16):
-        a1 = {v: bool(mask >> i & 1) for i, v in enumerate(vars1)}
-        eu = Fraction(0)
-        for a2, w2 in support2:
-            env = dict(a1)
-            env.update(a2)
-            if goal1(env):
-                eu += w2
-        if eu > best:
-            best = eu
-    assert best <= baseline
+    den = math.lcm(*(w.denominator for _, w in support2))
+    eu = [0] * n  # strategy p's expected utility times den
+    for a2, w2 in support2:
+        masks = {**columns, **{v: full if b else 0 for v, b in a2.items()}}
+        sat = format(eval_bits(ro.game.goals[0], masks, full), "0%db" % n)
+        w = int(w2 * den)
+        eu = [e + w if c == "1" else e for e, c in zip(eu, reversed(sat))]
+    # player 1's own support is among the strategies, so the best pure
+    # strategy pays at least the baseline, and at most on an equilibrium
+    assert Fraction(max(eu), den) == expected_utility(ro.game, wp, 0)
 
     # player 2: sampled sweep, 10^5 uniform deviations, reported as sampled
     base2, best2 = best_deviation_gain(ro.game, wp, 1, sample=100000, seed=17)

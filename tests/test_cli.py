@@ -1,12 +1,17 @@
 import json
+import random
+import types
 from fractions import Fraction
 
 import pytest
 
+from boolgames import cli
 from boolgames.cli import run
 from boolgames.game import (MixedProfile, parse_game, profile_from_json,
                             profile_to_json)
-from boolgames.reductions import immediate_acceptor
+from boolgames.reductions import (build_guarantee_game, immediate_acceptor,
+                                  oracle_requires, simulate_tm,
+                                  witness_profile)
 
 MP_TEXT = """\
 players: 2
@@ -91,6 +96,14 @@ def test_eval_formula(capsys):
     assert data["value"] is True
 
 
+@pytest.mark.parametrize("assign", ["p=1,=1", "p=1,p=0", "p=1, p=1",
+                                    "1p=1", "T=1", "p=1,q r=0"])
+def test_eval_rejects_malformed_assign(capsys, assign):
+    assert run(["eval", "--formula", "p", "--assign", assign]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--assign" in captured.err
+
+
 def test_gadget_build_artifact_reparses(capsys):
     data = run_json(["gadget", "build", "--value", "2/5"], capsys)
     g = parse_game(data["game"])
@@ -130,6 +143,44 @@ def test_verify_squares_sampled_mode(machine_file, capsys):
                      "--bound", "2", "--trials", "300"], capsys)
     assert data["answer"] == "yes"
     assert data["mode"] == "sampled"
+
+
+@pytest.mark.parametrize("bound", [2, 4])
+def test_verify_squares_aligns_trials(machine_file, monkeypatch, capsys,
+                                      bound):
+    # Random draws almost never satisfy Require, so on them alone a trial
+    # mask shifted or reversed against the oracle's still shows no
+    # mismatch.  Genuine witness windows satisfy it: the replayed draws mix
+    # both, in a pattern that is neither periodic nor a palindrome.
+    m = immediate_acceptor()
+    ro = build_guarantee_game(m, "", bound)
+    size = 1 << ro.k
+    table = simulate_tm(m, "", size, size, accept_row=bound - 1)
+    windows = [a for a, _ in witness_profile(ro, table).strategies[1]]
+    names = ro.game.var_sets[1]
+    plan = [1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0]  # 1 = a window
+    rng = random.Random(7)
+    drawn = [windows[r % len(windows)] if genuine else
+             {v: bool(rng.getrandbits(1)) for v in names}
+             for r, genuine in enumerate(plan)]
+    assert [oracle_requires(ro, a) for a in drawn] == plan
+    # one getrandbits(1) per player-2 variable, trial by trial
+    bits = iter([int(a[v]) for a in drawn for v in names])
+
+    class Replay:
+        def __init__(self, seed):
+            pass
+
+        def getrandbits(self, k):
+            assert k == 1
+            return next(bits)
+
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=Replay))
+    data = run_json(["verify", "squares", "--machine", machine_file,
+                     "--bound", str(bound), "--trials", str(len(plan))],
+                    capsys)
+    assert (data["answer"], data["mismatches"]) == ("yes", 0)
+    assert next(bits, None) is None
 
 
 def test_nash_is_with_sample_flag(machine_file, tmp_path, capsys):
@@ -333,9 +384,14 @@ def test_sample_and_trials_below_1_exit_2(mp_file, machine_file, tmp_path,
     ("encode oneof", "--names"),
     ("encode noneof", "--names"),
     ("reduce transform", "--kind"),
+    ("reduce transform --kind irrational --game GAME", "--value"),
+    ("gadget build", "--value"),
+    ("gadget value", "--value"),
+    ("gadget combine --a 1/2", "--kind"),
+    ("gadget combine --kind sum --b 1/2", "--a"),
 ])
-def test_missing_flags_are_named(capsys, argv, flag):
-    assert run(argv.split()) == 2
+def test_missing_flags_are_named(mp_file, capsys, argv, flag):
+    assert run([mp_file if a == "GAME" else a for a in argv.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "missing %s" % flag in captured.err
 

@@ -2,7 +2,7 @@
 
 Every cell of ``to_normal_form`` and of ``truth_tables`` (the sat matrix of
 ``nash_sat``) is compared with per-cell evaluation of the same formula, by
-``eval_formula`` and by the independent ``compile_formula``, and the
+``eval_formula`` and by the independent reference evaluator, and the
 zero-sum route is run on an expansion and on the same payoffs loaded as a
 JSON normal form.
 """
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import truth
 
 from boolgames.formula import (
     FALSE,
@@ -24,7 +25,6 @@ from boolgames.formula import (
     Not,
     Or,
     Var,
-    compile_formula,
     eval_formula,
     parse_formula,
 )
@@ -99,12 +99,12 @@ def cell(t, idx):
 def test_expansion_cells_match_pure_utilities(g):
     nf = to_normal_form(g)
     assert nf.shape == tuple(1 << len(vs) for vs in g.var_sets)
-    compiled = [compile_formula(goal) for goal in g.goals]
     for idx, merged in profiles(g):
         for i in range(g.players):
             got = nf.payoff(i, idx)
             assert type(got) is int
-            assert got == utility_pure(g, merged, i) == compiled[i](merged)
+            assert got == utility_pure(g, merged, i) \
+                == truth(g.goals[i], merged)
     for i in range(g.players):
         index = nf.strategy_index[i]
         assert list(index) == player_assignments(g, i)
@@ -118,9 +118,9 @@ def test_truth_tables_match_eval_formula(data):
     g = data.draw(st.integers(min_value=2, max_value=3).flatmap(games))
     phi = data.draw(formulas(g.all_vars()))
     (table,) = truth_tables(g, [phi])
-    check = compile_formula(phi)
     for idx, merged in profiles(g):
-        assert cell(table, idx) == eval_formula(phi, merged) == check(merged)
+        assert cell(table, idx) == eval_formula(phi, merged) \
+            == truth(phi, merged)
 
 
 @settings(deadline=None)

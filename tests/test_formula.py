@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
+from reference import truth
 
 from boolgames.formula import (
     FALSE,
@@ -15,6 +16,7 @@ from boolgames.formula import (
     compile_formula,
     conj,
     disj,
+    eval_bits,
     eval_formula,
     formula_size,
     free_vars,
@@ -22,6 +24,7 @@ from boolgames.formula import (
     parse_formula,
     render_formula,
     rename_vars,
+    var_order,
 )
 
 NAMES = ["p", "q", "r", "x1", "a.b"]
@@ -40,6 +43,9 @@ def formulas(max_leaves=12):
             st.lists(sub, min_size=2, max_size=3).map(lambda fs: Or(tuple(fs))),
             st.tuples(sub, sub).map(lambda t: Implies(*t)),
             st.tuples(sub, sub).map(lambda t: Iff(*t)),
+            # repeated subterms: always true, always false
+            sub.map(lambda f: Iff(f, f)),
+            sub.map(lambda f: And((f, Not(f)))),
         ),
         max_leaves=max_leaves,
     )
@@ -93,11 +99,20 @@ def test_render_parse_round_trip(f):
 
 
 @given(formulas(max_leaves=6))
-def test_eval_matches_compile(f):
-    names = free_vars(f)
+def test_eval_bits_matches_reference(f):
+    # one pass over the whole truth table: bit p is the assignment giving
+    # names[t] the value of bit t of p
+    names = sorted(free_vars(f))
+    n = 1 << len(names)
+    masks = {v: sum(1 << p for p in range(n) if p >> t & 1)
+             for t, v in enumerate(names)}
+    table = eval_bits(f, masks, (1 << n) - 1)
+    assert 0 <= table < 1 << n
     comp = compile_formula(f)
-    for a in all_assignments(names):
-        assert eval_formula(f, a) == comp(a)
+    for p in range(n):
+        a = {v: bool(p >> t & 1) for t, v in enumerate(names)}
+        assert bool(table >> p & 1) == truth(f, a) == eval_formula(f, a) \
+            == comp(a)
 
 
 @given(formulas(max_leaves=6))
@@ -118,9 +133,11 @@ def test_eval_semantics():
 
 
 def test_eval_missing_variable():
-    with pytest.raises(MissingVariableError) as e:
-        eval_formula(parse_formula("p & q"), {"p": True})
-    assert e.value.name == "q"
+    f = parse_formula("p & q | r")
+    for check in (lambda a: eval_formula(f, a), compile_formula(f)):
+        with pytest.raises(MissingVariableError) as e:
+            check({"p": True, "r": False})
+        assert e.value.name == "q"
 
 
 def test_extra_assignment_entries_ignored():
@@ -144,8 +161,9 @@ def test_rename_rejects_collisions():
 def test_compile_keys_cover_free_vars():
     f = parse_formula("p & q | r")
     comp = compile_formula(f)
-    assert set(comp.keys) == {"p", "q", "r"}
-    assert comp.raw(True, True, False) or comp.raw(False, False, True)
+    assert comp.keys == var_order(f) == ["p", "q", "r"]
+    assert comp.raw(True, True, False) and comp.raw(False, False, True)
+    assert not comp.raw(True, False, False)
 
 
 def test_conj_disj_helpers():

@@ -1,7 +1,8 @@
 """Differential checks of the bit-parallel utility sweep.
 
 ``expected_utility`` and ``best_deviation_gain`` (exhaustive and sampled)
-are compared with a brute force written here from ``eval_formula``: one
+are compared with a brute force written here from the reference evaluator
+(``tests/reference.py``, independent of ``eval_bits``): one
 evaluation per (own strategy, opponent support combination), weights
 multiplied as Fractions.  Supports carry non-uniform weights with different
 denominators per player, and most drawn profiles are not equilibria, so a
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import truth
 
-from boolgames.formula import And, Not, Or, Var, compile_formula, eval_formula
+from boolgames.formula import And, Not, Or, Var, compile_formula
 from boolgames.game import (
     BooleanGame,
     MixedProfile,
@@ -63,7 +65,7 @@ def brute_eu(g, profile, i, own=None):
         for a, w in combo:
             merged.update(a)
             weight *= w
-        if eval_formula(g.goals[i], merged):
+        if truth(g.goals[i], merged):
             total += weight
     return total
 
