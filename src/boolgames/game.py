@@ -18,7 +18,6 @@ from .formula import (
     compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
     conj,
     eval_bits,
-    eval_formula,
     free_vars,
     is_valid_var,
     parse_formula,
@@ -92,14 +91,6 @@ def validate_game(g):
                 "goal %d references unowned variables: %s"
                 % (i + 1, ", ".join(sorted(extra)))
             )
-
-
-def utility_pure(g, full, i):
-    """1 if player i's goal holds under the full assignment, else 0."""
-    for v in g.all_vars():
-        if v not in full:
-            raise GameError("assignment missing variable %s" % v)
-    return Fraction(1) if eval_formula(g.goals[i], full) else Fraction(0)
 
 
 # --- mixed profiles ---------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Equilibrium computation: zero-sum values, support enumeration with the
-indifference/no-deviation linear system, uniqueness, formula-in-equilibrium
-queries, equilibrium verification, and irrationality tests.
+"""Equilibrium computation: zero-sum values, support enumeration,
+uniqueness, formula-in-equilibrium queries, equilibrium verification, and
+irrationality tests.
+
+Every LP is a reply system (``_reply_system``): one player's weights
+against the opponent's pure replies.  A support pair is two of them, one
+per player (the best-response polytopes); a constant-sum game's value
+program is one with no forced best reply and ``u`` minimized.
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -61,22 +66,31 @@ def constant_sum(nf):
     return c
 
 
-# --- zero-sum value ----------------------------------------------------------
+# --- reply systems and the zero-sum value ------------------------------------
 
 
-def _value_lp(matrix, m, n):
-    """Maxmin LP for the row player of ``matrix`` (m rows, n columns)."""
+def _reply_system(payoff, own, best, bound=None):
+    """One player's weights against the opponent's pure replies.
+
+    ``payoff[i][j]`` is the opponent's payoff when it plays i against the
+    player's pure strategy j.  The variables are ``w<j>`` for j in ``own``
+    and then ``u``, free: the opponent's payoff.  Row i reads
+    ``sum_j payoff[i][j] w<j> - u``, ``= 0`` for i in ``best`` (a best
+    reply) and ``<= 0`` otherwise; then come ``sum w = 1`` and, given a
+    bound, ``u >= bound``.
+    """
     lp = LinearProgram()
-    lp.add_variable("v", nonneg=False)
-    for i in range(m):
-        lp.add_variable("x%d" % i)
-    for j in range(n):
-        coeffs = {"v": Fraction(1)}
-        for i in range(m):
-            coeffs["x%d" % i] = -matrix[i][j]
-        lp.add_constraint(coeffs, "<=", 0)
-    lp.add_constraint({"x%d" % i: 1 for i in range(m)}, "=", 1)
-    lp.set_objective({"v": 1}, "maximize")
+    names = ["w%d" % j for j in own]
+    for name in names:
+        lp.add_variable(name)
+    lp.add_variable("u", nonneg=False)
+    for i, row in enumerate(payoff):
+        coeffs = {name: row[j] for name, j in zip(names, own)}
+        coeffs["u"] = -1
+        lp.add_constraint(coeffs, "=" if i in best else "<=", 0)
+    lp.add_constraint(dict.fromkeys(names, 1), "=", 1)
+    if bound is not None:
+        lp.add_constraint({"u": 1}, ">=", bound)
     return lp
 
 
@@ -84,41 +98,34 @@ def zero_sum_value(nf):
     """(value for player 1, a maxmin weight vector) of a constant-sum game.
 
     Duplicate pure strategies (identical payoff rows or columns) are
-    collapsed before the LP; the returned weight vector is over the
-    original rows, with each duplicate class's mass on its first member.
+    collapsed before the LP.  The weight vector is one optimal strategy,
+    over the original rows, with each duplicate class's mass on its first
+    member.  Player 1's value program holds -A (player 2's payoff less
+    the constant) lowest, so the value is minus its optimum.
     """
     if constant_sum(nf) is None:
         raise SolverError("game is not constant-sum")
-    a, _ = _require_two_player(nf)
-    m = nf.shape[0]
-    col_seen, cols = set(), []
+    a = nf.payoffs[0]
+    first = {}
     for j, key in enumerate(zip(*a)):
-        if key not in col_seen:
-            col_seen.add(key)
-            cols.append(j)
+        first.setdefault(key, j)
+    cols = list(first.values())
     row_key = operator.itemgetter(*cols)
-    row_seen, rows = set(), []
+    first = {}
     for i, row in enumerate(a):
-        key = row_key(row)
-        if key not in row_seen:
-            row_seen.add(key)
-            rows.append(i)
-    matrix = [[a[i][j] for j in cols] for i in rows]
-    lp = _value_lp(matrix, len(rows), len(cols))
+        first.setdefault(row_key(row), i)
+    rows = list(first.values())
+    # -A, one row per distinct column, over the distinct rows
+    lp = _reply_system([[-a[i][j] for i in rows] for j in cols],
+                       range(len(rows)), ())
+    lp.set_objective({"u": 1}, "minimize")
     out = solve_lp(lp)
     if not isinstance(out, Optimal):
         raise SolverError("value program unexpectedly unsolvable")
-    weights = [Fraction(0)] * m
+    weights = [Fraction(0)] * nf.shape[0]
     for pos, i in enumerate(rows):
-        weights[i] = out.solution["x%d" % pos]
-    return out.value, weights
-
-
-def dvalue(g, threshold, cap=DEFAULT_CELL_CAP):
-    """True iff the zero-sum value of the expanded game is >= threshold."""
-    nf = as_normal_form(g, cap)
-    value, _ = zero_sum_value(nf)
-    return value >= Fraction(threshold)
+        weights[i] = out.solution["w%d" % pos]
+    return -out.value, weights
 
 
 # --- support enumeration -----------------------------------------------------
@@ -142,63 +149,55 @@ class EquilibriumWitness:
         return xs, ys
 
 
-def _support_system(nf, support, bounds=None):
-    """The indifference/no-deviation LP for support pair (X, Y)."""
+def _halves(nf, support, bounds=None):
+    """The two reply systems of support pair (X, Y), x-half first, built
+    one at a time; the pair's equilibria are their solutions' products.
+    The x-half (from B transposed) holds player 1's weights on X that make
+    each column in Y a best reply, its ``u`` is beta; the y-half (from A)
+    holds player 2's on Y, its ``u`` is alpha.  ``bounds``: lower bounds
+    (alpha, beta), either may be None."""
     a, b = _require_two_player(nf)
     m, n = nf.shape
     X, Y = [sorted(set(s)) for s in support]
     if not X or not Y or X[0] < 0 or Y[0] < 0 or X[-1] >= m or Y[-1] >= n:
         raise SolverError("malformed support pair")
-    lp = LinearProgram()
-    for i in X:
-        lp.add_variable("x%d" % i)
-    for j in Y:
-        lp.add_variable("y%d" % j)
-    lp.add_variable("alpha", nonneg=False)
-    lp.add_variable("beta", nonneg=False)
-    xset, yset = set(X), set(Y)
-    for i in range(m):
-        coeffs = {"y%d" % j: a[i][j] for j in Y}
-        coeffs["alpha"] = Fraction(-1)
-        lp.add_constraint(coeffs, "=" if i in xset else "<=", 0)
-    for j in range(n):
-        coeffs = {"x%d" % i: b[i][j] for i in X}
-        coeffs["beta"] = Fraction(-1)
-        lp.add_constraint(coeffs, "=" if j in yset else "<=", 0)
-    lp.add_constraint({"x%d" % i: 1 for i in X}, "=", 1)
-    lp.add_constraint({"y%d" % j: 1 for j in Y}, "=", 1)
-    if bounds is not None:
-        if bounds[0] is not None:
-            lp.add_constraint({"alpha": 1}, ">=", Fraction(bounds[0]))
-        if bounds[1] is not None:
-            lp.add_constraint({"beta": 1}, ">=", Fraction(bounds[1]))
-    return lp, X, Y
-
-
-def _witness_from(sol, X, Y):
-    return EquilibriumWitness(
-        {i: sol["x%d" % i] for i in X},
-        {j: sol["y%d" % j] for j in Y},
-        (sol["alpha"], sol["beta"]),
-    )
+    alpha, beta = bounds or (None, None)
+    yield _reply_system(list(zip(*b)), X, set(Y), beta)
+    yield _reply_system(a, Y, set(X), alpha)
 
 
 def equilibrium_for_support(nf, support, bounds=None):
     """A witness equilibrium with support within (X, Y), or None."""
-    lp, X, Y = _support_system(nf, support, bounds)
-    out = solve_lp(lp)
-    if isinstance(out, Optimal):
-        return _witness_from(out.solution, X, Y)
-    return None
+    weights, payoffs = [], []
+    for lp in _halves(nf, support, bounds):
+        out = solve_lp(lp)
+        if not isinstance(out, Optimal):
+            return None
+        sol = dict(out.solution)
+        payoffs.append(sol.pop("u"))
+        weights.append({int(name[1:]): w for name, w in sol.items()})
+    # the x-half's u is player 2's payoff
+    return EquilibriumWitness(*weights, payoffs[::-1])
+
+
+def _support_ranges(nf, support, names=(None, None)):
+    """Per half, x then y, ``variable_ranges`` over its ``names`` (None:
+    every variable of the half); None once a half is infeasible."""
+    out = []
+    for lp, probe in zip(_halves(nf, support), names):
+        ranges = variable_ranges(lp, lp.variables if probe is None else probe)
+        if ranges is None:
+            return None
+        out.append(ranges)
+    return out
 
 
 def classify_support(nf, support):
     """'none', 'unique', or 'continuum' equilibria for the support system."""
-    lp, _, _ = _support_system(nf, support)
-    ranges = variable_ranges(lp, lp.variables)
+    ranges = _support_ranges(nf, support)
     if ranges is None:
         return "none"
-    point = all(lo == hi for lo, hi in ranges.values())
+    point = all(lo == hi for half in ranges for lo, hi in half.values())
     return "unique" if point else "continuum"
 
 
@@ -236,10 +235,10 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     nf = as_normal_form(g_or_nf)
     v = [Fraction(x) for x in v]
     for sp in support_pairs(nf, cap):
-        lp, _, _ = _support_system(nf, sp)
-        ranges = variable_ranges(lp, ("alpha", "beta"))
-        if ranges is not None and (ranges["alpha"][0] < v[0]
-                                   or ranges["beta"][0] < v[1]):
+        # the x-half's u is beta, the y-half's alpha
+        ranges = _support_ranges(nf, sp, (["u"], ["u"]))
+        if ranges is not None and (ranges[1]["u"][0] < v[0]
+                                   or ranges[0]["u"][0] < v[1]):
             return False
     return True
 
@@ -259,14 +258,14 @@ def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
         return not _zero_sum_continuum(nf)
     first = None
     for sp in support_pairs(nf, cap):
-        lp, X, Y = _support_system(nf, sp)
-        weights = ["x%d" % i for i in X] + ["y%d" % j for j in Y]
-        ranges = variable_ranges(lp, weights)
+        weights = [["w%d" % s for s in side] for side in sp]
+        ranges = _support_ranges(nf, sp, weights)
         if ranges is None:
             continue
-        if any(lo != hi for lo, hi in ranges.values()):
+        if any(lo != hi for half in ranges for lo, hi in half.values()):
             return False
-        point = {name: lo for name, (lo, _) in ranges.items() if lo}
+        point = [{name: lo for name, (lo, _) in half.items() if lo}
+                 for half in ranges]
         if first is None:
             first = point
         elif point != first:
@@ -285,9 +284,9 @@ def _zero_sum_continuum(nf):
     """
     a, b = nf.payoffs
     m, n = nf.shape
-    bt = [[b[i][j] for i in range(m)] for j in range(n)]
-    for matrix, rows, cols in ((a, m, n), (bt, n, m)):
-        lp = _value_lp(matrix, rows, cols)
+    for payoff, own in ((list(zip(*b)), range(m)), (a, range(n))):
+        lp = _reply_system(payoff, own, ())
+        lp.set_objective({"u": 1}, "minimize")
         out = solve_lp(lp)
         if not isinstance(out, Optimal):
             raise SolverError("value program unexpectedly unsolvable")
@@ -335,18 +334,17 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
         return False
     if mode == "forall":
         for X, Y in support_pairs(nf, cap):
-            bad = [("x%d" % i, "y%d" % j) for i in X for j in Y
+            bad = [("w%d" % i, "w%d" % j) for i in X for j in Y
                    if not sat[i][j]]
             if not bad:
                 continue
             # a violating pair occurs with positive probability in some
-            # equilibrium of this system iff both coordinates can be made
-            # positive (the solution set is convex: take the midpoint)
-            lp, _, _ = _support_system(nf, (X, Y))
-            ranges = variable_ranges(lp, {name for pair in bad
-                                          for name in pair})
+            # equilibrium of this system iff x_i and y_j can each be made
+            # positive (the halves' solutions combine freely)
+            ranges = _support_ranges(nf, (X, Y), [set(s) for s in zip(*bad)])
             if ranges is not None and any(
-                    ranges[x][1] > 0 and ranges[y][1] > 0 for x, y in bad):
+                    ranges[0][x][1] > 0 and ranges[1][y][1] > 0
+                    for x, y in bad):
                 return False
         return True
     raise SolverError("mode must be 'exists' or 'forall'")

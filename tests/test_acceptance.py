@@ -66,6 +66,7 @@ from boolgames.solver import (
     witness_to_profile,
     zero_sum_value,
 )
+from windows import perturbed_windows
 
 
 def bits_assignment(prefix, value, m):
@@ -373,6 +374,15 @@ def test_tableau_formula_matches_oracle():
     for _ in range(10000):
         a = {v: bool(rng.getrandbits(1)) for v in names2}
         assert req2(a) == oracle_requires(ro2, a)
+
+    # uniform draws are all rejected by both routes; draws near the legal
+    # windows get both verdicts
+    for r, q in ((ro, req), (ro2, req2)):
+        verdicts = set()
+        for a in perturbed_windows(r, rng, 1000):
+            verdicts.add(q(a))
+            assert q(a) == oracle_requires(r, a)
+        assert verdicts == {False, True}
 
 
 # 9. the cover-weight linear system is nonsingular at small sizes

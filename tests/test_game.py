@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from reference import truth
 
 from boolgames.formula import Iff, Not, Var, parse_formula
 from boolgames.game import (
@@ -22,7 +23,6 @@ from boolgames.game import (
     profile_to_json,
     render_game,
     to_normal_form,
-    utility_pure,
     validate_game,
     validate_profile,
 )
@@ -83,11 +83,16 @@ def test_parse_rejects_goal_over_unknown_vars():
         validate_game(parse_game(bad))
 
 
-def test_utility_pure_win_lose():
+def test_expected_utility_pure_win_lose():
     g = matching_pennies()
-    assert utility_pure(g, {"x": True, "y": False}, 0) == 1
-    assert utility_pure(g, {"x": True, "y": True}, 0) == 0
-    assert utility_pure(g, {"x": True, "y": True}, 1) == 1
+
+    def pure(x, y):
+        return MixedProfile([[({"x": x}, Fraction(1))],
+                             [({"y": y}, Fraction(1))]])
+
+    assert expected_utility(g, pure(True, False), 0) == 1
+    assert expected_utility(g, pure(True, True), 0) == 0
+    assert expected_utility(g, pure(True, True), 1) == 1
 
 
 def test_player_assignments_order():
@@ -118,7 +123,7 @@ def test_expected_utility_matches_brute_force():
             for a2, w2 in prof.strategies[1]:
                 full = dict(a1)
                 full.update(a2)
-                direct += w1 * w2 * utility_pure(g, full, i)
+                direct += w1 * w2 * truth(g.goals[i], full)
         assert expected_utility(g, prof, i) == direct
 
 
@@ -152,7 +157,7 @@ def test_to_normal_form_matches_pure_utilities():
             full = dict(a1)
             full.update(a2)
             for p in range(2):
-                assert nf.payoff(p, (i1, i2)) == utility_pure(g, full, p)
+                assert nf.payoff(p, (i1, i2)) == truth(g.goals[p], full)
 
 
 def test_to_normal_form_cap():

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from windows import perturbed_windows
 
-from boolgames.formula import Iff, Not, Var, compile_formula
+from boolgames.formula import Iff, Not, Var, compile_formula, eval_bits
 from boolgames.game import (
     BooleanGame,
     expected_utility,
@@ -161,6 +162,11 @@ def test_decode_square_and_oracle_agreement():
     for _ in range(500):
         a = {v: bool(rng.getrandbits(1)) for v in names}
         assert req(a) == oracle_requires(ro, a)
+    verdicts = set()
+    for a in perturbed_windows(ro, rng, 500):
+        verdicts.add(req(a))
+        assert req(a) == oracle_requires(ro, a)
+    assert verdicts == {False, True}
 
 
 def test_forall_variant_needs_wider_tables():
@@ -226,32 +232,52 @@ def two_step_acceptor():
          Transition("q1", "_", "1", "L", "qa")] + halt)
 
 
-@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
-@pytest.mark.parametrize("build", [build_guarantee_game,
-                                   build_forall_guarantee_game])
-def test_oracle_agrees_with_require_on_witness_windows_k2(machine, build):
+def check_witness_windows(machine, build, bound):
     # every window of a genuine accepting run is legal: Require holds on all
     # of them (exists mode) and Illegal on none (forall mode), and the
     # decoding oracle must say the same window by window; each window with
     # one descriptor flag or position bit flipped must get the same verdict
-    # from both
+    # from both.  Require is evaluated over all cases in one eval_bits pass
+    # (bit p is case p).
     m = machine()
-    ro = build(m, "", 4)
-    assert ro.k == 2
+    ro = build(m, "", bound)
     size = 1 << ro.k
     table = simulate_tm(m, "", size, size, accept_row=3)
     assert table is not None
-    req = compile_formula(ro.require)
     windows = [a for a, _ in witness_profile(ro, table).strategies[1]]
-    assert len(windows) == 64
+    assert len(windows) == 4 * size * size
     legal = ro.mode == "exists"
     vi = ro.var_index
     flips = [v for p in ENTRY_PREFIXES
              for v in vi.entry2_vars(p) + list(vi.time2[p] + vi.tape2[p])]
+    cases = []
     for a in windows:
-        assert req(a) == legal
         assert oracle_requires(ro, a) == legal
+        cases.append(a)
         for v in flips:
             b = dict(a)
             b[v] = not b[v]
-            assert req(b) == oracle_requires(ro, b), v
+            cases.append(b)
+
+    def mask(bits):
+        return int("".join("01"[bit] for bit in reversed(bits)), 2)
+
+    masks = {v: mask([c[v] for c in cases]) for v in ro.game.var_sets[1]}
+    req = eval_bits(ro.require, masks, (1 << len(cases)) - 1)
+    oracle = mask([oracle_requires(ro, c) for c in cases])
+    assert req == oracle, [p for p in range(len(cases))
+                           if (req ^ oracle) >> p & 1][:5]
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
+@pytest.mark.parametrize("build", [build_guarantee_game,
+                                   build_forall_guarantee_game])
+def test_oracle_agrees_with_require_on_witness_windows_k2(machine, build):
+    check_witness_windows(machine, build, 4)
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
+@pytest.mark.parametrize("build", [build_guarantee_game,
+                                   build_forall_guarantee_game])
+def test_oracle_agrees_with_require_on_witness_windows_k3(machine, build):
+    check_witness_windows(machine, build, 8)

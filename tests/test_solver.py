@@ -16,13 +16,13 @@ from boolgames.game import (
     parse_game,
     player_assignments,
 )
+from boolgames.lp import LinearProgram, Optimal, solve_lp, variable_ranges
 from boolgames.solver import (
     SolverError,
     as_normal_form,
     best_deviation_gain,
     classify_support,
     constant_sum,
-    dvalue,
     equilibrium_for_support,
     exists_guarantee_nash,
     forall_guarantee_nash,
@@ -67,9 +67,10 @@ def test_zero_sum_value_rejects_general_sum():
         zero_sum_value(BOS)
 
 
-def test_dvalue_thresholds():
-    assert dvalue(MP, Fraction(1, 2))
-    assert not dvalue(MP, Fraction(1, 2) + Fraction(1, 100))
+def test_zero_sum_value_thresholds():
+    value, _ = zero_sum_value(as_normal_form(MP))
+    assert value >= Fraction(1, 2)
+    assert not value >= Fraction(1, 2) + Fraction(1, 100)
 
 
 def test_support_pairs_order_and_cap():
@@ -287,3 +288,77 @@ def test_guarantee_witness_is_equilibrium(nf, v):
             for j in range(nf.shape[1])) for p in nf.payoffs)
     if v is not None:
         assert w.payoffs[0] >= v[0] and w.payoffs[1] >= v[1]
+
+
+def joint_support_system(nf, X, Y, bounds=None):
+    """Support pair (X, Y)'s indifference/no-deviation program with both
+    players in one LP: x and y weights, then alpha and beta; player 1's
+    rows, player 2's rows, the two sum rows, then the bounds."""
+    (a, b), (m, n) = nf.payoffs, nf.shape
+    lp = LinearProgram()
+    for name in ["x%d" % i for i in X] + ["y%d" % j for j in Y]:
+        lp.add_variable(name)
+    lp.add_variable("alpha", nonneg=False)
+    lp.add_variable("beta", nonneg=False)
+    for i in range(m):
+        coeffs = {"y%d" % j: a[i][j] for j in Y}
+        coeffs["alpha"] = -1
+        lp.add_constraint(coeffs, "=" if i in X else "<=", 0)
+    for j in range(n):
+        coeffs = {"x%d" % i: b[i][j] for i in X}
+        coeffs["beta"] = -1
+        lp.add_constraint(coeffs, "=" if j in Y else "<=", 0)
+    lp.add_constraint({"x%d" % i: 1 for i in X}, "=", 1)
+    lp.add_constraint({"y%d" % j: 1 for j in Y}, "=", 1)
+    for name, low in zip(("alpha", "beta"), bounds or (None, None)):
+        if low is not None:
+            lp.add_constraint({name: 1}, ">=", low)
+    return lp
+
+
+@st.composite
+def mixed_kind_games(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix(top):
+        cell = st.integers(min_value=0, max_value=top)
+        return [[draw(cell) for _ in range(n)] for _ in range(m)]
+
+    kind = draw(st.sampled_from(["win-lose", "constant-sum", "general-sum"]))
+    if kind == "win-lose":
+        return NormalForm([matrix(1), matrix(1)])
+    if kind == "constant-sum":
+        a, c = matrix(3), draw(st.integers(0, 3))
+        return NormalForm([a, [[c - x for x in row] for row in a]])
+    return NormalForm([matrix(9), matrix(9)])
+
+
+LOW = st.none() | st.fractions(0, 6, max_denominator=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(mixed_kind_games(), st.none() | st.tuples(LOW, LOW))
+def test_support_halves_match_joint_program(nf, bounds):
+    # the joint program is block-diagonal, so Bland's rule pivots each
+    # block as it would alone: the two per-player systems must give the
+    # same feasibility, the same vertex and the same classification
+    for X, Y in support_pairs(nf):
+        out = solve_lp(joint_support_system(nf, X, Y, bounds))
+        w = equilibrium_for_support(nf, (X, Y), bounds)
+        if not isinstance(out, Optimal):
+            assert w is None
+        else:
+            sol = out.solution
+            assert w is not None
+            assert w.x == {i: sol["x%d" % i] for i in X if sol["x%d" % i]}
+            assert w.y == {j: sol["y%d" % j] for j in Y if sol["y%d" % j]}
+            assert w.payoffs == (sol["alpha"], sol["beta"])
+        lp = joint_support_system(nf, X, Y)
+        ranges = variable_ranges(lp, lp.variables)
+        if ranges is None:
+            want = "none"
+        elif all(lo == hi for lo, hi in ranges.values()):
+            want = "unique"
+        else:
+            want = "continuum"
+        assert classify_support(nf, (X, Y)) == want
