@@ -84,6 +84,12 @@ def decode_bits(s, assignment):
     return value
 
 
+def assign_bits(seq, value):
+    """The assignment under which the variable sequence ``seq`` decodes to
+    ``value``: the inverse of ``decode_bits``."""
+    return dict(zip(seq, const_bits(value, len(seq))))
+
+
 def _term(t):
     if t is True:
         return TRUE

@@ -14,13 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .encodings import (
+    assign_bits,
     build_arithmetic,
     build_comparison,
     const_bits,
     var_bits,
 )
-from .formula import FALSE, TRUE, Not, Or, conj, disj
-from .game import BooleanGame, MixedProfile
+from .formula import FALSE, TRUE, Not, Or, conj, disj, rename_vars
+from .game import BooleanGame, MixedProfile, namespaced, product_profile
 
 
 class GadgetError(Exception):
@@ -45,9 +46,10 @@ class GadgetBundle:
         self.unique = unique
 
 
-def _assign_bits(seq, value):
-    m = len(seq)
-    return dict(zip(seq, const_bits(value, m)))
+def _assign_all(pairs):
+    """One assignment setting each (sequence, value) pair's bits."""
+    return {name: bit for seq, value in pairs
+            for name, bit in assign_bits(seq, value).items()}
 
 
 def fixed_value_game(v, namespace):
@@ -71,12 +73,9 @@ def fixed_value_game(v, namespace):
         # scaffold is kept so the shape matches the general construction
         gamma1 = FALSE if a == 0 else TRUE
         game = BooleanGame(var_sets, [gamma1, Not(gamma1)])
-        zero1 = {}
-        for seq in (p, q, s, t):
-            zero1.update(_assign_bits(seq, 0))
         eq = MixedProfile([
-            [(zero1, Fraction(1))],
-            [(_assign_bits(r, 0), Fraction(1))],
+            [(_assign_all(((p, 0), (q, 0), (s, 0), (t, 0))), Fraction(1))],
+            [(assign_bits(r, 0), Fraction(1))],
         ])
         return GadgetBundle(game, role_vars, value=v, equilibrium=eq,
                             unique=False)
@@ -114,18 +113,14 @@ def fixed_value_game(v, namespace):
 
     support1 = []
     for c1 in range(b):
-        assign = _assign_bits(p, c1)
         if c1 + a - 1 <= b - 1:
-            assign.update(_assign_bits(q, c1 + a - 1))
-            assign.update(_assign_bits(s, 0))
-            assign.update(_assign_bits(t, 0))
+            end, head, tail = c1 + a - 1, 0, 0
         else:
-            wrapped_q = c1 + a - 1 - b
-            assign.update(_assign_bits(q, wrapped_q))
-            assign.update(_assign_bits(s, wrapped_q))
-            assign.update(_assign_bits(t, b - 1 - c1))
+            end = head = c1 + a - 1 - b
+            tail = b - 1 - c1
+        assign = _assign_all(((p, c1), (q, end), (s, head), (t, tail)))
         support1.append((assign, Fraction(1, b)))
-    support2 = [(_assign_bits(r, j), Fraction(1, b)) for j in range(b)]
+    support2 = [(assign_bits(r, j), Fraction(1, b)) for j in range(b)]
     eq = MixedProfile([support1, support2])
     return GadgetBundle(game, role_vars, value=v, equilibrium=eq, unique=True)
 
@@ -208,25 +203,19 @@ def fix_parameter(bundle, value):
     p, q, s, t, w = (bundle.role_vars[k] for k in ("p", "q", "s", "t", "w"))
     support1 = []
     for c1 in range(size):
-        assign = _assign_bits(p, c1)
-        assign.update(_assign_bits(u, value))
         if c1 + value <= size - 1:
-            assign.update(_assign_bits(q, c1 + value))
-            assign.update(_assign_bits(s, 0))
-            assign.update(_assign_bits(t, 0))
-            assign.update(_assign_bits(w, 0))
+            end, head, tail, last = c1 + value, 0, 0, 0
         else:
-            wrapped_q = c1 + value - size
-            assign.update(_assign_bits(q, wrapped_q))
-            assign.update(_assign_bits(s, wrapped_q))
-            assign.update(_assign_bits(t, size - c1))
-            assign.update(_assign_bits(w, size - 1 - c1))
+            end = head = c1 + value - size
+            tail, last = size - c1, size - 1 - c1
+        assign = _assign_all(((p, c1), (u, value), (q, end), (s, head),
+                              (t, tail), (w, last)))
         support1.append((assign, Fraction(1, size)))
     strategies = [support1]
     r = bundle.role_vars["r"]
     if g.players == 2:
         strategies.append(
-            [(_assign_bits(r, j), Fraction(1, size)) for j in range(size)]
+            [(assign_bits(r, j), Fraction(1, size)) for j in range(size)]
         )
     else:
         for i in range(1, g.players):
@@ -253,10 +242,8 @@ def split_opponent_game(namespace, n):
 
 
 def _namespaced_copy(bundle, namespace):
-    from .formula import rename_vars
-
     g = bundle.game
-    mapping = {v: "%s.%s" % (namespace, v) for v in g.all_vars()}
+    mapping = {v: namespaced(namespace, v) for v in g.all_vars()}
     var_sets = [[mapping[v] for v in vs] for vs in g.var_sets]
     goals = [rename_vars(goal, mapping) for goal in g.goals]
     role_vars = {
@@ -276,19 +263,6 @@ def _check_zero_sum_bundle(bundle):
         raise GadgetError("algebra operands must be two-player")
     if bundle.game.goals[1] != Not(bundle.game.goals[0]):
         raise GadgetError("algebra operands must be zero-sum (goal2 = ~goal1)")
-
-
-def _product_profile(eq1, eq2):
-    strategies = []
-    for s1, s2 in zip(eq1.strategies, eq2.strategies):
-        combined = []
-        for a1, w1 in s1:
-            for a2, w2 in s2:
-                merged = dict(a1)
-                merged.update(a2)
-                combined.append((merged, w1 * w2))
-        strategies.append(combined)
-    return MixedProfile(strategies)
 
 
 def combine_games(kind, g1, g2=None, namespace="c"):
@@ -333,7 +307,7 @@ def combine_games(kind, g1, g2=None, namespace="c"):
     game = BooleanGame(var_sets, [gamma1, Not(gamma1)])
     eq = None
     if eq1 is not None and eq2 is not None:
-        eq = _product_profile(eq1, eq2)
+        eq = product_profile(eq1, eq2)
     role_vars = {"a": roles1, "b": roles2}
     return GadgetBundle(game, role_vars, value=value, equilibrium=eq)
 

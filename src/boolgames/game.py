@@ -21,7 +21,6 @@ from .formula import (
     free_vars,
     is_valid_var,
     parse_formula,
-    rename_vars,
     render_formula,
     var_order,
 )
@@ -115,6 +114,16 @@ class MixedProfile:
     @property
     def players(self):
         return len(self.strategies)
+
+
+def product_profile(p1, p2):
+    """The profile where each player plays their strategies in ``p1`` and
+    ``p2`` independently, over the union of the two variable sets: one entry
+    per pair of entries, in row-major order, weighted by the product."""
+    return MixedProfile([
+        [({**a1, **a2}, w1 * w2) for a1, w1 in s1 for a2, w2 in s2]
+        for s1, s2 in zip(p1.strategies, p2.strategies)
+    ])
 
 
 def validate_profile(g, profile):
@@ -229,13 +238,12 @@ class NormalForm:
     """
 
     def __init__(self, payoffs, strategy_index=None):
-        self.payoffs = [_exact_tensor(t) for t in payoffs]
-        self.shape = _tensor_shape(self.payoffs[0])
-        if len(self.shape) != len(self.payoffs):
+        self.shape = _tensor_shape(payoffs[0])
+        if len(self.shape) != len(payoffs):
             raise ValidationError("tensor rank must equal player count")
-        for t in self.payoffs[1:]:
-            if _tensor_shape(t) != self.shape:
-                raise ValidationError("payoff tensors disagree on shape")
+        if 0 in self.shape:
+            raise ValidationError("every player needs at least one strategy")
+        self.payoffs = [_exact_tensor(t, self.shape) for t in payoffs]
         self.strategy_index = strategy_index
 
     @classmethod
@@ -259,9 +267,14 @@ class NormalForm:
         return t
 
 
-def _exact_tensor(t):
-    if isinstance(t, (list, tuple)):
-        return [_exact_tensor(x) for x in t]
+def _exact_tensor(t, shape):
+    """``t`` with exact cells; ``t`` must be an array of the given shape."""
+    is_list = isinstance(t, (list, tuple))
+    if is_list != bool(shape) or (is_list and len(t) != shape[0]):
+        raise ValidationError("payoff tensors are not rectangular arrays of "
+                              "one shape")
+    if is_list:
+        return [_exact_tensor(x, shape[1:]) for x in t]
     if isinstance(t, float):
         raise ValidationError("payoff %r is a float, not exact" % (t,))
     q = Fraction(t)
@@ -269,8 +282,9 @@ def _exact_tensor(t):
 
 
 def _tensor_shape(t):
+    """The shape read along first elements."""
     shape = []
-    while isinstance(t, list):
+    while isinstance(t, (list, tuple)):
         shape.append(len(t))
         if not t:
             break
@@ -361,82 +375,11 @@ def to_normal_form(g, cap=DEFAULT_CELL_CAP):
     return NormalForm._exact(truth_tables(g, g.goals), shape, index)
 
 
-# --- marginals --------------------------------------------------------------
-
-
-def marginalize(profile, names):
-    """Marginal distribution of the profile over the given variables.
-
-    Returns a dict from frozen assignments (sorted item tuples) over exactly
-    ``names`` to probabilities summing to 1.
-    """
-    names = set(names)
-    known = set()
-    for support in profile.strategies:
-        for a, _ in support:
-            known.update(a)
-    unknown = names - known
-    if unknown:
-        raise GameError("unknown variables: %s" % ", ".join(sorted(unknown)))
-    # per-player marginal over the variables it owns
-    per_player = []
-    for support in profile.strategies:
-        owned = names & set(support[0][0])
-        if not owned:
-            continue
-        dist = {}
-        for a, w in support:
-            key = tuple(sorted((v, a[v]) for v in owned))
-            dist[key] = dist.get(key, Fraction(0)) + w
-        per_player.append(dist)
-    if not per_player:
-        return {(): Fraction(1)}
-    out = {}
-    for combo in itertools.product(*(d.items() for d in per_player)):
-        key = tuple(sorted(itertools.chain.from_iterable(k for k, _ in combo)))
-        w = Fraction(1)
-        for _, wi in combo:
-            w *= wi
-        out[key] = out.get(key, Fraction(0)) + w
-    return out
-
-
-# --- composition ------------------------------------------------------------
+# --- names and literals -----------------------------------------------------
 
 
 def namespaced(ns, name):
     return "%s.%s" % (ns, name)
-
-
-def compose_disjoint(games, player_map, goal_builder, outer_players,
-                     extra_vars=None):
-    """Assemble an outer game from namespaced constituent games.
-
-    games: list of (BooleanGame, namespace); namespaces must be distinct.
-    player_map: dict (constituent index, constituent player) -> outer player.
-    goal_builder: callable(renamed_goals) -> sequence of outer goal formulas,
-      where renamed_goals[c][i] is constituent c's goal i after renaming.
-    extra_vars: optional list per outer player of fresh variable names.
-    """
-    namespaces = [ns for _, ns in games]
-    if len(set(namespaces)) != len(namespaces):
-        raise ValidationError("namespace collision")
-    var_sets = [list(extra_vars[i]) if extra_vars else [] for i in range(outer_players)]
-    if extra_vars is not None and len(extra_vars) != outer_players:
-        raise ValidationError("extra_vars must list one set per outer player")
-    renamed_goals = []
-    for c, (g, ns) in enumerate(games):
-        mapping = {v: namespaced(ns, v) for v in g.all_vars()}
-        for i in range(g.players):
-            outer = player_map[(c, i)]
-            var_sets[outer].extend(mapping[v] for v in g.var_sets[i])
-        renamed_goals.append([
-            rename_vars(goal, mapping) for goal in g.goals
-        ])
-    goals = list(goal_builder(renamed_goals))
-    if len(goals) != outer_players:
-        raise ValidationError("goal_builder must emit one goal per outer player")
-    return BooleanGame(var_sets, goals)
 
 
 def characteristic_formula(a):
@@ -541,12 +484,21 @@ def profile_to_json(profile):
 
 
 def profile_from_json(text, g=None):
-    data = json.loads(text)
+    """Assignment values must be JSON booleans; a weight is an ``"a/b"``
+    string, an integer or a decimal, read exactly."""
+    data = json.loads(text, parse_float=Fraction)
     strategies = []
     for entry in data["players"]:
         support = []
         for item in entry["support"]:
-            support.append((dict(item["assign"]), Fraction(item["weight"])))
+            assign, w = dict(item["assign"]), item["weight"]
+            if not all(isinstance(b, bool) for b in assign.values()):
+                raise ValidationError(
+                    "assignment values must be true or false")
+            # a float left by parse_float is NaN or an infinity
+            if isinstance(w, (bool, float)):
+                raise ValidationError("weight %s is not a rational" % (w,))
+            support.append((assign, Fraction(w)))
         strategies.append(support)
     profile = MixedProfile(strategies)
     if g is not None:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .encodings import (
+    assign_bits,
     build_cardinality,
     build_comparison,
     const_bits,
@@ -37,6 +38,7 @@ from .game import (
     MixedProfile,
     ResourceCapError,
     namespaced,
+    product_profile,
 )
 from .gadgets import fixed_value_game
 
@@ -164,6 +166,11 @@ class Square2x2:
             raise ReductionError("square position out of range")
 
 
+def _check_word(word):
+    if any(ch not in ("0", "1") for ch in word):
+        raise ReductionError("input word must be over {0, 1}")
+
+
 def simulate_tm(m, word, steps, width, accept_row=None, cap=DEFAULT_NODE_CAP):
     """Depth-first search for an accepting run, as a table of descriptors.
 
@@ -182,9 +189,7 @@ def simulate_tm(m, word, steps, width, accept_row=None, cap=DEFAULT_NODE_CAP):
         accept_row = steps - 1
     if not 0 <= accept_row < steps:
         raise ReductionError("accept row out of range")
-    for ch in word:
-        if ch not in ("0", "1"):
-            raise ReductionError("input word must be over {0, 1}")
+    _check_word(word)
     if len(word) > width:
         return None
     tape = tuple(word[j] if j < len(word) else "_" for j in range(width))
@@ -390,6 +395,21 @@ def admissible_squares(m):
 # --- game construction ----------------------------------------------------------
 
 ENTRY_PREFIXES = ("", "s", "n", "ns")
+# each window entry's (row, column) offset from the window's upper left
+ENTRY_OFFSETS = {"": (0, 0), "s": (0, 1), "n": (1, 0), "ns": (1, 1)}
+
+
+def _entry_flags(prefix, player, states):
+    """The descriptor flag names of one table entry of a player."""
+    flags = {f: "%s%s%d" % (prefix, f.capitalize(), player)
+             for f in ("zero", "one", "left", "right")}
+    flags["state"] = {q: "%sState%d.%s" % (prefix, player, q) for q in states}
+    return flags
+
+
+def _entry_vars(flags):
+    return [flags["zero"], flags["one"], flags["left"], flags["right"]] + \
+        list(flags["state"].values())
 
 
 class VarIndex:
@@ -400,31 +420,17 @@ class VarIndex:
         self.states = m.states
         self.time1 = var_bits("Time1", k)
         self.tape1 = var_bits("Tape1", k)
-        self.flags1 = {
-            "zero": "Zero1", "one": "One1", "left": "Left1", "right": "Right1",
-            "state": {q: "State1." + q for q in m.states},
-        }
+        self.flags1 = _entry_flags("", 1, m.states)
         self.time2 = {p: var_bits(p + "Time2", k) for p in ENTRY_PREFIXES}
         self.tape2 = {p: var_bits(p + "Tape2", k) for p in ENTRY_PREFIXES}
-        self.flags2 = {
-            p: {
-                "zero": p + "Zero2", "one": p + "One2",
-                "left": p + "Left2", "right": p + "Right2",
-                "state": {q: p + "State2." + q for q in m.states},
-            }
-            for p in ENTRY_PREFIXES
-        }
+        self.flags2 = {p: _entry_flags(p, 2, m.states) for p in ENTRY_PREFIXES}
         self.gadget = gadget_roles
 
     def entry1_vars(self):
-        f = self.flags1
-        return [f["zero"], f["one"], f["left"], f["right"]] + \
-            [f["state"][q] for q in self.states]
+        return _entry_vars(self.flags1)
 
     def entry2_vars(self, prefix):
-        f = self.flags2[prefix]
-        return [f["zero"], f["one"], f["left"], f["right"]] + \
-            [f["state"][q] for q in self.states]
+        return _entry_vars(self.flags2[prefix])
 
     def to_json(self):
         def seqs(d):
@@ -567,18 +573,11 @@ def _corner_match(vi, prefix):
     ))
 
 
-def _agree(m, vi):
+def _agree(vi):
     parts = []
     for p in ENTRY_PREFIXES:
-        f1, f2 = vi.flags1, vi.flags2[p]
-        same = conj(
-            [Iff(Var(f1["zero"]), Var(f2["zero"])),
-             Iff(Var(f1["one"]), Var(f2["one"])),
-             Iff(Var(f1["left"]), Var(f2["left"])),
-             Iff(Var(f1["right"]), Var(f2["right"]))]
-            + [Iff(Var(f1["state"][q]), Var(f2["state"][q]))
-               for q in m.states]
-        )
+        same = conj(Iff(Var(a), Var(b)) for a, b in
+                    zip(vi.entry1_vars(), vi.entry2_vars(p)))
         parts.append(Implies(_corner_match(vi, p), same))
     return conj(parts)
 
@@ -590,6 +589,7 @@ def _bound_width(K):
 
 
 def _build_reduction(m, word, K, mode, cap):
+    _check_word(word)
     k = _bound_width(K)
     size = 1 << k
     if size * size > cap:
@@ -610,7 +610,7 @@ def _build_reduction(m, word, K, mode, cap):
                         Not(And((positional, consistency)))])
     gamma2 = conj([
         Or((Not(avoid_corner), And((Not(avoid), g2_goal)))),
-        _agree(m, vi),
+        _agree(vi),
         require,
     ])
 
@@ -653,63 +653,39 @@ def build_forall_guarantee_game(m, word, K, cap=DEFAULT_NODE_CAP):
 # --- witnesses and decoding -------------------------------------------------------
 
 
-def _set_bits(assign, bits, value, k):
-    for name, ch in zip(bits, const_bits(value, k)):
-        assign[name] = ch
-
-
-def _set_entry(assign, flags, desc, states):
-    assign[flags["zero"]] = desc.content == "0"
-    assign[flags["one"]] = desc.content == "1"
-    assign[flags["left"]] = desc.head == LEFT
-    assign[flags["right"]] = desc.head == RIGHT
-    for q in states:
-        assign[flags["state"][q]] = desc.head == q
+def _entry_assign(flags, desc):
+    """The flag values that describe ``desc``."""
+    heads = [LEFT, RIGHT, *flags["state"]]
+    return dict(zip(_entry_vars(flags),
+                    [desc.content == "0", desc.content == "1"]
+                    + [desc.head == h for h in heads]))
 
 
 def witness_profile(ro, table):
     """The run-describing profile: player 1 uniform over table entries,
-    player 2 uniform over windows, both with the side-game equilibrium."""
+    player 2 uniform over windows, times the side game's equilibrium."""
     size = 1 << ro.k
     if len(table) != size or any(len(row) != size for row in table):
         raise ReductionError("table does not match the game's dimensions")
     vi = ro.var_index
-    g_eq = ro.gadget.equilibrium
     cells = Fraction(1, size * size)
 
-    support1 = []
+    def entry(time, tape, flags, i, j):
+        return {**assign_bits(time, i), **assign_bits(tape, j),
+                **_entry_assign(flags, table[i][j])}
+
+    support1, support2 = [], []
     for i in range(size):
         for j in range(size):
-            base = {}
-            _set_bits(base, vi.time1, i, ro.k)
-            _set_bits(base, vi.tape1, j, ro.k)
-            _set_entry(base, vi.flags1, table[i][j], ro.machine.states)
-            for g_assign, g_w in g_eq.strategies[0]:
-                merged = dict(base)
-                merged.update(g_assign)
-                support1.append((merged, cells * g_w))
-
-    support2 = []
-    for i in range(size):
-        for j in range(size):
-            base = {}
-            sq = table_window(table, i, j, ro.k)
-            _set_bits(base, vi.time2[""], i, ro.k)
-            _set_bits(base, vi.tape2[""], j, ro.k)
-            _set_bits(base, vi.time2["s"], i, ro.k)
-            _set_bits(base, vi.tape2["s"], (j + 1) % size, ro.k)
-            _set_bits(base, vi.time2["n"], (i + 1) % size, ro.k)
-            _set_bits(base, vi.tape2["n"], j, ro.k)
-            _set_bits(base, vi.time2["ns"], (i + 1) % size, ro.k)
-            _set_bits(base, vi.tape2["ns"], (j + 1) % size, ro.k)
-            for p, desc in zip(ENTRY_PREFIXES, (sq.tl, sq.tr, sq.bl, sq.br)):
-                _set_entry(base, vi.flags2[p], desc, ro.machine.states)
-            for g_assign, g_w in g_eq.strategies[1]:
-                merged = dict(base)
-                merged.update(g_assign)
-                support2.append((merged, cells * g_w))
-
-    return MixedProfile([support1, support2])
+            support1.append((entry(vi.time1, vi.tape1, vi.flags1, i, j),
+                             cells))
+            window = {}
+            for p, (di, dj) in ENTRY_OFFSETS.items():
+                window.update(entry(vi.time2[p], vi.tape2[p], vi.flags2[p],
+                                    (i + di) % size, (j + dj) % size))
+            support2.append((window, cells))
+    return product_profile(MixedProfile([support1, support2]),
+                           ro.gadget.equilibrium)
 
 
 def _decode_entry(assign, flags, states):
@@ -750,13 +726,9 @@ def decode_square(ro, assign):
         return decode_bits(bits, assign)
 
     i, j = val(vi.time2[""]), val(vi.tape2[""])
-    want = {
-        "s": (i, (j + 1) % size),
-        "n": ((i + 1) % size, j),
-        "ns": ((i + 1) % size, (j + 1) % size),
-    }
-    for p, (r, c) in want.items():
-        if val(vi.time2[p]) != r or val(vi.tape2[p]) != c:
+    for p, (di, dj) in ENTRY_OFFSETS.items():
+        if (val(vi.time2[p]) != (i + di) % size
+                or val(vi.tape2[p]) != (j + dj) % size):
             return None
     return Square2x2(entries[0], entries[1], entries[2], entries[3], i, j, k)
 

@@ -197,6 +197,17 @@ def test_gadget_values_all_small_denominators():
         assert expected_utility(bundle.game, bundle.equilibrium, 0) == v
 
 
+def test_gadget_equilibrium_unique_away_from_boundary():
+    # the uniqueness check solves one value program per player and probes
+    # every weight's range, about 4 s at b = 4 (a 256 x 4 normal form), so
+    # the larger denominators are left out
+    for v in (Fraction(1, 2), Fraction(1, 4)):
+        assert unique_nash(as_normal_form(fixed_value_game(v, "g").game)), v
+    # at 0 and 1 one side wins whatever is played: every profile is Nash
+    for v in (Fraction(0), Fraction(1)):
+        assert not unique_nash(as_normal_form(fixed_value_game(v, "g").game))
+
+
 # 4. the algebra over gadget games composes values as v+w-vw, vw, 1-v,
 #    verified by solving the expanded games exactly
 

@@ -284,7 +284,27 @@ def test_eval_profile_malformed_json_exits_2(mp_file, tmp_path, capsys):
     assert run(["eval", "--game", mp_file, "--profile", str(path)]) == 2
     path.write_text('{"players": [{"support": [{"weight": "1"}]}]}')
     assert run(["eval", "--game", mp_file, "--profile", str(path)]) == 2
+    # assignment values are JSON booleans: "false" is not false
+    for x in ('"false"', "null"):
+        path.write_text('{"players": [{"support": [{"assign": {"x": %s}, '
+                        '"weight": "1"}]}, {"support": [{"assign": '
+                        '{"y": true}, "weight": "1"}]}]}' % x)
+        for verb in (["eval"], ["nash", "is"]):
+            assert run(verb + ["--game", mp_file, "--profile",
+                               str(path)]) == 2, (x, verb)
     assert capsys.readouterr().out == ""
+
+
+def test_profile_decimal_weights_read_exactly(mp_file, tmp_path, capsys):
+    # through a float, 0.1 + 0.9 would not sum to exactly 1
+    path = tmp_path / "profile.json"
+    path.write_text('{"players": [{"support": ['
+                    '{"assign": {"x": true}, "weight": 0.1}, '
+                    '{"assign": {"x": false}, "weight": 0.9}]}, '
+                    '{"support": [{"assign": {"y": true}, "weight": 1}]}]}')
+    data = run_json(["eval", "--game", mp_file, "--profile", str(path)],
+                    capsys)
+    assert data["utilities"] == ["9/10", "1/10"]
 
 
 def test_reduce_malformed_machine_exits_2(tmp_path, capsys):
@@ -298,10 +318,33 @@ def test_reduce_malformed_machine_exits_2(tmp_path, capsys):
 def test_malformed_normal_form_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.nf"
     for payoffs in ('[[["x", 0]], [[0, 0]]]', '[[["1/0", 0]], [[0, 0]]]',
-                    "[]"):
+                    "[]",
+                    # ragged: a short row in the first tensor, a long row
+                    # in the second
+                    "[[[1, 2], [3]], [[1, 2], [3, 4]]]",
+                    "[[[1, 2], [3, 4]], [[1, 2], [3, 4, 5]]]",
+                    # player 2 has no strategy
+                    "[[[]], [[]]]"):
         path.write_text('{"payoffs": %s}' % payoffs)
-        assert run(["check", "--game", str(path)]) == 2, payoffs
+        for verb in ("check", "normal-form", "nash find", "nash unique",
+                     "nash pure"):
+            assert run(verb.split() + ["--game", str(path)]) == 2, (payoffs,
+                                                                   verb)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "reduce nexptm --input 2",
+    "reduce nexptm --input 0a",
+    "reduce forall-nexptm --bound 4 --input 2",
+    "reduce transform --kind exists-nash-sat --input 2",
+    "verify squares --bound 4 --input 2",
+    "verify witness --input 2",
+])
+def test_reduction_input_outside_01_exits_2(machine_file, capsys, argv):
+    assert run(argv.split() + ["--machine", machine_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over {0, 1}" in captured.err
 
 
 def test_normal_form_decimals_read_exactly(tmp_path, capsys):

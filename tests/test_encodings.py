@@ -4,6 +4,7 @@ import pytest
 
 from boolgames.encodings import (
     EncodingError,
+    assign_bits,
     build_arithmetic,
     build_cardinality,
     build_comparison,
@@ -35,6 +36,17 @@ def test_const_bits_round_trip():
             assert decode_bits(const_bits(v, m), {}) == v
     with pytest.raises(EncodingError):
         const_bits(4, 2)
+
+
+def test_assign_bits_inverts_decode_bits():
+    for m in range(1, 5):
+        seq = var_bits("x", m)
+        for v in range(1 << m):
+            a = assign_bits(seq, v)
+            assert sorted(a) == sorted(seq)
+            assert decode_bits(seq, a) == v
+    with pytest.raises(EncodingError):
+        assign_bits(var_bits("x", 2), 4)
 
 
 def test_decode_bits_mixed_terms():

@@ -14,11 +14,10 @@ from boolgames.game import (
     ResourceCapError,
     ValidationError,
     characteristic_formula,
-    compose_disjoint,
     expected_utility,
-    marginalize,
     parse_game,
     player_assignments,
+    product_profile,
     profile_from_json,
     profile_to_json,
     render_game,
@@ -181,23 +180,38 @@ def test_normal_form_rejects_float_cells():
         [Fraction(1, 10), 0]]
 
 
-def test_marginalize_product_structure():
-    g = matching_pennies()
-    prof = MixedProfile([
+@pytest.mark.parametrize("payoffs", [
+    [[[1, 2], [3]], [[1, 2], [3, 4]]],      # a short row in the first tensor
+    [[[1, 2], [3, 4]], [[1, 2], [3, 4, 5]]],  # a long row in the second
+    [[[1, 2], [3, [4]]], [[1, 2], [3, 4]]],   # a list where a cell belongs
+    [[[1, 2], 3], [[1, 2], [3, 4]]],          # a cell where a row belongs
+    [[[]], [[]]],                             # player 2 has no strategy
+])
+def test_normal_form_rejects_ragged_or_empty_tensors(payoffs):
+    with pytest.raises(ValidationError):
+        NormalForm(payoffs)
+
+
+def test_product_profile_pairs_entries_row_major():
+    p1 = MixedProfile([
         [({"x": True}, Fraction(1, 3)), ({"x": False}, Fraction(2, 3))],
-        [({"y": True}, Fraction(1, 2)), ({"y": False}, Fraction(1, 2))],
+        [({"y": False}, Fraction(1))],
     ])
-    marg = marginalize(prof, ["x"])
-    assert marg[(("x", True),)] == Fraction(1, 3)
-    both = marginalize(prof, ["x", "y"])
-    assert both[(("x", True), ("y", False))] == Fraction(1, 6)
-    assert sum(both.values()) == 1
-
-
-def test_marginalize_unknown_variable():
-    g = matching_pennies()
-    with pytest.raises(GameError):
-        marginalize(uniform_profile(g), ["zzz"])
+    p2 = MixedProfile([
+        [({"u": False}, Fraction(1, 2)), ({"u": True}, Fraction(1, 2))],
+        [({"v": True}, Fraction(1, 4)), ({"v": False}, Fraction(3, 4))],
+    ])
+    prod = product_profile(p1, p2)
+    assert prod.strategies[0] == (
+        ({"x": True, "u": False}, Fraction(1, 6)),
+        ({"x": True, "u": True}, Fraction(1, 6)),
+        ({"x": False, "u": False}, Fraction(1, 3)),
+        ({"x": False, "u": True}, Fraction(1, 3)),
+    )
+    assert prod.strategies[1] == (
+        ({"y": False, "v": True}, Fraction(1, 4)),
+        ({"y": False, "v": False}, Fraction(3, 4)),
+    )
 
 
 def test_profile_json_round_trip():
@@ -228,28 +242,24 @@ def test_characteristic_formula():
         characteristic_formula({})
 
 
-def test_compose_disjoint_namespaces():
-    g = matching_pennies()
-    out = compose_disjoint(
-        [(g, "l"), (g, "r")],
-        {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1},
-        lambda goals: [goals[0][0], goals[1][1]],
-        2,
-    )
-    assert set(out.var_sets[0]) == {"l.x", "r.x"}
-    assert set(out.var_sets[1]) == {"l.y", "r.y"}
-    validate_game(out)
+def profile_text(x="true", w='"1"'):
+    """A matching-pennies profile whose first x value and y weight are given
+    as JSON text."""
+    return ('{"players": [{"support": [{"assign": {"x": %s}, "weight": "1/2"},'
+            ' {"assign": {"x": false}, "weight": "1/2"}]}, '
+            '{"support": [{"assign": {"y": true}, "weight": %s}]}]}' % (x, w))
 
 
-def test_compose_rejects_duplicate_namespace():
-    g = matching_pennies()
-    with pytest.raises(GameError):
-        compose_disjoint(
-            [(g, "n"), (g, "n")],
-            {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1},
-            lambda goals: [goals[0][0], goals[1][1]],
-            2,
-        )
+@pytest.mark.parametrize("x", ['"false"', '"true"', "null", "0", "1"])
+def test_profile_json_assignments_are_booleans(x):
+    with pytest.raises(ValidationError):
+        profile_from_json(profile_text(x=x))
+
+
+@pytest.mark.parametrize("w", ["true", "NaN", "Infinity"])
+def test_profile_json_weights_are_rationals(w):
+    with pytest.raises(ValidationError):
+        profile_from_json(profile_text(w=w))
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from windows import perturbed_windows
 
+from boolgames.encodings import decode_bits
 from boolgames.formula import Iff, Not, Var, compile_formula, eval_bits
 from boolgames.game import (
     BooleanGame,
@@ -14,6 +15,9 @@ from boolgames.game import (
 )
 from boolgames.reductions import (
     ENTRY_PREFIXES,
+    LEFT,
+    RIGHT,
+    SYMBOLS,
     CellDescriptor,
     ReductionError,
     Square2x2,
@@ -89,6 +93,17 @@ def test_simulate_respects_input_word():
     assert table[0][0].content == "1"
     assert table[0][1].content == "0"
     assert table[0][2].content == "_"
+
+
+@pytest.mark.parametrize("word", ["2", "0a", "1 "])
+def test_input_word_must_be_binary(word):
+    m = immediate_acceptor()
+    for build in (lambda: simulate_tm(m, word, 4, 4),
+                  lambda: build_guarantee_game(m, word, 2),
+                  lambda: build_forall_guarantee_game(m, word, 4),
+                  lambda: transform_exists_nash_sat(m, word, 2)):
+        with pytest.raises(ReductionError, match="over"):
+            build()
 
 
 def test_table_window_wraparound():
@@ -281,3 +296,50 @@ def test_oracle_agrees_with_require_on_witness_windows_k2(machine, build):
                                    build_forall_guarantee_game])
 def test_oracle_agrees_with_require_on_witness_windows_k3(machine, build):
     check_witness_windows(machine, build, 8)
+
+
+def flag_entry(assign, flags, states):
+    """The descriptor that a one-hot flag block spells, read directly."""
+    content = "0" if assign[flags["zero"]] else (
+        "1" if assign[flags["one"]] else "_")
+    heads = [h for h, v in [(LEFT, flags["left"]), (RIGHT, flags["right"])]
+             + [(q, flags["state"][q]) for q in states] if assign[v]]
+    assert len(heads) == 1
+    return CellDescriptor(content, heads[0])
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
+@pytest.mark.parametrize("bound", [2, 4, 8])
+def test_witness_profile_is_table_times_gadget(machine, bound):
+    # any table of the right size describes a profile, so a seeded random
+    # one tests every descriptor, not only those of an accepting run
+    m = machine()
+    ro = build_guarantee_game(m, "", bound)
+    size = 1 << ro.k
+    rng = random.Random(bound)
+    heads = [LEFT, RIGHT] + list(m.states)
+    table = [[CellDescriptor(rng.choice(SYMBOLS), rng.choice(heads))
+              for _ in range(size)] for _ in range(size)]
+    wp = witness_profile(ro, table)
+    vi, g_eq = ro.var_index, ro.gadget.equilibrium.strategies
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    for player, support in enumerate(wp.strategies):
+        gadget = g_eq[player]
+        assert len(support) == len(cells) * len(gadget)
+        for n, (i, j) in enumerate(cells):
+            block = support[n * len(gadget):(n + 1) * len(gadget)]
+            for (a, w), (g_a, g_w) in zip(block, gadget):
+                assert w == Fraction(1, size * size) * g_w
+                assert all(a[v] == b for v, b in g_a.items())
+                if player == 0:
+                    assert decode_bits(vi.time1, a) == i
+                    assert decode_bits(vi.tape1, a) == j
+                    assert flag_entry(a, vi.flags1, m.states) == table[i][j]
+                else:
+                    assert decode_square(ro, a) == table_window(table, i, j,
+                                                                ro.k)
+            # the side game's part is the only one that varies in a block
+            rest = [{v: b for v, b in a.items() if v not in g_a}
+                    for (a, _), (g_a, _) in zip(block, gadget)]
+            assert all(r == rest[0] for r in rest)
+    validate_profile(ro.game, wp)
