@@ -1,7 +1,8 @@
 """Command-line surface: batch analysis, instance generation, verification.
 
 Exit codes: 0 = yes/ok, 1 = no (decision verbs), 2 = usage or input error,
-3 = resource cap exceeded.  Results go to stdout as JSON (or key: value
+3 = resource cap exceeded, 141 = stdout closed by its reader (``main``
+only).  Results go to stdout as JSON (or key: value
 lines with --format text); diagnostics go to stderr.  All rationals are
 rendered as reduced "a/b" strings.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -525,7 +527,17 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``bg ... | head``): exit as a program
+        # killed by SIGPIPE, not with the "no" of exit 1; stdout goes to
+        # devnull so that the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

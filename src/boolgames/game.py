@@ -277,6 +277,8 @@ def _exact_tensor(t, shape):
         return [_exact_tensor(x, shape[1:]) for x in t]
     if isinstance(t, float):
         raise ValidationError("payoff %r is a float, not exact" % (t,))
+    if isinstance(t, bool):
+        raise ValidationError("payoff %r is a boolean, not a number" % (t,))
     q = Fraction(t)
     return q.numerator if q.denominator == 1 else q
 

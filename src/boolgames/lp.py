@@ -1,13 +1,20 @@
 """Exact-rational linear programming: two-phase simplex with Bland's rule.
 
-All arithmetic is over fractions.Fraction; results are deterministic for a
-given input.  Free variables are split into two nonnegative parts.  Phase 1
-is shared: ``variable_ranges`` (the range probes behind uniqueness and
+Coefficients enter and results leave as fractions.Fraction.  In between,
+the tableau is fraction-free: rows of Python ints over one common positive
+denominator ``d``, updated by the exact integer pivot of Edmonds (1967) and
+Bareiss (1968), so no pivot pays for a gcd.  Each stored entry is the
+rational tableau's entry times ``d``, so Bland's rule, the ratio test (by
+cross-multiplying) and the feasibility test make the choices the rational
+simplex makes; results are deterministic for a given input.  Free variables
+are split into two nonnegative parts.  Phase 1 is shared:
+``variable_ranges`` (the range probes behind uniqueness and
 equilibrium-payoff questions) runs it once and every bound from its basis.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -78,26 +85,50 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(rows, zrow, basis, r, c):
+def _integer_coeffs(coeffs, rhs=_ZERO):
+    """``coeffs`` (a dict of Fractions) and ``rhs`` times the lcm of all
+    their denominators, as ints, and that lcm."""
+    scale = math.lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
+    return ({k: v.numerator * (scale // v.denominator)
+             for k, v in coeffs.items()},
+            rhs.numerator * (scale // rhs.denominator), scale)
+
+
+def _pivot(rows, zrow, basis, d, r, c):
+    """Fraction-free pivot on ``rows[r][c]``; returns the new denominator.
+
+    Every row, ``zrow`` included, becomes ``(row * p - row[c] * prow) // d``
+    with ``p`` the pivot (Edmonds 1967; Bareiss 1968).  The division is exact:
+    ``d`` and ``p`` are the determinants of the old and new basis, and each
+    entry is the rational tableau's entry times that determinant.  A negative
+    pivot (only the phase-1 drive-out meets one) negates its row first, so
+    the denominator stays positive and every sign test keeps its meaning.
+    """
     prow = rows[r]
-    inv = _ONE / prow[c]
-    if inv != 1:
-        rows[r] = prow = [x * inv for x in prow]
+    p = prow[c]
+    if p < 0:
+        rows[r] = prow = [-x for x in prow]
+        p = -p
     for rr, row in enumerate(rows):
-        if rr == r:
-            continue
-        f = row[c]
-        if f:
-            rows[rr] = [a - f * b for a, b in zip(row, prow)]
-    f = zrow[c]
-    if f:
-        for j in range(len(zrow)):
-            zrow[j] -= f * prow[j]
+        if rr != r:
+            rows[rr] = _eliminate(row, prow, p, d, c)
+    zrow[:] = _eliminate(zrow, prow, p, d, c)
     basis[r] = c
+    return p
 
 
-def _run_simplex(rows, zrow, basis):
-    """Minimize; zrow holds reduced costs (last entry: minus objective)."""
+def _eliminate(row, prow, p, d, c):
+    f = row[c]
+    if f:
+        return [(a * p - f * b) // d for a, b in zip(row, prow)]
+    if p == d:
+        return row
+    return [a * p // d for a in row]
+
+
+def _run_simplex(rows, zrow, basis, d):
+    """Minimize; zrow holds reduced costs (last entry: minus objective), all
+    over the common denominator ``d``.  Returns (status, d)."""
     ncols = len(zrow) - 1
     while True:
         enter = -1
@@ -106,40 +137,43 @@ def _run_simplex(rows, zrow, basis):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", d
+        # Bland's ratio test; rhs/a < best_rhs/best_a by cross-multiplying
         leave = -1
-        best_ratio = None
         for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = r
+                if leave < 0:
+                    leave, best_rhs, best_a = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best_rhs, best_a = r, row[-1], a
         if leave < 0:
-            return "unbounded"
-        _pivot(rows, zrow, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(rows, zrow, basis, d, leave, enter)
 
 
-def _reduced_costs(rows, basis, costs):
-    zrow = list(costs) + [_ZERO]
+def _reduced_costs(rows, basis, costs, d):
+    zrow = [d * x for x in costs] + [0]
     for r, b in enumerate(basis):
-        # basis columns are identity; subtract cb * row to zero them out
+        # basis columns are d times identity; subtract cb * row to zero them
         cb = costs[b]
         if cb:
-            row = rows[r]
-            for j in range(len(zrow)):
-                zrow[j] -= cb * row[j]
+            zrow = [z - cb * x for z, x in zip(zrow, rows[r])]
     return zrow
 
 
 def _feasible_tableau(lp):
-    """Phase 1: (rows, basis, col_of, ncols), a feasible basis of ``lp`` in
-    standard equality form, or None if ``lp`` is infeasible."""
+    """Phase 1: (rows, basis, col_of, ncols, d), a feasible basis of ``lp``
+    in standard equality form, or None if ``lp`` is infeasible.
+
+    Entries are ints over the common positive denominator ``d``.  Each
+    constraint row starts scaled to integers by the lcm of its own
+    denominators, its slack and artificial keeping coefficient 1: that only
+    rescales those columns' variables, which are never reported, and leaves
+    every pivot choice as over the rationals.
+    """
     # column layout: one column per nonneg variable, two per free variable
     columns = []  # (name, sign)
     for name in lp.variables:
@@ -153,26 +187,29 @@ def _feasible_tableau(lp):
     nstruct = len(columns)
     # build rows in standard equality form with slacks
     raw = []
+    scales = []  # each row's lcm of denominators
     slack_count = sum(1 for _, rel, _ in lp.constraints if rel != "=")
     ncols = nstruct + slack_count
     slack_idx = nstruct
     slack_col_of_row = []
     for coeffs, rel, rhs in lp.constraints:
-        row = [_ZERO] * ncols + [rhs]
+        coeffs, rhs, scale = _integer_coeffs(coeffs, rhs)
+        row = [0] * ncols + [rhs]
         for name, v in coeffs.items():
             for idx, sign in col_of[name]:
                 row[idx] += sign * v
         if rel == "<=":
-            row[slack_idx] = _ONE
+            row[slack_idx] = 1
             slack_col_of_row.append(slack_idx)
             slack_idx += 1
         elif rel == ">=":
-            row[slack_idx] = Fraction(-1)
+            row[slack_idx] = -1
             slack_col_of_row.append(slack_idx)
             slack_idx += 1
         else:
             slack_col_of_row.append(None)
         raw.append(row)
+        scales.append(scale)
 
     # normalize rhs >= 0, pick starting basis, add artificials where needed
     rows = []
@@ -193,20 +230,23 @@ def _feasible_tableau(lp):
     total = ncols + nart
     for row in rows:
         rhs = row.pop()
-        row.extend([_ZERO] * nart)
+        row.extend([0] * nart)
         row.append(rhs)
     for k, r in enumerate(art_rows):
-        rows[r][ncols + k] = _ONE
+        rows[r][ncols + k] = 1
         basis[r] = ncols + k
 
-    # phase 1: minimize sum of artificials
+    d = 1
     if nart:
-        costs = [_ZERO] * total
-        for k in range(nart):
-            costs[ncols + k] = _ONE
-        zrow = _reduced_costs(rows, basis, costs)
-        status = _run_simplex(rows, zrow, basis)
-        if status != "optimal" or -zrow[-1] != 0:
+        # minimize the sum of the artificials in the unscaled rows' units:
+        # row r's artificial carries cost 1/scale_r, times the lcm of those
+        costs = [0] * total
+        lcm = math.lcm(*[scales[r] for r in art_rows])
+        for k, r in enumerate(art_rows):
+            costs[ncols + k] = lcm // scales[r]
+        zrow = _reduced_costs(rows, basis, costs, d)
+        status, d = _run_simplex(rows, zrow, basis, d)
+        if status != "optimal" or zrow[-1] != 0:
             return None
         # drive remaining artificials out of the basis
         for r in range(len(rows)):
@@ -217,35 +257,37 @@ def _feasible_tableau(lp):
                         pivot_col = j
                         break
                 if pivot_col >= 0:
-                    _pivot(rows, zrow, basis, r, pivot_col)
+                    d = _pivot(rows, zrow, basis, d, r, pivot_col)
         # drop rows still basic in an artificial (redundant constraints)
         keep = [r for r in range(len(rows)) if basis[r] < ncols]
         rows = [rows[r] for r in keep]
         basis = [basis[r] for r in keep]
         # drop artificial columns
         rows = [row[:ncols] + [row[-1]] for row in rows]
-    return rows, basis, col_of, ncols
+    return rows, basis, col_of, ncols, d
 
 
 def _optimize(tab, coeffs, sense):
     """Phase 2 from a ``_feasible_tableau``: Optimal or Unbounded.  Shallow
     copies leave ``tab`` reusable, as ``_pivot`` replaces rows it changes."""
-    rows, basis, col_of, ncols = tab
+    rows, basis, col_of, ncols, d = tab
     rows, basis = list(rows), list(basis)
     sign = -1 if sense == "maximize" else 1
-    costs = [_ZERO] * ncols
+    coeffs, _, scale = _integer_coeffs(coeffs)
+    costs = [0] * ncols
     for name, v in coeffs.items():
         for idx, s in col_of[name]:
             costs[idx] += sign * s * v
-    zrow = _reduced_costs(rows, basis, costs)
-    if _run_simplex(rows, zrow, basis) == "unbounded":
+    zrow = _reduced_costs(rows, basis, costs, d)
+    status, d = _run_simplex(rows, zrow, basis, d)
+    if status == "unbounded":
         return Unbounded()
     values = {b: row[-1] for b, row in zip(basis, rows)}
-    solution = {name: sum((s * values.get(idx, _ZERO) for idx, s in cols),
-                          _ZERO)
+    solution = {name: Fraction(sum(s * values.get(idx, 0) for idx, s in cols),
+                               d)
                 for name, cols in col_of.items()}
     # internal objective (minimized) sits at -zrow[-1]; undo the sign flip
-    internal = -zrow[-1]
+    internal = Fraction(-zrow[-1], d * scale)
     return Optimal(solution, internal if sense == "minimize" else -internal)
 
 

@@ -199,9 +199,10 @@ def test_gadget_values_all_small_denominators():
 
 def test_gadget_equilibrium_unique_away_from_boundary():
     # the uniqueness check solves one value program per player and probes
-    # every weight's range, about 4 s at b = 4 (a 256 x 4 normal form), so
-    # the larger denominators are left out
-    for v in (Fraction(1, 2), Fraction(1, 4)):
+    # every weight's range: under 0.5 s each at b <= 4 (256 x 4 normal
+    # forms), but about a minute at b = 5 (4096 x 8), so b >= 5 is left out
+    for v in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+              Fraction(3, 4)):
         assert unique_nash(as_normal_form(fixed_value_game(v, "g").game)), v
     # at 0 and 1 one side wins whatever is played: every profile is Nash
     for v in (Fraction(0), Fraction(1)):

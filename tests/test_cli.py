@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -324,13 +327,34 @@ def test_malformed_normal_form_exits_2(tmp_path, capsys):
                     "[[[1, 2], [3]], [[1, 2], [3, 4]]]",
                     "[[[1, 2], [3, 4]], [[1, 2], [3, 4, 5]]]",
                     # player 2 has no strategy
-                    "[[[]], [[]]]"):
+                    "[[[]], [[]]]",
+                    # a JSON boolean is not a payoff
+                    "[[[true, 0], [0, 1]], [[0, 1], [1, 0]]]"):
         path.write_text('{"payoffs": %s}' % payoffs)
-        for verb in ("check", "normal-form", "nash find", "nash unique",
-                     "nash pure"):
+        for verb in ("check", "normal-form", "value", "nash find",
+                     "nash unique", "nash pure"):
             assert run(verb.split() + ["--game", str(path)]) == 2, (payoffs,
                                                                    verb)
     assert capsys.readouterr().out == ""
+
+
+def test_closed_stdout_exits_141_without_traceback(machine_file):
+    # the pipe's read end is closed before the child writes, as when
+    # `bg ... | head -c 10` has stopped reading
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "boolgames.cli", "reduce", "nexptm",
+             "--machine", machine_file, "--bound", "2", "--emit-witness"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 141
+    assert child.stderr == b""
 
 
 @pytest.mark.parametrize("argv", [

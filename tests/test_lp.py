@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_lp
 from boolgames.lp import (
     Infeasible,
     LinearProgram,
     LpError,
     Optimal,
     Unbounded,
+    _feasible_tableau,
     objective_value,
     solution_unique,
     solve_lp,
@@ -232,3 +234,87 @@ def test_optimum_certified_by_dual(lp, costs):
     assert objective_value(lp, primal.solution) == primal.value
     assert objective_value(dual, out.solution) == out.value
     assert primal.value == out.value
+
+
+_RATIONALS = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                       st.sampled_from((1, 2, 3, 4, 6)))
+_FLIP = {"<=": ">=", "=": "=", ">=": "<="}
+
+
+@st.composite
+def rational_lps(draw):
+    """Random LPs over rationals with non-unit denominators: <=, = and >=
+    rows, free variables, negative right-hand sides and a rational
+    objective.  Optional extra rows reach phase 1's corners: a nonpositive
+    row at right-hand side 0 (its artificial stays basic at zero with only
+    negative entries, and drives out on a negative pivot), a scaled copy of
+    a row (redundant, an equality if the copied row is one, and a tie in
+    every ratio test the two rows enter) and a box on every variable."""
+    lp = LinearProgram()
+    names = ["v%d" % k for k in range(draw(st.integers(1, 4)))]
+    for name in names:
+        lp.add_variable(name, nonneg=draw(st.booleans()))
+    rows = [({name: draw(_RATIONALS) for name in names},
+             draw(st.sampled_from(("<=", "=", ">="))), draw(_RATIONALS))
+            for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows.append(({name: -abs(draw(_RATIONALS)) for name in names},
+                     draw(st.sampled_from(("=", ">="))), 0))
+    if draw(st.booleans()):
+        coeffs, rel, rhs = draw(st.sampled_from(rows))
+        q = draw(st.sampled_from((Fraction(-1), Fraction(-2, 3),
+                                  Fraction(1, 2), Fraction(3))))
+        rows.append(({k: q * v for k, v in coeffs.items()},
+                     rel if q > 0 else _FLIP[rel], q * rhs))
+    if draw(st.booleans()):
+        for name in names:
+            rows.append(({name: 1}, "<=", 4))
+            rows.append(({name: 1}, ">=", -4))
+    for row in draw(st.permutations(rows)):
+        lp.add_constraint(*row)
+    # a zero objective answers with phase 1's vertex, so a different phase-1
+    # pivot shows in the solution
+    costs = draw(st.sampled_from((_RATIONALS, st.just(0))))
+    lp.set_objective({name: draw(costs) for name in names},
+                     draw(st.sampled_from(("maximize", "minimize"))))
+    return lp
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_lps())
+def test_integer_tableau_matches_fraction_reference(lp):
+    # same pivots as the Fraction simplex: same status, value and solution
+    want = reference_lp.solve(lp)
+    out = solve_lp(lp)
+    if want[0] == "optimal":
+        assert isinstance(out, Optimal)
+        assert (out.value, out.solution) == want[1:]
+    else:
+        assert isinstance(out, {"infeasible": Infeasible,
+                                "unbounded": Unbounded}[want[0]])
+    assert (variable_ranges(lp, lp.variables)
+            == reference_lp.ranges(lp, lp.variables))
+    tab = _feasible_tableau(lp)
+    want_tab = reference_lp.feasible_tableau(lp)
+    assert (tab is None) == (want_tab is None)
+    if tab is not None:
+        rows, basis, _, _, d = tab
+        assert basis == want_tab[1]
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for row in rows for x in row)
+
+
+def test_drive_out_on_negative_pivot_matches_reference():
+    # -x/2 - y/3 = 0 leaves phase 1 optimal at once with its artificial
+    # basic at zero; driving it out pivots on -3 (the row scaled by 6)
+    lp = LinearProgram()
+    for name in ("x", "y", "z"):
+        lp.add_variable(name)
+    lp.add_constraint({"x": Fraction(-1, 2), "y": Fraction(-1, 3)}, "=", 0)
+    lp.add_constraint({"x": 1, "y": 1, "z": Fraction(2, 3)}, "<=", 2)
+    lp.set_objective({"x": 1, "y": 1, "z": 1}, "maximize")
+    _, basis, _, _, d = _feasible_tableau(lp)
+    assert basis == [0, 3] and d == 3
+    out = solve_lp(lp)
+    assert (out.value, out.solution) == reference_lp.solve(lp)[1:]
+    assert out.value == 3 and out.solution["z"] == 3
