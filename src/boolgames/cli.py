@@ -33,6 +33,7 @@ from .game import (
     GameError,
     NormalForm,
     ResourceCapError,
+    draw_masks,
     parse_game,
     profile_from_json,
     profile_to_json,
@@ -388,9 +389,7 @@ def cmd_verify(args):
             assign = {v: bool(bit(1)) for v in names}
             draws.extend(b"01"[a] for a in assign.values())
             oracle.append(b"01"[reductions.oracle_requires(ro, assign)])
-        # trial r's bit for variable t is draws[r * len(names) + t]
-        masks = {v: int(b"0" + draws[t::len(names)][::-1], 2)
-                 for t, v in enumerate(names)}
+        masks = dict(zip(names, draw_masks(draws, len(names))))
         said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
         mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()
         return _decision(mismatches == 0,

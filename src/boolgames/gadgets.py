@@ -11,6 +11,7 @@ the 0/1 boundary, its equilibrium (both sides uniform) is unique.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .encodings import (
@@ -33,17 +34,19 @@ class GadgetBundle:
 
     role_vars maps role names ("p", "q", "s", "t", "r", and "u" for the
     parametric game) to variable-name sequences; equilibrium is a bundled
-    MixedProfile where one is known; unique records whether the equilibrium
-    is known to be the only one.
+    MixedProfile where one is known (else None), built by the function
+    build_equilibrium the first time it is read.
     """
 
-    def __init__(self, game, role_vars, value=None, equilibrium=None,
-                 unique=False):
+    def __init__(self, game, role_vars, value=None, build_equilibrium=None):
         self.game = game
         self.role_vars = role_vars
         self.value = value
-        self.equilibrium = equilibrium
-        self.unique = unique
+        self.build_equilibrium = build_equilibrium
+
+    @functools.cached_property
+    def equilibrium(self):
+        return self.build_equilibrium and self.build_equilibrium()
 
 
 def _assign_all(pairs):
@@ -73,12 +76,11 @@ def fixed_value_game(v, namespace):
         # scaffold is kept so the shape matches the general construction
         gamma1 = FALSE if a == 0 else TRUE
         game = BooleanGame(var_sets, [gamma1, Not(gamma1)])
-        eq = MixedProfile([
-            [(_assign_all(((p, 0), (q, 0), (s, 0), (t, 0))), Fraction(1))],
-            [(assign_bits(r, 0), Fraction(1))],
-        ])
-        return GadgetBundle(game, role_vars, value=v, equilibrium=eq,
-                            unique=False)
+        return GadgetBundle(game, role_vars, value=v, build_equilibrium=(
+            lambda: MixedProfile([
+                [(_assign_all(((p, 0), (q, 0), (s, 0), (t, 0))), Fraction(1))],
+                [(assign_bits(r, 0), Fraction(1))],
+            ])))
 
     top = const_bits(b - 1, m)
     zero = const_bits(0, m)
@@ -111,18 +113,21 @@ def fixed_value_game(v, namespace):
     gamma1 = disj(disjuncts)
     game = BooleanGame(var_sets, [gamma1, Not(gamma1)])
 
-    support1 = []
-    for c1 in range(b):
-        if c1 + a - 1 <= b - 1:
-            end, head, tail = c1 + a - 1, 0, 0
-        else:
-            end = head = c1 + a - 1 - b
-            tail = b - 1 - c1
-        assign = _assign_all(((p, c1), (q, end), (s, head), (t, tail)))
-        support1.append((assign, Fraction(1, b)))
-    support2 = [(assign_bits(r, j), Fraction(1, b)) for j in range(b)]
-    eq = MixedProfile([support1, support2])
-    return GadgetBundle(game, role_vars, value=v, equilibrium=eq, unique=True)
+    def equilibrium():
+        support1 = []
+        for c1 in range(b):
+            if c1 + a - 1 <= b - 1:
+                end, head, tail = c1 + a - 1, 0, 0
+            else:
+                end = head = c1 + a - 1 - b
+                tail = b - 1 - c1
+            assign = _assign_all(((p, c1), (q, end), (s, head), (t, tail)))
+            support1.append((assign, Fraction(1, b)))
+        support2 = [(assign_bits(r, j), Fraction(1, b)) for j in range(b)]
+        return MixedProfile([support1, support2])
+
+    return GadgetBundle(game, role_vars, value=v,
+                        build_equilibrium=equilibrium)
 
 
 def parametric_value_game(namespace, n):
@@ -249,13 +254,12 @@ def _namespaced_copy(bundle, namespace):
     role_vars = {
         k: tuple(mapping[v] for v in seq) for k, seq in bundle.role_vars.items()
     }
-    eq = None
-    if bundle.equilibrium is not None:
-        eq = MixedProfile([
+    build = None if bundle.build_equilibrium is None else (
+        lambda: MixedProfile([
             [({mapping[k]: b for k, b in a.items()}, w) for a, w in support]
             for support in bundle.equilibrium.strategies
-        ])
-    return BooleanGame(var_sets, goals), role_vars, eq
+        ]))
+    return BooleanGame(var_sets, goals), role_vars, build
 
 
 def _check_zero_sum_bundle(bundle):
@@ -273,22 +277,20 @@ def combine_games(kind, g1, g2=None, namespace="c"):
     """
     _check_zero_sum_bundle(g1)
     if kind == "complement":
-        game, role_vars, eq = _namespaced_copy(g1, namespace)
+        game, role_vars, build = _namespaced_copy(g1, namespace)
         swapped = BooleanGame(
             [game.var_sets[1], game.var_sets[0]],
             [game.goals[1], game.goals[0]],
         )
-        eq_swapped = None
-        if eq is not None:
-            eq_swapped = MixedProfile([eq.strategies[1], eq.strategies[0]])
         value = None if g1.value is None else 1 - g1.value
-        return GadgetBundle(swapped, role_vars, value=value,
-                            equilibrium=eq_swapped)
+        return GadgetBundle(swapped, role_vars, value=value, build_equilibrium=(
+            None if build is None
+            else lambda: MixedProfile(build().strategies[::-1])))
     if g2 is None:
         raise GadgetError("%s needs two operands" % kind)
     _check_zero_sum_bundle(g2)
-    game1, roles1, eq1 = _namespaced_copy(g1, namespace + ".a")
-    game2, roles2, eq2 = _namespaced_copy(g2, namespace + ".b")
+    game1, roles1, build1 = _namespaced_copy(g1, namespace + ".a")
+    game2, roles2, build2 = _namespaced_copy(g2, namespace + ".b")
     var_sets = [
         list(game1.var_sets[i]) + list(game2.var_sets[i]) for i in range(2)
     ]
@@ -305,11 +307,10 @@ def combine_games(kind, g1, g2=None, namespace="c"):
     else:
         raise GadgetError("unknown combination kind %r" % (kind,))
     game = BooleanGame(var_sets, [gamma1, Not(gamma1)])
-    eq = None
-    if eq1 is not None and eq2 is not None:
-        eq = product_profile(eq1, eq2)
     role_vars = {"a": roles1, "b": roles2}
-    return GadgetBundle(game, role_vars, value=value, equilibrium=eq)
+    return GadgetBundle(game, role_vars, value=value, build_equilibrium=(
+        None if build1 is None or build2 is None
+        else lambda: product_profile(build1(), build2())))
 
 
 # --- quadratic scoring ---------------------------------------------------------

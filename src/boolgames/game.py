@@ -238,6 +238,8 @@ class NormalForm:
     """
 
     def __init__(self, payoffs, strategy_index=None):
+        if len(payoffs) < 2:
+            raise ValidationError("a game needs at least two players")
         self.shape = _tensor_shape(payoffs[0])
         if len(self.shape) != len(payoffs):
             raise ValidationError("tensor rank must equal player count")
@@ -329,6 +331,13 @@ def var_mask(b, total):
         mask |= mask << width
         width <<= 1
     return mask
+
+
+def draw_masks(draws, width):
+    """One mask per variable from random draws taken trial by trial, one
+    ASCII ``0``/``1`` per variable: bit r of mask t is ``draws[r * width
+    + t]``."""
+    return [int(b"0" + draws[t::width][::-1], 2) for t in range(width)]
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")

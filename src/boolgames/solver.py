@@ -4,8 +4,10 @@ irrationality tests.
 
 Every LP is a reply system (``_reply_system``): one player's weights
 against the opponent's pure replies.  A support pair is two of them, one
-per player (the best-response polytopes); a constant-sum game's value
-program is one with no forced best reply and ``u`` minimized.
+per player (the best-response polytopes).  A constant-sum game's value
+program is one per player on its distinct strategies, with no forced best
+reply and ``u`` minimized; the game's equilibrium is unique iff each
+program's optimum is unique and weights no class of identical strategies.
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -28,6 +30,7 @@ from .game import (
     MixedProfile,
     NormalForm,
     ResourceCapError,
+    draw_masks,
     to_normal_form,
     truth_tables,
     utility_sweep,
@@ -94,38 +97,40 @@ def _reply_system(payoff, own, best, bound=None):
     return lp
 
 
-def zero_sum_value(nf):
-    """(value for player 1, a maxmin weight vector) of a constant-sum game.
-
-    Duplicate pure strategies (identical payoff rows or columns) are
-    collapsed before the LP.  The weight vector is one optimal strategy,
-    over the original rows, with each duplicate class's mass on its first
-    member.  Player 1's value program holds -A (player 2's payoff less
-    the constant) lowest, so the value is minus its optimum.
-    """
-    if constant_sum(nf) is None:
-        raise SolverError("game is not constant-sum")
-    a = nf.payoffs[0]
+def _value_program(nf, player):
+    """(program, solution, classes): ``player``'s value program, solved.
+    One weight ``w<k>`` per class ``classes[k]`` of identical own payoff
+    rows, one row per distinct opponent reply; ``u``, minimized, ends at
+    minus the value."""
+    own = nf.payoffs[0] if player == 0 else list(zip(*nf.payoffs[1]))
     first = {}
-    for j, key in enumerate(zip(*a)):
-        first.setdefault(key, j)
-    cols = list(first.values())
-    row_key = operator.itemgetter(*cols)
-    first = {}
-    for i, row in enumerate(a):
-        first.setdefault(row_key(row), i)
-    rows = list(first.values())
-    # -A, one row per distinct column, over the distinct rows
-    lp = _reply_system([[-a[i][j] for i in rows] for j in cols],
-                       range(len(rows)), ())
+    for r, key in enumerate(zip(*own)):
+        first.setdefault(key, r)
+    replies = list(first.values())
+    classes = {}
+    for s, row in enumerate(map(operator.itemgetter(*replies), own)):
+        classes.setdefault(row, []).append(s)
+    classes = list(classes.values())
+    lp = _reply_system([[-own[c[0]][r] for c in classes] for r in replies],
+                       range(len(classes)), ())
     lp.set_objective({"u": 1}, "minimize")
     out = solve_lp(lp)
     if not isinstance(out, Optimal):
         raise SolverError("value program unexpectedly unsolvable")
+    return lp, out.solution, classes
+
+
+def zero_sum_value(nf):
+    """(value for player 1, a maxmin weight vector) of a constant-sum game:
+    player 1's value program's optimum over the original rows, each class
+    of identical rows weighted on its first member."""
+    if constant_sum(nf) is None:
+        raise SolverError("game is not constant-sum")
+    _, sol, classes = _value_program(nf, 0)
     weights = [Fraction(0)] * nf.shape[0]
-    for pos, i in enumerate(rows):
-        weights[i] = out.solution["w%d" % pos]
-    return -out.value, weights
+    for k, c in enumerate(classes):
+        weights[c[0]] = sol["w%d" % k]
+    return -sol["u"], weights
 
 
 # --- support enumeration -----------------------------------------------------
@@ -203,6 +208,7 @@ def classify_support(nf, support):
 
 def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
     """All support pairs, increasing total size then lexicographic."""
+    _require_two_player(nf)
     m, n = nf.shape
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > cap:
@@ -278,19 +284,15 @@ def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
 def _zero_sum_continuum(nf):
     """Whether a constant-sum game has more than one equilibrium.
 
-    Equilibria of a constant-sum game are exactly the pairs of optimal
-    maxmin/minmax strategies, so there is a continuum iff either player's
-    value program has multiple optima.
+    Its equilibria are the pairs of optimal strategies, and a player's
+    optimal set is its value program's with each class's weight split
+    freely among the members: a point iff the program's optimum is unique
+    and weights no class of two or more.
     """
-    a, b = nf.payoffs
-    m, n = nf.shape
-    for payoff, own in ((list(zip(*b)), range(m)), (a, range(n))):
-        lp = _reply_system(payoff, own, ())
-        lp.set_objective({"u": 1}, "minimize")
-        out = solve_lp(lp)
-        if not isinstance(out, Optimal):
-            raise SolverError("value program unexpectedly unsolvable")
-        if not solution_unique(lp, out.solution):
+    for player in (0, 1):
+        lp, sol, classes = _value_program(nf, player)
+        if (any(sol["w%d" % k] for k, c in enumerate(classes) if len(c) > 1)
+                or not solution_unique(lp, sol)):
             return True
     return False
 
@@ -377,9 +379,8 @@ def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
         masks = [var_mask(t, count) for t in range(used)]
     else:
         bit = random.Random(seed).getrandbits
-        draws = bytes(b"01"[bit(1)] for _ in range(count * used))
-        # deviation r's bit for variable t is draws[r * used + t]
-        masks = [int(b"0" + draws[t::used][::-1], 2) for t in range(used)]
+        masks = draw_masks(bytes(b"01"[bit(1)] for _ in range(count * used)),
+                           used)
     return utility_sweep(g, sigma, i, count, masks)
 
 
@@ -403,9 +404,7 @@ def is_nash(g_or_nf, sigma, cap=DEFAULT_DEVIATION_CAP, sample=None, seed=0):
 
 def _is_nash_nf(nf, weights):
     """weights: per player, a dict strategy index -> Fraction (support only)."""
-    if nf.players != 2:
-        raise SolverError("normal-form is_nash implemented for two players")
-    a, b = nf.payoffs
+    a, b = _require_two_player(nf)
     m, n = nf.shape
     x = [Fraction(weights[0].get(i, 0)) for i in range(m)]
     y = [Fraction(weights[1].get(j, 0)) for j in range(n)]

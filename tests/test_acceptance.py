@@ -198,11 +198,12 @@ def test_gadget_values_all_small_denominators():
 
 
 def test_gadget_equilibrium_unique_away_from_boundary():
-    # the uniqueness check solves one value program per player and probes
-    # every weight's range: under 0.5 s each at b <= 4 (256 x 4 normal
-    # forms), but about a minute at b = 5 (4096 x 8), so b >= 5 is left out
-    for v in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
-              Fraction(3, 4)):
+    # every a/b with 0 < a < b <= 6: the value programs are built on
+    # distinct strategies, so even the 4096 x 8 normal forms of b = 5, 6
+    # collapse to a few weights and answer in milliseconds
+    inner = sorted({Fraction(a, b) for b in range(2, 7) for a in range(1, b)})
+    assert len(inner) == 11
+    for v in inner:
         assert unique_nash(as_normal_form(fixed_value_game(v, "g").game)), v
     # at 0 and 1 one side wins whatever is played: every profile is Nash
     for v in (Fraction(0), Fraction(1)):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from boolgames import cli
+from boolgames import cli, gadgets
 from boolgames.cli import run
 from boolgames.game import (MixedProfile, parse_game, profile_from_json,
                             profile_to_json)
@@ -114,6 +114,23 @@ def test_gadget_build_artifact_reparses(capsys):
     # bundled equilibrium re-validates against the re-parsed game
     profile_from_json(json.dumps(data["equilibrium"]), g)
     assert data["value"] == "2/5"
+
+
+def test_gadget_value_and_combine_build_no_profile(monkeypatch, capsys):
+    # neither verb prints an equilibrium, so neither may build one: at
+    # b = 1000 the product of two profiles has a million entries
+    def no_profile(*args):
+        raise AssertionError("an equilibrium profile was built")
+    monkeypatch.setattr(gadgets, "MixedProfile", no_profile)
+    monkeypatch.setattr(gadgets, "product_profile", no_profile)
+    for kind, value in (("sum", "2/3"), ("product", "1/6"),
+                        ("complement", "1/2")):
+        data = run_json(["gadget", "combine", "--kind", kind, "--a", "1/2",
+                         "--b", "1/3"], capsys)
+        assert data["value"] == value
+    for value in ("0", "2/5", "1"):
+        data = run_json(["gadget", "value", "--value", value], capsys)
+        assert data == {"answer": "yes", "mode": "exact", "value": value}
 
 
 def test_encode_output_reparses(capsys):
@@ -472,3 +489,42 @@ def test_zero_sum_flag_asserts_constant_sum(mp_file, bos_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "game is not constant-sum" in captured.err
+
+
+THREE_PLAYER_TEXT = """\
+players: 3
+vars 1: x
+vars 2: y
+vars 3: z
+goal 1: x <-> y
+goal 2: y <-> z
+goal 3: ~(x <-> z)
+"""
+
+
+@pytest.mark.parametrize("what", ["find", "guarantee", "forall-guarantee"])
+@pytest.mark.parametrize("text", [
+    json.dumps({"payoffs": [[[[1]]], [[[1]]], [[[1]]]]}),
+    THREE_PLAYER_TEXT,
+], ids=["normal-form", "boolean"])
+def test_support_enumeration_needs_two_players(tmp_path, capsys, what, text):
+    path = tmp_path / "three.game"
+    path.write_text(text)
+    assert run(["check", "--game", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["nash", what, "--game", str(path), "--payoffs", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "operation requires a two-player game" in captured.err
+
+
+def test_one_player_normal_form_exits_2(tmp_path, capsys):
+    path = tmp_path / "one.nf"
+    path.write_text(json.dumps({"payoffs": [[1, 2]]}))
+    for argv in (["check"], ["nash", "find"],
+                 ["nash", "guarantee", "--payoffs", "0,0"],
+                 ["nash", "forall-guarantee", "--payoffs", "0,0"]):
+        assert run(argv + ["--game", str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a game needs at least two players" in captured.err

@@ -15,7 +15,7 @@ from boolgames.gadgets import (
     parametric_value_game,
     split_opponent_game,
 )
-from boolgames.solver import is_nash
+from boolgames.solver import as_normal_form, is_nash, unique_nash
 
 
 def interval_covers(start, length, point, modulus):
@@ -45,7 +45,7 @@ def test_fixed_value_bundles():
         validate_game(b.game)
         validate_profile(b.game, b.equilibrium)
         assert b.value == v
-        assert b.unique
+        assert unique_nash(as_normal_form(b.game)), v
         assert expected_utility(b.game, b.equilibrium, 0) == v
         assert is_nash(b.game, b.equilibrium)
 
@@ -53,7 +53,7 @@ def test_fixed_value_bundles():
 def test_fixed_value_boundaries():
     for v in (Fraction(0), Fraction(1)):
         b = fixed_value_game(v, "g")
-        assert not b.unique
+        assert not unique_nash(as_normal_form(b.game))
         assert expected_utility(b.game, b.equilibrium, 0) == v
         assert is_nash(b.game, b.equilibrium)
     with pytest.raises(GadgetError):
@@ -102,6 +102,7 @@ def test_combine_sum_product_complement():
 
     c = combine_games("complement", a)
     assert c.value == Fraction(1, 2)
+    assert c.equilibrium is c.equilibrium  # built once, when first read
     assert expected_utility(c.game, c.equilibrium, 0) == c.value
     assert is_nash(c.game, c.equilibrium)
     # complement swaps the roles

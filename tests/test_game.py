@@ -171,6 +171,12 @@ def test_normal_form_validates_shape():
         NormalForm([[[1, 2]], [[1]]])
 
 
+def test_normal_form_needs_two_players():
+    for payoffs in ([[1, 2]], []):
+        with pytest.raises(ValidationError, match="at least two players"):
+            NormalForm(payoffs)
+
+
 def test_normal_form_rejects_float_cells():
     # a float is not exact: 0.1 would read as 3602879701896397/2^55
     for cell in (0.1, 1.0, float("nan")):

@@ -101,6 +101,12 @@ def test_classify_support():
     assert classify_support(dup, ((0, 1, 2), (0, 1))) == "continuum"
 
 
+def test_support_enumeration_needs_two_players():
+    three = NormalForm([[[[1]]], [[[1]]], [[[1]]]])
+    with pytest.raises(SolverError, match="two-player"):
+        next(support_pairs(three))
+
+
 def test_exists_and_forall_guarantee():
     w = exists_guarantee_nash(BOS, (Fraction(2), Fraction(0)))
     assert w is not None and w.payoffs[0] >= 2

@@ -23,6 +23,7 @@ from boolgames.game import (
     BooleanGame,
     MixedProfile,
     ResourceCapError,
+    draw_masks,
     expected_utility,
     player_assignments,
 )
@@ -119,6 +120,12 @@ def test_sweep_exact_gain_off_equilibrium():
         Fraction(2, 3), Fraction(2, 3))
     assert best_deviation_gain(g, profile, 0, sample=3, seed=0) == (
         Fraction(2, 3), 1)
+
+
+def test_draw_masks_read_trial_by_trial():
+    # trial 0 draws 1, 0, 1 and trial 1 draws 0, 1, 1: bit r is trial r
+    assert draw_masks(b"101011", 3) == [0b01, 0b10, 0b11]
+    assert draw_masks(b"", 2) == [0, 0]
 
 
 def test_sampled_draw_order_is_first_occurrence():
