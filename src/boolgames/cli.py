@@ -67,9 +67,9 @@ def _need(value, flag):
 
 def _read(path, flag):
     try:
-        with open(_need(path, flag)) as fh:
+        with open(_need(path, flag), encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError("cannot read %s: %s" % (path, e))
 
 

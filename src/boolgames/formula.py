@@ -154,7 +154,10 @@ class _Tokens:
 def parse_formula(text):
     """Parse ``text`` into a Formula AST."""
     ts = _Tokens(text)
-    f = _parse_iff(ts)
+    try:
+        f = _parse_iff(ts)
+    except RecursionError:
+        raise FormulaError("formula nested too deeply") from None
     if ts.peek() is not None:
         ts.error("unexpected token %r" % ts.peek())
     return f

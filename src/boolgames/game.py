@@ -268,6 +268,26 @@ class NormalForm:
             t = t[j]
         return t
 
+    def collapse(self, keys):
+        """(game, classes) of a two-player game.  ``classes`` holds each
+        player's strategies (rows, then columns) grouped into classes that
+        agree in every m×n matrix of ``keys``: ascending lists, in order of
+        first member.  ``game`` keeps one strategy per class, the first."""
+        if self.players != 2:
+            raise ValidationError("operation requires a two-player game")
+        classes = []
+        for lines in (zip(*(map(tuple, k) for k in keys)),
+                      zip(*(zip(*k) for k in keys))):
+            groups = {}
+            for s, key in enumerate(lines):
+                groups.setdefault(key, []).append(s)
+            classes.append(list(groups.values()))
+        rows, cols = ([c[0] for c in side] for side in classes)
+        payoffs = [[[p[i][j] for j in cols] for i in rows]
+                   for p in self.payoffs]
+        small = NormalForm._exact(payoffs, (len(rows), len(cols)), None)
+        return small, classes
+
 
 def _exact_tensor(t, shape):
     """``t`` with exact cells; ``t`` must be an array of the given shape."""

@@ -803,8 +803,8 @@ def transform_game(kind, g, v, namespace="t"):
     unique_nash: the result has a unique equilibrium iff no equilibrium of
     g guarantees the payoff pair v.  forall_nash_sat: returns (game, phi)
     where phi holds in every equilibrium iff no equilibrium guarantees v.
-    irrational: v is a scalar; the result has an irrational equilibrium iff
-    some equilibrium of g gives player 1 at least v.
+    irrational: v is a scalar in [0, 1); the result has an irrational
+    equilibrium iff some equilibrium of g gives player 1 at least v.
     """
     if g.players != 2:
         raise ReductionError("transformations are defined for two players")
@@ -854,8 +854,8 @@ def transform_game(kind, g, v, namespace="t"):
         return BooleanGame([var1, var2], [gamma1, gamma2]), phi
     if kind == "irrational":
         value = Fraction(v)
-        if not 0 <= value <= 1:
-            raise ReductionError("payoff must lie in [0, 1]")
+        if not 0 <= value < 1:
+            raise ReductionError("payoff must lie in [0, 1)")
         gv = fixed_value_game(value, namespaced(ns, "gv"))
         gv1, gv2 = gv.game.goals
         dummy = namespaced(ns, "Dummy")

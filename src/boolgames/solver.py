@@ -2,12 +2,16 @@
 uniqueness, formula-in-equilibrium queries, equilibrium verification, and
 irrationality tests.
 
+Every two-player query runs on the collapsed game (``NormalForm.collapse``):
+one strategy per class of strategies with the same row in both payoff
+matrices, which trade weight freely with no payoff changing.  A witness
+puts each class's weight on its first member; an equilibrium that weights
+a class of two or more is a continuum.
+
 Every LP is a reply system (``_reply_system``): one player's weights
 against the opponent's pure replies.  A support pair is two of them, one
 per player (the best-response polytopes).  A constant-sum game's value
-program is one per player on its distinct strategies, with no forced best
-reply and ``u`` minimized; the game's equilibrium is unique iff each
-program's optimum is unique and weights no class of identical strategies.
+program is one per player, with no forced best reply and ``u`` minimized.
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -36,8 +40,8 @@ from .game import (
     utility_sweep,
     var_mask,
 )
-from .lp import (LinearProgram, Optimal, solve_lp, solution_unique,
-                 variable_ranges)
+from .lp import LinearProgram, Optimal, solve_lp, variable_ranges
+from .lp import solution_unique  # noqa: F401 - perfbench patches it here
 
 
 class SolverError(Exception):
@@ -98,37 +102,30 @@ def _reply_system(payoff, own, best, bound=None):
 
 
 def _value_program(nf, player):
-    """(program, solution, classes): ``player``'s value program, solved.
-    One weight ``w<k>`` per class ``classes[k]`` of identical own payoff
-    rows, one row per distinct opponent reply; ``u``, minimized, ends at
-    minus the value."""
-    own = nf.payoffs[0] if player == 0 else list(zip(*nf.payoffs[1]))
-    first = {}
-    for r, key in enumerate(zip(*own)):
-        first.setdefault(key, r)
-    replies = list(first.values())
-    classes = {}
-    for s, row in enumerate(map(operator.itemgetter(*replies), own)):
-        classes.setdefault(row, []).append(s)
-    classes = list(classes.values())
-    lp = _reply_system([[-own[c[0]][r] for c in classes] for r in replies],
-                       range(len(classes)), ())
+    """(program, solution): ``player``'s value program in the collapsed
+    constant-sum game ``nf``, solved (``u`` ends at minus the value), and
+    pinned at that optimum: its feasible set is the optimal strategies."""
+    payoff = list(zip(*nf.payoffs[0])) if player == 0 else nf.payoffs[1]
+    lp = _reply_system([[-x for x in row] for row in payoff],
+                       range(nf.shape[player]), ())
     lp.set_objective({"u": 1}, "minimize")
     out = solve_lp(lp)
     if not isinstance(out, Optimal):
         raise SolverError("value program unexpectedly unsolvable")
-    return lp, out.solution, classes
+    lp.add_constraint({"u": 1}, "=", out.solution["u"])
+    return lp, out.solution
 
 
 def zero_sum_value(nf):
     """(value for player 1, a maxmin weight vector) of a constant-sum game:
-    player 1's value program's optimum over the original rows, each class
+    player 1's value program's optimum on the collapsed game, each class
     of identical rows weighted on its first member."""
     if constant_sum(nf) is None:
         raise SolverError("game is not constant-sum")
-    _, sol, classes = _value_program(nf, 0)
+    small, classes = nf.collapse(nf.payoffs[:1])
+    _, sol = _value_program(small, 0)
     weights = [Fraction(0)] * nf.shape[0]
-    for k, c in enumerate(classes):
+    for k, c in enumerate(classes[0]):
         weights[c[0]] = sol["w%d" % k]
     return -sol["u"], weights
 
@@ -197,15 +194,6 @@ def _support_ranges(nf, support, names=(None, None)):
     return out
 
 
-def classify_support(nf, support):
-    """'none', 'unique', or 'continuum' equilibria for the support system."""
-    ranges = _support_ranges(nf, support)
-    if ranges is None:
-        return "none"
-    point = all(lo == hi for half in ranges for lo, hi in half.values())
-    return "unique" if point else "continuum"
-
-
 def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
     """All support pairs, increasing total size then lexicographic."""
     _require_two_player(nf)
@@ -224,21 +212,24 @@ def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
 
 
 def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
-    """First equilibrium witness with payoffs at least v, else None.
-
-    ``v`` is a pair of lower bounds, or None for any equilibrium.
-    """
+    """First equilibrium witness with payoffs at least v (a pair of lower
+    bounds, or None for any equilibrium), else None: the collapsed game's
+    first, each class's weight on its first member."""
     nf = as_normal_form(g_or_nf)
-    for sp in support_pairs(nf, cap):
-        w = equilibrium_for_support(nf, sp, bounds=v)
+    small, classes = nf.collapse(nf.payoffs)
+    for sp in support_pairs(small, cap):
+        w = equilibrium_for_support(small, sp, bounds=v)
         if w is not None:
-            return w
+            x, y = ({side[k][0]: p for k, p in weights.items()}
+                    for side, weights in zip(classes, (w.x, w.y)))
+            return EquilibriumWitness(x, y, w.payoffs)
     return None
 
 
 def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     """True iff every equilibrium pays every player i at least v[i]."""
     nf = as_normal_form(g_or_nf)
+    nf, _ = nf.collapse(nf.payoffs)
     v = [Fraction(x) for x in v]
     for sp in support_pairs(nf, cap):
         # the x-half's u is beta, the y-half's alpha
@@ -249,68 +240,51 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     return True
 
 
-def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
-    """True iff the game has exactly one equilibrium.
+def _equilibrium_points(nf, cap):
+    """Each feasible system's one equilibrium, as nonzero weights per
+    player, ending with None at the first system with a continuum: a
+    weight that ranges, or weight on a class of two or more strategies.
+    A system is two polytopes whose product is a set of the collapsed
+    game's equilibria: a support pair's halves, or in a constant-sum game
+    (classes keyed on A alone, as B = c - A) the optimal-strategy sets."""
+    c = constant_sum(nf)
+    small, classes = nf.collapse(nf.payoffs[:1] if c is not None
+                                 else nf.payoffs)
+    if c is None:  # per system, its weights' ranges, or None if infeasible
+        systems = (_support_ranges(small, sp, [["w%d" % s for s in side]
+                                               for side in sp])
+                   for sp in support_pairs(small, cap))
+    else:
+        programs = (_value_program(small, p)[0] for p in (0, 1))
+        systems = [[variable_ranges(lp, lp.variables[:-1]) for lp in programs]]
+    for ranges in filter(None, systems):
+        if any(lo != hi or (lo and len(side[int(name[1:])]) > 1)
+               for half, side in zip(ranges, classes)
+               for name, (lo, hi) in half.items()):
+            yield None
+            return
+        yield [{name: lo for name, (lo, _) in half.items() if lo}
+               for half in ranges]
 
-    Constant-sum games use the value-program route (each player's optimal
-    strategy polytope must be a single point).  Otherwise one pass over the
-    support pairs: every solution of a feasible support system is an
-    equilibrium, so each such system's weight ranges must all be points,
-    and the same point (weights outside a support are zero) as the first
-    feasible system's.
-    """
-    nf = as_normal_form(g_or_nf)
-    if constant_sum(nf) is not None:
-        return not _zero_sum_continuum(nf)
+
+def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
+    """True iff the game has exactly one equilibrium: every system of the
+    collapsed game gives the same point, and none a continuum."""
     first = None
-    for sp in support_pairs(nf, cap):
-        weights = [["w%d" % s for s in side] for side in sp]
-        ranges = _support_ranges(nf, sp, weights)
-        if ranges is None:
-            continue
-        if any(lo != hi for half in ranges for lo, hi in half.values()):
+    for point in _equilibrium_points(as_normal_form(g_or_nf), cap):
+        if point is None or first not in (None, point):
             return False
-        point = [{name: lo for name, (lo, _) in half.items() if lo}
-                 for half in ranges]
-        if first is None:
-            first = point
-        elif point != first:
-            return False
+        first = point
     if first is None:
         raise SolverError("no equilibrium found (should be impossible)")
     return True
 
 
-def _zero_sum_continuum(nf):
-    """Whether a constant-sum game has more than one equilibrium.
-
-    Its equilibria are the pairs of optimal strategies, and a player's
-    optimal set is its value program's with each class's weight split
-    freely among the members: a point iff the program's optimum is unique
-    and weights no class of two or more.
-    """
-    for player in (0, 1):
-        lp, sol, classes = _value_program(nf, player)
-        if (any(sol["w%d" % k] for k, c in enumerate(classes) if len(c) > 1)
-                or not solution_unique(lp, sol)):
-            return True
-    return False
-
-
 def irrational_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
-    """True iff the game has an irrational equilibrium.
-
-    A two-player game has one exactly when some support system admits a
-    continuum of equilibria; constant-sum games reduce to multiplicity of
-    the value programs' optima.
-    """
-    nf = as_normal_form(g_or_nf)
-    if constant_sum(nf) is not None:
-        return _zero_sum_continuum(nf)
-    for sp in support_pairs(nf, cap):
-        if classify_support(nf, sp) == "continuum":
-            return True
-    return False
+    """True iff the game has an irrational equilibrium: a two-player game
+    has one exactly when it has a continuum of equilibria."""
+    return any(point is None for point in
+               _equilibrium_points(as_normal_form(g_or_nf), cap))
 
 
 # --- formula-in-equilibrium ---------------------------------------------------
@@ -328,6 +302,9 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
                           % ", ".join(sorted(foreign)))
     nf = to_normal_form(g, cell_cap)
     (sat,) = truth_tables(g, [phi])
+    # two strategies are interchangeable only if they also agree on phi
+    nf, classes = nf.collapse([*nf.payoffs, sat])
+    sat = [[sat[r[0]][c[0]] for c in classes[1]] for r in classes[0]]
     if mode == "exists":
         for X, Y in support_pairs(nf, cap):
             if all(sat[i][j] for i in X for j in Y):

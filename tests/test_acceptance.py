@@ -55,7 +55,6 @@ from boolgames.reductions import (
 from boolgames.solver import (
     as_normal_form,
     best_deviation_gain,
-    classify_support,
     equilibrium_for_support,
     exists_guarantee_nash,
     irrational_nash,
@@ -198,16 +197,17 @@ def test_gadget_values_all_small_denominators():
 
 
 def test_gadget_equilibrium_unique_away_from_boundary():
-    # every a/b with 0 < a < b <= 6: the value programs are built on
-    # distinct strategies, so even the 4096 x 8 normal forms of b = 5, 6
-    # collapse to a few weights and answer in milliseconds
+    # every a/b with 0 < a < b <= 6: the queries collapse identical
+    # strategies, so even the 4096 x 8 normal forms of b = 5, 6 become a
+    # few strategies and answer in milliseconds
     inner = sorted({Fraction(a, b) for b in range(2, 7) for a in range(1, b)})
     assert len(inner) == 11
     for v in inner:
         assert unique_nash(as_normal_form(fixed_value_game(v, "g").game)), v
     # at 0 and 1 one side wins whatever is played: every profile is Nash
     for v in (Fraction(0), Fraction(1)):
-        assert not unique_nash(as_normal_form(fixed_value_game(v, "g").game))
+        nf = as_normal_form(fixed_value_game(v, "g").game)
+        assert not unique_nash(nf) and irrational_nash(nf)
 
 
 # 4. the algebra over gadget games composes values as v+w-vw, vw, 1-v,
@@ -251,10 +251,12 @@ def test_battle_of_the_sexes():
     # venue gets 3, the other 2; miscoordination gets 0
     bos = NormalForm([[[3, 0], [0, 2]], [[2, 0], [0, 3]]])
     assert pure_equilibria(bos) == [(0, 0), (1, 1)]
+    # no continuum, so each feasible support system has one equilibrium
+    assert not irrational_nash(bos)
     found = []
     for sp in support_pairs(bos):
         w = equilibrium_for_support(bos, sp)
-        if w is not None and classify_support(bos, sp) == "unique":
+        if w is not None:
             key = (tuple(sorted(w.x.items())), tuple(sorted(w.y.items())))
             if key not in [f[0] for f in found]:
                 found.append((key, w))
@@ -469,6 +471,24 @@ def test_transform_irrational_prescribed_profile():
     prof = MixedProfile([s1, s2])
     validate_profile(g4, prof)
     assert is_nash(g4, prof)
+
+
+def test_transform_irrational_solved_both_ways(tmp_path, capsys):
+    # matching pennies' equilibrium pays player 1 1/2, so the transform at
+    # 1/2 has an irrational equilibrium; player 1 never wins x & ~x, so
+    # that game's transform has none.  Collapsed, the transforms are 7x8
+    # and 6x6 games.
+    for goals, want in (("~(x <-> y)", "x <-> y"), 0), (("x & ~x", "y"), 1):
+        game = tmp_path / "g.bg"
+        game.write_text("players: 2\nvars 1: x\nvars 2: y\n"
+                        "goal 1: %s\ngoal 2: %s\n" % goals)
+        argv = ["reduce", "transform", "--kind", "irrational", "--game",
+                str(game), "--value"]
+        assert run(argv + ["1"]) == 2  # G(1) would add a continuum
+        assert run(argv + ["1/2"]) == 0
+        game.write_text(json.loads(capsys.readouterr().out)["game"])
+        assert run(["nash", "irrational", "--game", str(game)]) == want
+        capsys.readouterr()
 
 
 # 11. the quadratic count-scoring function has the advertised expectation,

@@ -107,6 +107,20 @@ def test_eval_rejects_malformed_assign(capsys, assign):
     assert captured.out == "" and "--assign" in captured.err
 
 
+@pytest.mark.parametrize("deep", ["~" * 1000 + "x",
+                                  "(" * 1000 + "x" + ")" * 1000],
+                         ids=["not", "parens"])
+def test_deeply_nested_formula_exits_2(mp_file, tmp_path, capsys, deep):
+    game = tmp_path / "deep.bg"
+    game.write_text(MP_TEXT.replace("goal 2: x <-> y", "goal 2: " + deep))
+    for argv in (["eval", "--formula", deep, "--assign", "x=1"],
+                 ["nash", "sat", "--game", mp_file, "--formula", deep],
+                 ["check", "--game", str(game)]):
+        assert run(argv) == 2, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nested too deeply" in captured.err
+
+
 def test_gadget_build_artifact_reparses(capsys):
     data = run_json(["gadget", "build", "--value", "2/5"], capsys)
     g = parse_game(data["game"])
@@ -250,6 +264,17 @@ def test_usage_errors_exit_2(mp_file, capsys):
     assert run(["nash", "bogus", "--game", mp_file]) == 2
     # unknown flags are errors
     assert run(["value", "--game", mp_file, "--frobnicate"]) == 2
+
+
+def test_non_utf8_input_files_exit_2(mp_file, tmp_path, capsys):
+    path = tmp_path / "bytes"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (["check", "--game", str(path)],
+                 ["reduce", "nexptm", "--machine", str(path)],
+                 ["eval", "--game", mp_file, "--profile", str(path)]):
+        assert run(argv) == 2, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read" in captured.err
 
 
 def test_cap_exceeded_exits_3(tmp_path, capsys):

@@ -85,6 +85,15 @@ def test_parse_errors(bad):
         parse_formula(bad)
 
 
+@pytest.mark.parametrize("deep", ["~" * 1000 + "p",
+                                  "(" * 1000 + "p" + ")" * 1000,
+                                  " -> ".join(["p"] * 1000)],
+                         ids=["not", "parens", "implies"])
+def test_parse_too_deep_is_a_formula_error(deep):
+    with pytest.raises(FormulaError, match="nested too deeply"):
+        parse_formula(deep)
+
+
 def test_var_names():
     assert is_valid_var("a.b_1")
     assert not is_valid_var("T")

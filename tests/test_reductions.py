@@ -6,7 +6,8 @@ import pytest
 from windows import perturbed_windows
 
 from boolgames.encodings import decode_bits
-from boolgames.formula import Iff, Not, Var, compile_formula, eval_bits
+from boolgames.formula import (And, Iff, Not, Var, compile_formula,
+                               eval_bits)
 from boolgames.game import (
     BooleanGame,
     expected_utility,
@@ -218,6 +219,19 @@ def test_transform_forall_sat_formula():
     from boolgames.formula import render_formula
     assert render_formula(phi) == "t.Play1 | t.Play2"
     validate_game(g2)
+
+
+def test_transform_irrational_rejects_value_1():
+    # at v = 1 every profile of the side game G(1) is an equilibrium, so
+    # "player 1 falls back, player 2 mixes t.Choice2" would be a continuum
+    # of equilibria even for a game that never pays player 1
+    never = BooleanGame([["x"], ["y"]],
+                        [And((Var("x"), Not(Var("x")))), Var("y")])
+    for g in (MP, never):
+        for v in (1, Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ReductionError, match=r"\[0, 1\)"):
+                transform_game("irrational", g, v)
+        transform_game("irrational", g, 0)
 
 
 def test_transform_rejects_variable_collisions():

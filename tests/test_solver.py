@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from boolgames import solver
-from boolgames.formula import Not, Var, parse_formula
+from boolgames.formula import Not, Var, disj, parse_formula
 from boolgames.game import (
     BooleanGame,
     MixedProfile,
@@ -15,13 +15,14 @@ from boolgames.game import (
     characteristic_formula,
     parse_game,
     player_assignments,
+    truth_tables,
 )
 from boolgames.lp import LinearProgram, Optimal, solve_lp, variable_ranges
 from boolgames.solver import (
     SolverError,
+    _support_ranges,
     as_normal_form,
     best_deviation_gain,
-    classify_support,
     constant_sum,
     equilibrium_for_support,
     exists_guarantee_nash,
@@ -91,14 +92,22 @@ def test_equilibrium_for_support_mp():
     assert equilibrium_for_support(nf, ((0,), (0,))) is None
 
 
-def test_classify_support():
+def test_support_ranges():
+    half = Fraction(1, 2)
+    point = {"w0": (half, half), "w1": (half, half), "u": (half, half)}
     nf = as_normal_form(MP)
-    assert classify_support(nf, ((0, 1), (0, 1))) == "unique"
-    assert classify_support(nf, ((0,), (0,))) == "none"
-    # duplicated rows produce a continuum on the full support
+    assert _support_ranges(nf, ((0, 1), (0, 1))) == [point, point]
+    assert _support_ranges(nf, ((0,), (0,))) is None
+    # duplicated rows produce a continuum on the full support; ``names``
+    # picks the probed variables per half
     dup = NormalForm([[[1, 0], [0, 1], [1, 0]],
                       [[0, 1], [1, 0], [0, 1]]])
-    assert classify_support(dup, ((0, 1, 2), (0, 1))) == "continuum"
+    x, y = _support_ranges(dup, ((0, 1, 2), (0, 1)))
+    assert x == {"w0": (0, half), "w1": (half, half), "w2": (0, half),
+                 "u": (half, half)}
+    assert y == point
+    assert _support_ranges(dup, ((0, 1, 2), (0, 1)), (["w2"], ["u"])) == [
+        {"w2": (0, half)}, {"u": (half, half)}]
 
 
 def test_support_enumeration_needs_two_players():
@@ -227,21 +236,26 @@ def test_nash_in_subset_reduces_to_sat():
 
 
 @st.composite
-def constant_sum_games(draw):
-    """Constant-sum games whose rows and columns repeat those of a small
-    base matrix, so that continua of equilibria occur."""
+def repeated_games(draw, constant=st.booleans(), size=3):
+    """Games whose rows and columns repeat those of a base game of up to
+    3x3, up to ``size`` of each, so that classes of identical strategies
+    and continua of equilibria occur; constant-sum when drawn so."""
     cell = st.integers(min_value=0, max_value=2)
     k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     base = [[draw(cell) for _ in range(l)] for _ in range(k)]
-    rows = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
-    cols = draw(st.lists(st.integers(0, l - 1), min_size=1, max_size=3))
-    a = [[base[i][j] for j in cols] for i in rows]
-    c = draw(cell)
-    return NormalForm([a, [[c - x for x in row] for row in a]])
+    rows = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=size))
+    cols = draw(st.lists(st.integers(0, l - 1), min_size=1, max_size=size))
+    if draw(constant):
+        c = draw(cell)
+        other = [[c - x for x in row] for row in base]
+    else:
+        other = [[draw(cell) for _ in range(l)] for _ in range(k)]
+    return NormalForm([[[m[i][j] for j in cols] for i in rows]
+                       for m in (base, other)])
 
 
 @settings(deadline=None)
-@given(constant_sum_games())
+@given(repeated_games(st.just(True)))
 def test_zero_sum_routes_match_support_routes(nf):
     # adding a column constant to A and a row constant to B keeps every
     # equilibrium; the shifted game is not constant-sum, so its answers
@@ -347,7 +361,7 @@ LOW = st.none() | st.fractions(0, 6, max_denominator=3)
 def test_support_halves_match_joint_program(nf, bounds):
     # the joint program is block-diagonal, so Bland's rule pivots each
     # block as it would alone: the two per-player systems must give the
-    # same feasibility, the same vertex and the same classification
+    # same feasibility, the same vertex and the same variable ranges
     for X, Y in support_pairs(nf):
         out = solve_lp(joint_support_system(nf, X, Y, bounds))
         w = equilibrium_for_support(nf, (X, Y), bounds)
@@ -361,10 +375,125 @@ def test_support_halves_match_joint_program(nf, bounds):
             assert w.payoffs == (sol["alpha"], sol["beta"])
         lp = joint_support_system(nf, X, Y)
         ranges = variable_ranges(lp, lp.variables)
+        halves = _support_ranges(nf, (X, Y))
         if ranges is None:
-            want = "none"
-        elif all(lo == hi for lo, hi in ranges.values()):
-            want = "unique"
-        else:
-            want = "continuum"
-        assert classify_support(nf, (X, Y)) == want
+            assert halves is None
+            continue
+        x, y = halves
+        assert ranges == {**{"x%d" % i: x["w%d" % i] for i in X},
+                          **{"y%d" % j: y["w%d" % j] for j in Y},
+                          "alpha": y["u"], "beta": x["u"]}
+
+
+def full_game_systems(nf):
+    """(support pair, ranges of every variable) of each feasible support
+    system of ``nf`` itself, with no strategy collapsed."""
+    for sp in support_pairs(nf):
+        ranges = _support_ranges(nf, sp)
+        if ranges is not None:
+            yield sp, ranges
+
+
+# a duplicated strategy weighted in the one equilibrium of the collapsed
+# game: the class rule alone makes these continua (matching pennies,
+# constant-sum; the prisoner's dilemma, general-sum)
+DUPLICATED_MP = NormalForm([[[1, 0], [0, 1], [1, 0]],
+                            [[0, 1], [1, 0], [0, 1]]])
+DUPLICATED_PD = NormalForm([[[1, 3], [1, 3], [0, 2]],
+                            [[1, 0], [1, 0], [3, 2]]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(repeated_games(size=4),
+       st.tuples(*[st.fractions(0, 2, max_denominator=3)] * 2))
+@example(DUPLICATED_MP, (Fraction(1, 2), Fraction(1, 2)))
+@example(DUPLICATED_PD, (Fraction(1), Fraction(1)))
+def test_collapsed_queries_match_full_game(nf, v):
+    systems = list(full_game_systems(nf))
+    continuum = any(lo != hi for _, ranges in systems
+                    for half in ranges for lo, hi in half.values())
+    points = [[{name: lo for name, (lo, _) in half.items() if lo}
+               for half in ranges] for _, ranges in systems]
+    assert irrational_nash(nf) == continuum
+    assert unique_nash(nf) == (not continuum and all(p == points[0]
+                                                     for p in points))
+    assert forall_guarantee_nash(nf, v) == all(
+        y["u"][0] >= v[0] and x["u"][0] >= v[1] for _, (x, y) in systems)
+    w = exists_guarantee_nash(nf, v)
+    assert (w is not None) == any(
+        equilibrium_for_support(nf, sp, v) is not None for sp, _ in systems)
+    if w is not None:
+        # each class's weight sits on its first member
+        firsts = [{c[0] for c in side} for side in nf.collapse(nf.payoffs)[1]]
+        assert set(w.x) <= firsts[0] and set(w.y) <= firsts[1]
+        assert is_nash(nf, [w.x, w.y])
+        assert w.payoffs[0] >= v[0] and w.payoffs[1] >= v[1]
+    if constant_sum(nf) is not None:
+        value, x = zero_sum_value(nf)
+        a, (m, n) = nf.payoffs[0], nf.shape
+        assert value == equilibrium_for_support(nf, systems[0][0]).payoffs[0]
+        assert min(sum(x[i] * a[i][j] for i in range(m))
+                   for j in range(n)) == value
+
+
+def test_collapse_decides_duplicated_games():
+    assert constant_sum(DUPLICATED_MP) == 1
+    assert constant_sum(DUPLICATED_PD) is None
+    for nf, rows in ((DUPLICATED_MP, [[0, 2], [1]]),
+                     (DUPLICATED_PD, [[0, 1], [2]])):
+        small, classes = nf.collapse(nf.payoffs)
+        assert small.shape == (2, 2) and classes == [rows, [[0], [1]]]
+        assert unique_nash(small) and not unique_nash(nf)
+        assert irrational_nash(nf) and not irrational_nash(small)
+
+
+@st.composite
+def sat_games(draw):
+    """Games over x, z (player 1) and y, w (player 2) whose goals read only
+    some of the variables, so that strategies share payoffs, and a formula
+    phi that may tell them apart."""
+    names = ["x", "z", "y", "w"]
+
+    def formula():
+        over = draw(st.lists(st.sampled_from(names), min_size=1,
+                             max_size=4, unique=True))
+        cells = itertools.product((False, True), repeat=len(over))
+        return disj(characteristic_formula(dict(zip(over, bits)))
+                    for bits in cells if draw(st.booleans()))
+
+    return BooleanGame([["x", "z"], ["y", "w"]], [formula(), formula()]), \
+        formula()
+
+
+def full_game_sat(g, phi, mode):
+    """``nash_sat`` by support enumeration on the uncollapsed expansion."""
+    nf = as_normal_form(g)
+    (sat,) = truth_tables(g, [phi])
+    for X, Y in support_pairs(nf):
+        bad = [(i, j) for i in X for j in Y if not sat[i][j]]
+        if mode == "exists" and not bad:
+            if equilibrium_for_support(nf, (X, Y)) is not None:
+                return True
+        if mode == "forall" and bad:
+            ranges = _support_ranges(nf, (X, Y))
+            if ranges is not None and any(
+                    ranges[0]["w%d" % i][1] > 0 and ranges[1]["w%d" % j][1] > 0
+                    for i, j in bad):
+                return False
+    return mode == "forall"
+
+
+# player 1's z changes no payoff, but phi = z tells its two values apart:
+# "z in some equilibrium" holds, "z in every equilibrium" does not
+Z_ONLY_IN_PHI = (parse_game("players: 2\nvars 1: x z\nvars 2: y w\n"
+                            "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n"),
+                 Var("z"))
+
+
+@settings(deadline=None, max_examples=100)
+@given(sat_games())
+@example(Z_ONLY_IN_PHI)
+def test_collapsed_nash_sat_matches_full_game(game):
+    g, phi = game
+    for mode in ("exists", "forall"):
+        assert nash_sat(g, phi, mode) == full_game_sat(g, phi, mode)
