@@ -73,6 +73,15 @@ def _read(path, flag):
         raise UsageError("cannot read %s: %s" % (path, e))
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (path, e))
+    return path
+
+
 def load_game(path):
     """Boolean game (textual format) or normal form (JSON with payoffs)."""
     text = _read(path, "--game")
@@ -205,8 +214,13 @@ def cmd_value(args):
 
 def cmd_nash(args):
     g = load_game(args.game)
-    if args.zero_sum and solver.constant_sum(
-            solver.as_normal_form(g, cap=args.cap_cells)) is None:
+    v = (_payoff_pair(args) if args.what in ("guarantee", "forall-guarantee")
+         else None)
+    # the support-enumeration queries and --zero-sum share one expansion
+    nf = None
+    if args.zero_sum or args.what not in ("pure", "sat", "is"):
+        nf = solver.as_normal_form(g, cap=args.cap_cells)
+    if args.zero_sum and solver.constant_sum(nf) is None:
         raise UsageError("game is not constant-sum")
     if args.what == "pure":
         eqs = solver.pure_equilibria(g, cap=args.cap_cells)
@@ -224,10 +238,6 @@ def cmd_nash(args):
                              sample=args.sample, seed=args.seed)
         return _decision(ans,
                          mode="exact" if args.sample is None else "sampled")
-    # the support-enumeration queries, on the game expanded once
-    v = (_payoff_pair(args) if args.what in ("guarantee", "forall-guarantee")
-         else None)
-    nf = solver.as_normal_form(g, cap=args.cap_cells)
     if args.what in ("find", "guarantee"):
         w = solver.exists_guarantee_nash(nf, v, cap=args.cap_deviations)
         return _decision(w is not None, {"witness": _witness_json(w)})
@@ -309,11 +319,9 @@ def cmd_reduce(args):
         data = {"v2": _fr_str(ro.payoff[1]), "v1": _fr_str(ro.payoff[0]),
                 "k": ro.k, "mode": ro.mode}
         if args.out:
-            with open(args.out + ".game", "w") as fh:
-                fh.write(render_game(ro.game))
-            with open(args.out + ".vars.json", "w") as fh:
-                fh.write(ro.var_index.to_json())
-            data["game_file"] = args.out + ".game"
+            data["game_file"] = _write(args.out + ".game",
+                                       render_game(ro.game))
+            _write(args.out + ".vars.json", ro.var_index.to_json())
         else:
             data["game"] = render_game(ro.game)
         if args.emit_witness:
@@ -325,9 +333,8 @@ def cmd_reduce(args):
             else:
                 wp = reductions.witness_profile(ro, table)
                 if args.out:
-                    with open(args.out + ".witness.json", "w") as fh:
-                        fh.write(profile_to_json(wp))
-                    data["witness"] = args.out + ".witness.json"
+                    data["witness"] = _write(args.out + ".witness.json",
+                                             profile_to_json(wp))
                 else:
                     data["witness"] = json.loads(profile_to_json(wp))
         return 0, data
@@ -360,6 +367,10 @@ def cmd_verify(args):
     m = load_machine(args.machine)
     if args.what == "witness":
         ro = reductions.build_guarantee_game(m, args.input, args.bound)
+        # cap both sweeps (player 2's exhaustive unless --sample) up front
+        solver.check_deviation_cap(ro.game, 0, args.cap_deviations)
+        solver.check_deviation_cap(ro.game, 1, args.cap_deviations,
+                                   args.sample)
         size = 1 << ro.k
         table = reductions.simulate_tm(m, args.input, size, size,
                                        accept_row=args.bound - 1)
@@ -368,7 +379,6 @@ def cmd_verify(args):
         wp = reductions.witness_profile(ro, table)
         b1, best1 = solver.best_deviation_gain(ro.game, wp, 0,
                                                cap=args.cap_deviations)
-        # player 2: exhaustive (capped) unless --sample
         b2, best2 = solver.best_deviation_gain(ro.game, wp, 1,
                                                cap=args.cap_deviations,
                                                sample=args.sample,

@@ -7,7 +7,8 @@ assignment (masks 0/1, ``full = 1``).
 Variables are plain strings (letters, digits, underscore, dot; not starting
 with a digit).  Connective precedence, tightest first: ~  &  |  ->  <->.
 "->" associates to the right, "<->" to the left; "&" and "|" parse into
-n-ary And/Or nodes.
+n-ary And/Or nodes.  A parsed formula nests at most ``MAX_DEPTH`` levels,
+in its text (parentheses, ``~``, ``->``) and in its tree.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ FALSE = ConstFalse()
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
+# every recursive walk here stays far within Python's default limit of 1000
+# frames: a parenthesis costs the parser five, an And/Or level the renderer two
+MAX_DEPTH = 100
+
 
 def is_valid_var(name):
     m = _IDENT_RE.match(name)
@@ -136,6 +141,7 @@ class _Tokens:
         # trailing EOF marker for error reporting
         self.tokens.append((None, line, col))
         self.idx = 0
+        self.depth = 0  # parentheses, ~ and -> open at the current token
 
     def peek(self):
         return self.tokens[self.idx][0]
@@ -151,15 +157,28 @@ class _Tokens:
         raise FormulaSyntaxError(message, line, col)
 
 
+def _check_depth(depth):
+    if depth > MAX_DEPTH:
+        raise FormulaError("formula nested too deeply (more than %d levels)"
+                           % MAX_DEPTH)
+
+
 def parse_formula(text):
-    """Parse ``text`` into a Formula AST."""
+    """Parse ``text`` into a Formula AST; FormulaError past ``MAX_DEPTH``."""
     ts = _Tokens(text)
-    try:
-        f = _parse_iff(ts)
-    except RecursionError:
-        raise FormulaError("formula nested too deeply") from None
+    f = _parse_iff(ts)
     if ts.peek() is not None:
         ts.error("unexpected token %r" % ts.peek())
+    _check_depth(formula_depth(f))
+    return f
+
+
+def _nested(ts, parse):
+    """``parse(ts)`` one level deeper in the text."""
+    ts.depth += 1
+    _check_depth(ts.depth)
+    f = parse(ts)
+    ts.depth -= 1
     return f
 
 
@@ -175,7 +194,7 @@ def _parse_imp(ts):
     f = _parse_or(ts)
     if ts.peek() == "->":
         ts.next()
-        return Implies(f, _parse_imp(ts))
+        return Implies(f, _nested(ts, _parse_imp))
     return f
 
 
@@ -199,10 +218,10 @@ def _parse_unary(ts):
     tok = ts.peek()
     if tok == "~":
         ts.next()
-        return Not(_parse_unary(ts))
+        return Not(_nested(ts, _parse_unary))
     if tok == "(":
         ts.next()
-        f = _parse_iff(ts)
+        f = _nested(ts, _parse_iff)
         if ts.peek() != ")":
             ts.error("expected ')'")
         ts.next()
@@ -221,24 +240,13 @@ def _parse_unary(ts):
 
 # --- rendering -------------------------------------------------------------
 
-# precedence levels, loosest first
+# precedence levels, loosest first; every other node is unary or a leaf
 _LVL_IFF, _LVL_IMP, _LVL_OR, _LVL_AND, _LVL_UNARY = range(5)
-
-
-def _level(f):
-    if isinstance(f, Iff):
-        return _LVL_IFF
-    if isinstance(f, Implies):
-        return _LVL_IMP
-    if isinstance(f, Or):
-        return _LVL_OR
-    if isinstance(f, And):
-        return _LVL_AND
-    return _LVL_UNARY
+_LEVEL = {Iff: _LVL_IFF, Implies: _LVL_IMP, Or: _LVL_OR, And: _LVL_AND}
 
 
 def _render(f, min_level):
-    lvl = _level(f)
+    lvl = _LEVEL.get(type(f), _LVL_UNARY)
     if isinstance(f, ConstTrue):
         s = "T"
     elif isinstance(f, ConstFalse):
@@ -297,21 +305,31 @@ def var_order(f):
     return list(dict.fromkeys(_iter_vars(f)))
 
 
+def _levels(f):
+    """The AST's nodes, one list per level from the root down."""
+    level = [f]
+    while level:
+        yield level
+        below = []
+        for node in level:
+            if isinstance(node, Not):
+                below.append(node.child)
+            elif isinstance(node, (And, Or)):
+                below.extend(node.children)
+            elif isinstance(node, (Implies, Iff)):
+                below.append(node.left)
+                below.append(node.right)
+        level = below
+
+
 def formula_size(f):
     """Node count of the AST."""
-    n = 0
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        n += 1
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
-        elif isinstance(node, (Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return n
+    return sum(map(len, _levels(f)))
+
+
+def formula_depth(f):
+    """Levels of the AST, one for a leaf."""
+    return sum(1 for _ in _levels(f))
 
 
 def rename_vars(f, mapping):

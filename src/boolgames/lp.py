@@ -1,10 +1,12 @@
 """Exact-rational linear programming: two-phase simplex with Bland's rule.
 
-Coefficients enter and results leave as fractions.Fraction.  In between,
-the tableau is fraction-free: rows of Python ints over one common positive
-denominator ``d``, updated by the exact integer pivot of Edmonds (1967) and
-Bareiss (1968), so no pivot pays for a gcd.  Each stored entry is the
-rational tableau's entry times ``d``, so Bland's rule, the ratio test (by
+Coefficients enter as given when they are ``int``s (win-lose payoffs stay
+ints) and as fractions.Fraction otherwise; results leave as Fractions.
+Variable names are any hashable values.  In between, the tableau is
+fraction-free: rows of Python ints over one common positive denominator
+``d``, updated by the exact integer pivot of Edmonds (1967) and Bareiss
+(1968), so no pivot pays for a gcd.  Each stored entry is the rational
+tableau's entry times ``d``, so Bland's rule, the ratio test (by
 cross-multiplying) and the feasibility test make the choices the rational
 simplex makes; results are deterministic for a given input.  Free variables
 are split into two nonnegative parts.  Phase 1 is shared:
@@ -22,6 +24,11 @@ class LpError(Exception):
     pass
 
 
+def _exact(v):
+    """``v`` itself if an ``int``, else ``Fraction(v)``."""
+    return v if type(v) is int else Fraction(v)
+
+
 class LinearProgram:
     def __init__(self):
         self.variables = []       # names in declaration order
@@ -35,23 +42,21 @@ class LinearProgram:
         self.variables.append(name)
         self.nonneg[name] = nonneg
 
-    def add_constraint(self, coeffs, rel, rhs):
-        if rel not in ("<=", "=", ">="):
-            raise LpError("bad relation %r" % (rel,))
+    def _coeffs(self, coeffs):
         for name in coeffs:
             if name not in self.nonneg:
                 raise LpError("undeclared variable %s" % name)
-        self.constraints.append(
-            ({k: Fraction(v) for k, v in coeffs.items()}, rel, Fraction(rhs))
-        )
+        return {k: _exact(v) for k, v in coeffs.items()}
+
+    def add_constraint(self, coeffs, rel, rhs):
+        if rel not in ("<=", "=", ">="):
+            raise LpError("bad relation %r" % (rel,))
+        self.constraints.append((self._coeffs(coeffs), rel, _exact(rhs)))
 
     def set_objective(self, coeffs, sense):
         if sense not in ("maximize", "minimize"):
             raise LpError("bad sense %r" % (sense,))
-        for name in coeffs:
-            if name not in self.nonneg:
-                raise LpError("undeclared variable %s" % name)
-        self.objective = ({k: Fraction(v) for k, v in coeffs.items()}, sense)
+        self.objective = (self._coeffs(coeffs), sense)
 
     def copy(self):
         lp = LinearProgram()
@@ -81,13 +86,9 @@ class Unbounded:
         return "Unbounded()"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _integer_coeffs(coeffs, rhs=_ZERO):
-    """``coeffs`` (a dict of Fractions) and ``rhs`` times the lcm of all
-    their denominators, as ints, and that lcm."""
+def _integer_coeffs(coeffs, rhs=0):
+    """``coeffs`` (a dict of ints and Fractions) and ``rhs`` times the lcm
+    of all their denominators, as ints, and that lcm."""
     scale = math.lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
     return ({k: v.numerator * (scale // v.denominator)
              for k, v in coeffs.items()},
@@ -174,102 +175,72 @@ def _feasible_tableau(lp):
     rescales those columns' variables, which are never reported, and leaves
     every pivot choice as over the rationals.
     """
-    # column layout: one column per nonneg variable, two per free variable
-    columns = []  # (name, sign)
+    # column layout: one column per nonneg variable, two per free variable,
+    # then one slack per inequality, then one artificial per row that does
+    # not start basic in its slack
+    col_of, nstruct = {}, 0  # name -> [(column, sign)]
     for name in lp.variables:
-        columns.append((name, 1))
-        if not lp.nonneg[name]:
-            columns.append((name, -1))
-    col_of = {}
-    for idx, (name, sign) in enumerate(columns):
-        col_of.setdefault(name, []).append((idx, sign))
+        signs = (1,) if lp.nonneg[name] else (1, -1)
+        col_of[name] = [(nstruct + k, s) for k, s in enumerate(signs)]
+        nstruct += len(signs)
 
-    nstruct = len(columns)
-    # build rows in standard equality form with slacks
-    raw = []
-    scales = []  # each row's lcm of denominators
-    slack_count = sum(1 for _, rel, _ in lp.constraints if rel != "=")
-    ncols = nstruct + slack_count
-    slack_idx = nstruct
-    slack_col_of_row = []
-    for coeffs, rel, rhs in lp.constraints:
+    # a row starts basic in its slack if the slack's coefficient is +1 once
+    # the row is negated to make its rhs nonnegative
+    in_slack = [rel != "=" and (rel == "<=") == (rhs >= 0)
+                for _, rel, rhs in lp.constraints]
+    ncols = nstruct + sum(rel != "=" for _, rel, _ in lp.constraints)
+    # an artificial's cost holds its row's scale until the loop ends
+    costs = [0] * (ncols + in_slack.count(False))
+    rows, basis = [], []
+    slack, art = nstruct, ncols
+    for (coeffs, rel, rhs), slack_basic in zip(lp.constraints, in_slack):
         coeffs, rhs, scale = _integer_coeffs(coeffs, rhs)
-        row = [0] * ncols + [rhs]
+        sign = -1 if rhs < 0 else 1
+        row = [0] * len(costs) + [sign * rhs]
         for name, v in coeffs.items():
-            for idx, sign in col_of[name]:
-                row[idx] += sign * v
-        if rel == "<=":
-            row[slack_idx] = 1
-            slack_col_of_row.append(slack_idx)
-            slack_idx += 1
-        elif rel == ">=":
-            row[slack_idx] = -1
-            slack_col_of_row.append(slack_idx)
-            slack_idx += 1
+            for idx, s in col_of[name]:
+                row[idx] += sign * s * v
+        if rel != "=":
+            row[slack] = sign if rel == "<=" else -sign
+            slack += 1
+        if slack_basic:
+            basis.append(slack - 1)
         else:
-            slack_col_of_row.append(None)
-        raw.append(row)
-        scales.append(scale)
-
-    # normalize rhs >= 0, pick starting basis, add artificials where needed
-    rows = []
-    basis = []
-    art_rows = []
-    for r, row in enumerate(raw):
-        if row[-1] < 0:
-            row = [-x for x in row]
-        sc = slack_col_of_row[r]
-        if sc is not None and row[sc] == 1:
-            basis.append(sc)
-        else:
-            basis.append(None)
-            art_rows.append(r)
+            row[art] = 1
+            costs[art] = scale
+            basis.append(art)
+            art += 1
         rows.append(row)
 
-    nart = len(art_rows)
-    total = ncols + nart
-    for row in rows:
-        rhs = row.pop()
-        row.extend([0] * nart)
-        row.append(rhs)
-    for k, r in enumerate(art_rows):
-        rows[r][ncols + k] = 1
-        basis[r] = ncols + k
-
     d = 1
-    if nart:
+    if art > ncols:  # some row starts basic in an artificial
         # minimize the sum of the artificials in the unscaled rows' units:
         # row r's artificial carries cost 1/scale_r, times the lcm of those
-        costs = [0] * total
-        lcm = math.lcm(*[scales[r] for r in art_rows])
-        for k, r in enumerate(art_rows):
-            costs[ncols + k] = lcm // scales[r]
+        lcm = math.lcm(*costs[ncols:])
+        costs[ncols:] = [lcm // scale for scale in costs[ncols:]]
         zrow = _reduced_costs(rows, basis, costs, d)
         status, d = _run_simplex(rows, zrow, basis, d)
         if status != "optimal" or zrow[-1] != 0:
             return None
-        # drive remaining artificials out of the basis
+        # drive remaining artificials out of the basis, each on its row's
+        # first nonzero column
         for r in range(len(rows)):
             if basis[r] >= ncols:
-                pivot_col = -1
-                for j in range(ncols):
-                    if rows[r][j] != 0:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    d = _pivot(rows, zrow, basis, d, r, pivot_col)
-        # drop rows still basic in an artificial (redundant constraints)
+                col = next((j for j in range(ncols) if rows[r][j]), None)
+                if col is not None:
+                    d = _pivot(rows, zrow, basis, d, r, col)
+        # drop rows still basic in an artificial (redundant constraints),
+        # then the artificial columns
         keep = [r for r in range(len(rows)) if basis[r] < ncols]
-        rows = [rows[r] for r in keep]
+        rows = [rows[r][:ncols] + rows[r][-1:] for r in keep]
         basis = [basis[r] for r in keep]
-        # drop artificial columns
-        rows = [row[:ncols] + [row[-1]] for row in rows]
     return rows, basis, col_of, ncols, d
 
 
 def _optimize(tab, coeffs, sense):
-    """Phase 2 from a ``_feasible_tableau``: Optimal or Unbounded.  Shallow
-    copies leave ``tab`` reusable, as ``_pivot`` replaces rows it changes."""
+    """Phase 2 from a ``_feasible_tableau``: (value, rows, basis, d) at the
+    optimum, or None if unbounded.  Shallow copies leave ``tab`` reusable,
+    as ``_pivot`` replaces rows it changes."""
     rows, basis, col_of, ncols, d = tab
     rows, basis = list(rows), list(basis)
     sign = -1 if sense == "maximize" else 1
@@ -281,20 +252,26 @@ def _optimize(tab, coeffs, sense):
     zrow = _reduced_costs(rows, basis, costs, d)
     status, d = _run_simplex(rows, zrow, basis, d)
     if status == "unbounded":
-        return Unbounded()
-    values = {b: row[-1] for b, row in zip(basis, rows)}
-    solution = {name: Fraction(sum(s * values.get(idx, 0) for idx, s in cols),
-                               d)
-                for name, cols in col_of.items()}
+        return None
     # internal objective (minimized) sits at -zrow[-1]; undo the sign flip
     internal = Fraction(-zrow[-1], d * scale)
-    return Optimal(solution, internal if sense == "minimize" else -internal)
+    return (internal if sense == "minimize" else -internal), rows, basis, d
 
 
 def solve_lp(lp):
     """Two-phase simplex.  Returns Optimal, Infeasible, or Unbounded."""
     tab = _feasible_tableau(lp)
-    return Infeasible() if tab is None else _optimize(tab, *lp.objective)
+    if tab is None:
+        return Infeasible()
+    out = _optimize(tab, *lp.objective)
+    if out is None:
+        return Unbounded()
+    value, rows, basis, d = out
+    # a column's value is its row's rhs if basic, else 0
+    at = {b: row[-1] for b, row in zip(basis, rows)}
+    solution = {name: Fraction(sum(s * at.get(idx, 0) for idx, s in cols), d)
+                for name, cols in tab[2].items()}
+    return Optimal(solution, value)
 
 
 def variable_ranges(lp, names):
@@ -308,10 +285,9 @@ def variable_ranges(lp, names):
         return None
     ranges = {}
     for name in names:
-        ends = (_optimize(tab, {name: _ONE}, sense)
+        ends = (_optimize(tab, {name: 1}, sense)
                 for sense in ("minimize", "maximize"))
-        ranges[name] = tuple(out.value if isinstance(out, Optimal) else None
-                             for out in ends)
+        ranges[name] = tuple(None if out is None else out[0] for out in ends)
     return ranges
 
 
@@ -323,7 +299,7 @@ def verify_solution(lp, sol):
         if lp.nonneg[name] and sol[name] < 0:
             return False
     for coeffs, rel, rhs in lp.constraints:
-        lhs = sum((v * sol[name] for name, v in coeffs.items()), _ZERO)
+        lhs = sum(v * sol[name] for name, v in coeffs.items())
         if rel == "<=" and not lhs <= rhs:
             return False
         if rel == ">=" and not lhs >= rhs:
@@ -335,7 +311,7 @@ def verify_solution(lp, sol):
 
 def objective_value(lp, sol):
     coeffs, _ = lp.objective
-    return sum((v * sol[name] for name, v in coeffs.items()), _ZERO)
+    return sum(v * sol[name] for name, v in coeffs.items())
 
 
 def solution_unique(lp, sol):

@@ -9,9 +9,11 @@ puts each class's weight on its first member; an equilibrium that weights
 a class of two or more is a continuum.
 
 Every LP is a reply system (``_reply_system``): one player's weights
-against the opponent's pure replies.  A support pair is two of them, one
-per player (the best-response polytopes).  A constant-sum game's value
-program is one per player, with no forced best reply and ``u`` minimized.
+against the opponent's pure replies.  Its variables are the player's
+strategy indices (each one's weight) and ``u``, so a solution reads back
+with no renaming.  A support pair is two of them, one per player (the
+best-response polytopes).  A constant-sum game's value program is one per
+player, with no forced best reply and ``u`` minimized.
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -80,22 +82,21 @@ def _reply_system(payoff, own, best, bound=None):
     """One player's weights against the opponent's pure replies.
 
     ``payoff[i][j]`` is the opponent's payoff when it plays i against the
-    player's pure strategy j.  The variables are ``w<j>`` for j in ``own``
-    and then ``u``, free: the opponent's payoff.  Row i reads
-    ``sum_j payoff[i][j] w<j> - u``, ``= 0`` for i in ``best`` (a best
+    player's pure strategy j.  The variables are the indices j in ``own``
+    (the weight w_j) and then ``u``, free: the opponent's payoff.  Row i
+    reads ``sum_j payoff[i][j] w_j - u``, ``= 0`` for i in ``best`` (a best
     reply) and ``<= 0`` otherwise; then come ``sum w = 1`` and, given a
     bound, ``u >= bound``.
     """
     lp = LinearProgram()
-    names = ["w%d" % j for j in own]
-    for name in names:
-        lp.add_variable(name)
+    for j in own:
+        lp.add_variable(j)
     lp.add_variable("u", nonneg=False)
     for i, row in enumerate(payoff):
-        coeffs = {name: row[j] for name, j in zip(names, own)}
+        coeffs = {j: row[j] for j in own}
         coeffs["u"] = -1
         lp.add_constraint(coeffs, "=" if i in best else "<=", 0)
-    lp.add_constraint(dict.fromkeys(names, 1), "=", 1)
+    lp.add_constraint(dict.fromkeys(own, 1), "=", 1)
     if bound is not None:
         lp.add_constraint({"u": 1}, ">=", bound)
     return lp
@@ -126,7 +127,7 @@ def zero_sum_value(nf):
     _, sol = _value_program(small, 0)
     weights = [Fraction(0)] * nf.shape[0]
     for k, c in enumerate(classes[0]):
-        weights[c[0]] = sol["w%d" % k]
+        weights[c[0]] = sol[k]
     return -sol["u"], weights
 
 
@@ -175,16 +176,16 @@ def equilibrium_for_support(nf, support, bounds=None):
         out = solve_lp(lp)
         if not isinstance(out, Optimal):
             return None
-        sol = dict(out.solution)
-        payoffs.append(sol.pop("u"))
-        weights.append({int(name[1:]): w for name, w in sol.items()})
+        payoffs.append(out.solution.pop("u"))
+        weights.append(out.solution)
     # the x-half's u is player 2's payoff
     return EquilibriumWitness(*weights, payoffs[::-1])
 
 
 def _support_ranges(nf, support, names=(None, None)):
-    """Per half, x then y, ``variable_ranges`` over its ``names`` (None:
-    every variable of the half); None once a half is infeasible."""
+    """Per half, x then y, ``variable_ranges`` over its ``names``
+    (strategy indices or ``"u"``; None: every variable of the half); None
+    once a half is infeasible."""
     out = []
     for lp, probe in zip(_halves(nf, support), names):
         ranges = variable_ranges(lp, lp.variables if probe is None else probe)
@@ -251,19 +252,18 @@ def _equilibrium_points(nf, cap):
     small, classes = nf.collapse(nf.payoffs[:1] if c is not None
                                  else nf.payoffs)
     if c is None:  # per system, its weights' ranges, or None if infeasible
-        systems = (_support_ranges(small, sp, [["w%d" % s for s in side]
-                                               for side in sp])
+        systems = (_support_ranges(small, sp, sp)
                    for sp in support_pairs(small, cap))
     else:
         programs = (_value_program(small, p)[0] for p in (0, 1))
         systems = [[variable_ranges(lp, lp.variables[:-1]) for lp in programs]]
     for ranges in filter(None, systems):
-        if any(lo != hi or (lo and len(side[int(name[1:])]) > 1)
+        if any(lo != hi or (lo and len(side[j]) > 1)
                for half, side in zip(ranges, classes)
-               for name, (lo, hi) in half.items()):
+               for j, (lo, hi) in half.items()):
             yield None
             return
-        yield [{name: lo for name, (lo, _) in half.items() if lo}
+        yield [{j: lo for j, (lo, _) in half.items() if lo}
                for half in ranges]
 
 
@@ -313,8 +313,7 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
         return False
     if mode == "forall":
         for X, Y in support_pairs(nf, cap):
-            bad = [("w%d" % i, "w%d" % j) for i in X for j in Y
-                   if not sat[i][j]]
+            bad = [(i, j) for i in X for j in Y if not sat[i][j]]
             if not bad:
                 continue
             # a violating pair occurs with positive probability in some
@@ -322,8 +321,8 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
             # positive (the halves' solutions combine freely)
             ranges = _support_ranges(nf, (X, Y), [set(s) for s in zip(*bad)])
             if ranges is not None and any(
-                    ranges[0][x][1] > 0 and ranges[1][y][1] > 0
-                    for x, y in bad):
+                    ranges[0][i][1] > 0 and ranges[1][j][1] > 0
+                    for i, j in bad):
                 return False
         return True
     raise SolverError("mode must be 'exists' or 'forall'")
@@ -332,19 +331,10 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
 # --- equilibrium verification -------------------------------------------------
 
 
-def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
-                        seed=0):
-    """(baseline EU, best pure-deviation EU) for player i against sigma.
-
-    Deviations range over the player's variables that occur in its goal
-    (the others cannot change any utility), exhaustively by default; more
-    than ``cap`` of them raise ResourceCapError before any work.  With
-    ``sample`` set, that many uniformly random pure strategies are tried
-    instead (no-counterexample-found semantics): ``random.Random(seed)``
-    draws one ``getrandbits(1)`` per used variable, deviation by deviation,
-    each in the goal's first-occurrence order (``formula.var_order``), so a
-    seed always names the same deviations.
-    """
+def check_deviation_cap(g, i, cap=DEFAULT_DEVIATION_CAP, sample=None):
+    """(used, count): player i's variables in its goal (the others change
+    no utility) and the pure deviations ``best_deviation_gain`` tries,
+    2^used or ``sample``; a count over ``cap`` raises ResourceCapError."""
     used = len(free_vars(g.goals[i]) & set(g.var_sets[i]))
     count = 1 << used if sample is None else max(sample, 0)
     if count > cap:
@@ -352,6 +342,23 @@ def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
             "player %d: %d pure deviations to try; cap is %d"
             % (i + 1, count, cap)
         )
+    return used, count
+
+
+def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
+                        seed=0):
+    """(baseline EU, best pure-deviation EU) for player i against sigma.
+
+    Deviations range over the player's variables that occur in its goal,
+    exhaustively by default; more than ``cap`` of them raise
+    ResourceCapError before any work (``check_deviation_cap``).  With
+    ``sample`` set, that many uniformly random pure strategies are tried
+    instead (no-counterexample-found semantics): ``random.Random(seed)``
+    draws one ``getrandbits(1)`` per used variable, deviation by deviation,
+    each in the goal's first-occurrence order (``formula.var_order``), so a
+    seed always names the same deviations.
+    """
+    used, count = check_deviation_cap(g, i, cap, sample)
     if sample is None:
         masks = [var_mask(t, count) for t in range(used)]
     else:
@@ -400,31 +407,19 @@ def pure_equilibria(g_or_nf, cap=DEFAULT_CELL_CAP):
     Returns full assignments for Boolean games, index tuples for normal
     forms.
     """
-    boolean = isinstance(g_or_nf, BooleanGame)
     nf = as_normal_form(g_or_nf, cap)
-    n = nf.players
-    result = []
-    for idx in itertools.product(*(range(s) for s in nf.shape)):
-        ok = True
-        for i in range(n):
-            mine = nf.payoff(i, idx)
-            for alt in range(nf.shape[i]):
-                other = idx[:i] + (alt,) + idx[i + 1:]
-                if nf.payoff(i, other) > mine:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            result.append(idx)
-    if boolean:
-        out = []
-        for idx in result:
-            merged = {}
-            for i, j in enumerate(idx):
-                merged.update(nf.strategy_index[i][j])
-            out.append(merged)
-        return out
+
+    def stable(idx):
+        return all(nf.payoff(i, idx[:i] + (alt,) + idx[i + 1:])
+                   <= nf.payoff(i, idx)
+                   for i in range(nf.players) for alt in range(nf.shape[i]))
+
+    result = [idx for idx in itertools.product(*map(range, nf.shape))
+              if stable(idx)]
+    if isinstance(g_or_nf, BooleanGame):
+        return [{k: v for i, j in enumerate(idx)
+                 for k, v in nf.strategy_index[i][j].items()}
+                for idx in result]
     return result
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from boolgames import cli, gadgets
+from boolgames import cli, gadgets, solver
 from boolgames.cli import run
 from boolgames.game import (MixedProfile, parse_game, profile_from_json,
                             profile_to_json)
@@ -108,14 +108,16 @@ def test_eval_rejects_malformed_assign(capsys, assign):
 
 
 @pytest.mark.parametrize("deep", ["~" * 1000 + "x",
-                                  "(" * 1000 + "x" + ")" * 1000],
-                         ids=["not", "parens"])
+                                  "(" * 1000 + "x" + ")" * 1000,
+                                  " <-> ".join(["x"] * 1000)],
+                         ids=["not", "parens", "iff"])
 def test_deeply_nested_formula_exits_2(mp_file, tmp_path, capsys, deep):
     game = tmp_path / "deep.bg"
     game.write_text(MP_TEXT.replace("goal 2: x <-> y", "goal 2: " + deep))
     for argv in (["eval", "--formula", deep, "--assign", "x=1"],
                  ["nash", "sat", "--game", mp_file, "--formula", deep],
-                 ["check", "--game", str(game)]):
+                 ["check", "--game", str(game)],
+                 ["normal-form", "--game", str(game)]):
         assert run(argv) == 2, argv[:2]
         captured = capsys.readouterr()
         assert captured.out == "" and "nested too deeply" in captured.err
@@ -249,6 +251,30 @@ def test_exact_verify_witness_sweeps_player_2(machine_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "player 2" in captured.err
+
+
+@pytest.mark.parametrize("sample", [[], ["--sample", "10"]])
+def test_verify_witness_caps_before_simulating(machine_file, monkeypatch,
+                                               capsys, sample):
+    # both players' deviation counts depend only on the game, so a tripped
+    # cap exits before the machine's run is simulated
+    def no_run(*args, **kwargs):
+        raise AssertionError("the machine was simulated")
+    monkeypatch.setattr(cli.reductions, "simulate_tm", no_run)
+    assert run(["verify", "witness", "--machine", machine_file, "--bound",
+                "4", "--cap-deviations", "16"] + sample) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "player 1" in captured.err
+
+
+def test_reduce_out_to_a_missing_directory_exits_2(machine_file, tmp_path,
+                                                   capsys):
+    out = str(tmp_path / "missing" / "red")
+    for flags in ([], ["--emit-witness"]):
+        assert run(["reduce", "nexptm", "--machine", machine_file,
+                    "--bound", "2", "--out", out] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write" in captured.err
 
 
 def test_transform_formula_verbatim(mp_file, capsys):
@@ -514,6 +540,26 @@ def test_zero_sum_flag_asserts_constant_sum(mp_file, bos_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "game is not constant-sum" in captured.err
+
+
+@pytest.mark.parametrize("what", ["find", "guarantee", "forall-guarantee",
+                                  "unique", "irrational"])
+def test_zero_sum_flag_expands_once(mp_file, monkeypatch, capsys, what):
+    # the constant-sum check reads the expansion that the query then uses
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    expand = solver.to_normal_form
+    monkeypatch.setattr(solver, "to_normal_form", counted)
+    for flags in ([], ["--zero-sum"]):
+        calls.clear()
+        assert run(["nash", what, "--game", mp_file, "--payoffs", "0,0"]
+                   + flags) in (0, 1)
+        assert len(calls) == 1, flags
+    capsys.readouterr()
 
 
 THREE_PLAYER_TEXT = """\

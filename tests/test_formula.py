@@ -4,6 +4,7 @@ from reference import truth
 
 from boolgames.formula import (
     FALSE,
+    MAX_DEPTH,
     TRUE,
     And,
     FormulaError,
@@ -18,6 +19,7 @@ from boolgames.formula import (
     disj,
     eval_bits,
     eval_formula,
+    formula_depth,
     formula_size,
     free_vars,
     is_valid_var,
@@ -87,11 +89,30 @@ def test_parse_errors(bad):
 
 @pytest.mark.parametrize("deep", ["~" * 1000 + "p",
                                   "(" * 1000 + "p" + ")" * 1000,
-                                  " -> ".join(["p"] * 1000)],
-                         ids=["not", "parens", "implies"])
+                                  " -> ".join(["p"] * 1000),
+                                  " <-> ".join(["p"] * 1000)],
+                         ids=["not", "parens", "implies", "iff"])
 def test_parse_too_deep_is_a_formula_error(deep):
     with pytest.raises(FormulaError, match="nested too deeply"):
         parse_formula(deep)
+
+
+def test_every_walker_fits_at_the_depth_bound():
+    # the costliest shape per level: a parenthesis is five parser frames,
+    # an And/Or level two renderer or renamer frames
+    text = "p"
+    for k in range(MAX_DEPTH - 1):
+        text = "q %s (%s)" % ("&|"[k % 2], text)
+    f = parse_formula(text)
+    assert formula_depth(f) == MAX_DEPTH
+    assert parse_formula(render_formula(f)) == f
+    g = rename_vars(f, {"p": "r"})
+    assert eval_bits(g, {"q": 0b0011, "r": 0b0101}, 0b1111) == \
+        eval_bits(f, {"q": 0b0011, "p": 0b0101}, 0b1111)
+    wrapped = "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1)
+    for deeper in ("~(%s)" % text, wrapped):
+        with pytest.raises(FormulaError, match="nested too deeply"):
+            parse_formula(deeper)
 
 
 def test_var_names():

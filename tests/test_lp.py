@@ -238,27 +238,31 @@ def test_optimum_certified_by_dual(lp, costs):
 
 _RATIONALS = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
                        st.sampled_from((1, 2, 3, 4, 6)))
+# a plain int stays an int in the tableau's input, a Fraction is scaled
+_COEFFS = _RATIONALS | st.integers(min_value=-3, max_value=3)
 _FLIP = {"<=": ">=", "=": "=", ">=": "<="}
 
 
 @st.composite
 def rational_lps(draw):
-    """Random LPs over rationals with non-unit denominators: <=, = and >=
-    rows, free variables, negative right-hand sides and a rational
-    objective.  Optional extra rows reach phase 1's corners: a nonpositive
-    row at right-hand side 0 (its artificial stays basic at zero with only
+    """Random LPs over rationals with non-unit denominators and plain ints,
+    on variables named by strings or ints: <=, = and >= rows, free
+    variables, negative right-hand sides and a rational objective.
+    Optional extra rows reach phase 1's corners: a nonpositive row at
+    right-hand side 0 (its artificial stays basic at zero with only
     negative entries, and drives out on a negative pivot), a scaled copy of
     a row (redundant, an equality if the copied row is one, and a tie in
     every ratio test the two rows enter) and a box on every variable."""
     lp = LinearProgram()
-    names = ["v%d" % k for k in range(draw(st.integers(1, 4)))]
+    names = [draw(st.sampled_from(("v%d" % k, k)))
+             for k in range(draw(st.integers(1, 4)))]
     for name in names:
         lp.add_variable(name, nonneg=draw(st.booleans()))
-    rows = [({name: draw(_RATIONALS) for name in names},
-             draw(st.sampled_from(("<=", "=", ">="))), draw(_RATIONALS))
+    rows = [({name: draw(_COEFFS) for name in names},
+             draw(st.sampled_from(("<=", "=", ">="))), draw(_COEFFS))
             for _ in range(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
-        rows.append(({name: -abs(draw(_RATIONALS)) for name in names},
+        rows.append(({name: -abs(draw(_COEFFS)) for name in names},
                      draw(st.sampled_from(("=", ">="))), 0))
     if draw(st.booleans()):
         coeffs, rel, rhs = draw(st.sampled_from(rows))
@@ -274,7 +278,7 @@ def rational_lps(draw):
         lp.add_constraint(*row)
     # a zero objective answers with phase 1's vertex, so a different phase-1
     # pivot shows in the solution
-    costs = draw(st.sampled_from((_RATIONALS, st.just(0))))
+    costs = draw(st.sampled_from((_COEFFS, st.just(0))))
     lp.set_objective({name: draw(costs) for name in names},
                      draw(st.sampled_from(("maximize", "minimize"))))
     return lp

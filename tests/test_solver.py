@@ -94,7 +94,7 @@ def test_equilibrium_for_support_mp():
 
 def test_support_ranges():
     half = Fraction(1, 2)
-    point = {"w0": (half, half), "w1": (half, half), "u": (half, half)}
+    point = {0: (half, half), 1: (half, half), "u": (half, half)}
     nf = as_normal_form(MP)
     assert _support_ranges(nf, ((0, 1), (0, 1))) == [point, point]
     assert _support_ranges(nf, ((0,), (0,))) is None
@@ -103,11 +103,11 @@ def test_support_ranges():
     dup = NormalForm([[[1, 0], [0, 1], [1, 0]],
                       [[0, 1], [1, 0], [0, 1]]])
     x, y = _support_ranges(dup, ((0, 1, 2), (0, 1)))
-    assert x == {"w0": (0, half), "w1": (half, half), "w2": (0, half),
+    assert x == {0: (0, half), 1: (half, half), 2: (0, half),
                  "u": (half, half)}
     assert y == point
-    assert _support_ranges(dup, ((0, 1, 2), (0, 1)), (["w2"], ["u"])) == [
-        {"w2": (0, half)}, {"u": (half, half)}]
+    assert _support_ranges(dup, ((0, 1, 2), (0, 1)), ([2], ["u"])) == [
+        {2: (0, half)}, {"u": (half, half)}]
 
 
 def test_support_enumeration_needs_two_players():
@@ -380,8 +380,8 @@ def test_support_halves_match_joint_program(nf, bounds):
             assert halves is None
             continue
         x, y = halves
-        assert ranges == {**{"x%d" % i: x["w%d" % i] for i in X},
-                          **{"y%d" % j: y["w%d" % j] for j in Y},
+        assert ranges == {**{"x%d" % i: x[i] for i in X},
+                          **{"y%d" % j: y[j] for j in Y},
                           "alpha": y["u"], "beta": x["u"]}
 
 
@@ -477,7 +477,7 @@ def full_game_sat(g, phi, mode):
         if mode == "forall" and bad:
             ranges = _support_ranges(nf, (X, Y))
             if ranges is not None and any(
-                    ranges[0]["w%d" % i][1] > 0 and ranges[1]["w%d" % j][1] > 0
+                    ranges[0][i][1] > 0 and ranges[1][j][1] > 0
                     for i, j in bad):
                 return False
     return mode == "forall"
