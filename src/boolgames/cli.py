@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .game import (
     NormalForm,
     ResourceCapError,
     draw_masks,
+    draw_trials,
     parse_game,
     profile_from_json,
     profile_to_json,
@@ -101,6 +101,21 @@ def load_machine(path):
         return reductions.TuringMachine.from_json(text)
     except json.JSONDecodeError as e:
         raise UsageError("bad machine file %s: %s" % (path, e))
+
+
+def _reduction(args, mode):
+    """The guarantee game of --machine, --input and --bound in ``mode``."""
+    build = (reductions.build_guarantee_game if mode == "exists"
+             else reductions.build_forall_guarantee_game)
+    return build(load_machine(args.machine), args.input, args.bound)
+
+
+def _witness(ro):
+    """The witness profile of ``ro``'s accepting run, or None if none."""
+    size = 1 << ro.k
+    table = reductions.simulate_tm(ro.machine, ro.word, size, size,
+                                   accept_row=ro.bound - 1)
+    return None if table is None else reductions.witness_profile(ro, table)
 
 
 def load_profile(path, g):
@@ -216,22 +231,22 @@ def cmd_nash(args):
     g = load_game(args.game)
     v = (_payoff_pair(args) if args.what in ("guarantee", "forall-guarantee")
          else None)
-    # the support-enumeration queries and --zero-sum share one expansion
+    phi = (parse_formula(_need(args.formula, "--formula"))
+           if args.what == "sat" else None)
+    # the query and the --zero-sum check share one expansion
     nf = None
-    if args.zero_sum or args.what not in ("pure", "sat", "is"):
+    if args.zero_sum or args.what != "is":
         nf = solver.as_normal_form(g, cap=args.cap_cells)
     if args.zero_sum and solver.constant_sum(nf) is None:
         raise UsageError("game is not constant-sum")
     if args.what == "pure":
-        eqs = solver.pure_equilibria(g, cap=args.cap_cells)
+        eqs = solver.pure_equilibria(nf)
         shown = [list(e) if isinstance(e, tuple) else
                  {k: v for k, v in sorted(e.items())} for e in eqs]
         return _decision(bool(eqs), {"equilibria": shown})
     if args.what == "sat":
-        phi = parse_formula(_need(args.formula, "--formula"))
-        ans = solver.nash_sat(g, phi, args.mode, cap=args.cap_deviations,
-                              cell_cap=args.cap_cells)
-        return _decision(ans)
+        return _decision(solver.nash_sat(g, phi, args.mode,
+                                         cap=args.cap_deviations, nf=nf))
     if args.what == "is":
         profile = load_profile(args.profile, g)
         ans = solver.is_nash(g, profile, cap=args.cap_deviations,
@@ -312,10 +327,7 @@ def cmd_encode(args):
 
 def cmd_reduce(args):
     if args.what in ("nexptm", "forall-nexptm"):
-        m = load_machine(args.machine)
-        build = (reductions.build_guarantee_game if args.what == "nexptm"
-                 else reductions.build_forall_guarantee_game)
-        ro = build(m, args.input, args.bound)
+        ro = _reduction(args, "exists" if args.what == "nexptm" else "forall")
         data = {"v2": _fr_str(ro.payoff[1]), "v1": _fr_str(ro.payoff[0]),
                 "k": ro.k, "mode": ro.mode}
         if args.out:
@@ -325,18 +337,14 @@ def cmd_reduce(args):
         else:
             data["game"] = render_game(ro.game)
         if args.emit_witness:
-            size = 1 << ro.k
-            table = reductions.simulate_tm(m, args.input, size, size,
-                                           accept_row=args.bound - 1)
-            if table is None:
+            wp = _witness(ro)
+            if wp is None:
                 data["witness"] = None
+            elif args.out:
+                data["witness"] = _write(args.out + ".witness.json",
+                                         profile_to_json(wp))
             else:
-                wp = reductions.witness_profile(ro, table)
-                if args.out:
-                    data["witness"] = _write(args.out + ".witness.json",
-                                             profile_to_json(wp))
-                else:
-                    data["witness"] = json.loads(profile_to_json(wp))
+                data["witness"] = json.loads(profile_to_json(wp))
         return 0, data
     if args.what == "transform":
         if _need(args.kind, "--kind") == "exists-nash-sat":
@@ -364,19 +372,15 @@ def cmd_reduce(args):
 def cmd_verify(args):
     if args.what == "cover-matrix":
         return _decision(reductions.cover_matrix_check(args.m))
-    m = load_machine(args.machine)
     if args.what == "witness":
-        ro = reductions.build_guarantee_game(m, args.input, args.bound)
+        ro = _reduction(args, "exists")
         # cap both sweeps (player 2's exhaustive unless --sample) up front
         solver.check_deviation_cap(ro.game, 0, args.cap_deviations)
         solver.check_deviation_cap(ro.game, 1, args.cap_deviations,
                                    args.sample)
-        size = 1 << ro.k
-        table = reductions.simulate_tm(m, args.input, size, size,
-                                       accept_row=args.bound - 1)
-        if table is None:
+        wp = _witness(ro)
+        if wp is None:
             return 1, {"answer": "no", "reason": "no accepting run in bounds"}
-        wp = reductions.witness_profile(ro, table)
         b1, best1 = solver.best_deviation_gain(ro.game, wp, 0,
                                                cap=args.cap_deviations)
         b2, best2 = solver.best_deviation_gain(ro.game, wp, 1,
@@ -387,17 +391,15 @@ def cmd_verify(args):
         return _decision(ok, {"v2": _fr_str(b2)},
                          mode="exact" if args.sample is None else "sampled")
     if args.what == "squares":
-        build = (reductions.build_guarantee_game if args.mode == "exists"
-                 else reductions.build_forall_guarantee_game)
-        ro = build(m, args.input, args.bound)
+        ro = _reduction(args, args.mode)
         # all trials in one eval_bits pass: bit r of each mask is trial r,
-        # drawn one getrandbits(1) per player-2 variable in var_sets order
-        bit = random.Random(args.seed).getrandbits
+        # drawn one bit per player-2 variable in var_sets order
         names = ro.game.var_sets[1]
-        draws, oracle = bytearray(), bytearray()
-        for _ in range(args.trials):
-            assign = {v: bool(bit(1)) for v in names}
-            draws.extend(b"01"[a] for a in assign.values())
+        draws = draw_trials(args.seed, args.trials * len(names))
+        oracle = bytearray()
+        for r in range(0, len(draws), len(names)):
+            trial = draws[r:r + len(names)].decode()
+            assign = {v: c == "1" for v, c in zip(names, trial)}
             oracle.append(b"01"[reductions.oracle_requires(ro, assign)])
         masks = dict(zip(names, draw_masks(draws, len(names))))
         said = eval_bits(ro.require, masks, (1 << args.trials) - 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -353,14 +354,27 @@ def var_mask(b, total):
     return mask
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
+_DRAW_WORDS = 1 << 10  # per getrandbits call: keeps its int small
+
+
+def draw_trials(seed, n):
+    """The draws of every sampled check: the ASCII ``0``/``1`` bytes of
+    ``n`` successive ``random.Random(seed).getrandbits(1)`` calls, read as
+    the words' top bits from ``getrandbits(32 * _DRAW_WORDS)`` calls, which
+    CPython fills word by word from the low end."""
+    bits = random.Random(seed).getrandbits
+    chunks = (bits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+              for _ in range(0, n, _DRAW_WORDS))
+    return b"".join(c[3::4] for c in chunks)[:n].translate(_TOP_BIT)
+
+
 def draw_masks(draws, width):
     """One mask per variable from random draws taken trial by trial, one
     ASCII ``0``/``1`` per variable: bit r of mask t is ``draws[r * width
     + t]``."""
     return [int(b"0" + draws[t::width][::-1], 2) for t in range(width)]
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def truth_tables(g, formulas):

@@ -111,18 +111,6 @@ class TuringMachine:
         except (KeyError, TypeError) as exc:
             raise ReductionError("malformed machine JSON: %s" % exc)
 
-    def to_json(self):
-        return json.dumps({
-            "states": list(self.states),
-            "start": self.start,
-            "accept": self.accept,
-            "transitions": [
-                {"from": t.frm, "read": t.read, "write": t.write,
-                 "move": t.move, "to": t.to}
-                for t in self.transitions
-            ],
-        })
-
 
 def immediate_acceptor():
     """A two-state machine that accepts the empty word in one step."""
@@ -171,7 +159,7 @@ def _check_word(word):
         raise ReductionError("input word must be over {0, 1}")
 
 
-def simulate_tm(m, word, steps, width, accept_row=None, cap=DEFAULT_NODE_CAP):
+def simulate_tm(m, word, steps, width, accept_row=None):
     """Depth-first search for an accepting run, as a table of descriptors.
 
     Returns a steps x width table whose row ``accept_row`` (default the
@@ -182,9 +170,9 @@ def simulate_tm(m, word, steps, width, accept_row=None, cap=DEFAULT_NODE_CAP):
     """
     if steps < 1 or width < 1:
         raise ReductionError("table dimensions must be positive")
-    if steps * width > cap:
+    if steps * width > DEFAULT_NODE_CAP:
         raise ResourceCapError("table of %d cells exceeds cap %d"
-                               % (steps * width, cap))
+                               % (steps * width, DEFAULT_NODE_CAP))
     if accept_row is None:
         accept_row = steps - 1
     if not 0 <= accept_row < steps:
@@ -193,7 +181,7 @@ def simulate_tm(m, word, steps, width, accept_row=None, cap=DEFAULT_NODE_CAP):
     if len(word) > width:
         return None
     tape = tuple(word[j] if j < len(word) else "_" for j in range(width))
-    budget = [cap]
+    budget = [DEFAULT_NODE_CAP]
 
     def ok(rows):
         tape_, pos, state = rows[accept_row]
@@ -588,11 +576,11 @@ def _bound_width(K):
     return max(1, (K - 1).bit_length())
 
 
-def _build_reduction(m, word, K, mode, cap):
+def _build_reduction(m, word, K, mode):
     _check_word(word)
     k = _bound_width(K)
     size = 1 << k
-    if size * size > cap:
+    if size * size > DEFAULT_NODE_CAP:
         raise ResourceCapError("table of %d entries exceeds cap" % (size * size))
     gadget = fixed_value_game(Fraction(3, 4), "g34")
     vi = VarIndex(m, k, gadget.role_vars)
@@ -638,16 +626,16 @@ def _build_reduction(m, word, K, mode, cap):
     )
 
 
-def build_guarantee_game(m, word, K, cap=DEFAULT_NODE_CAP):
+def build_guarantee_game(m, word, K):
     """Game where player 2 can be guaranteed payoff[2] in some equilibrium
     iff the machine accepts the word within K steps."""
-    return _build_reduction(m, word, K, "exists", cap)
+    return _build_reduction(m, word, K, "exists")
 
 
-def build_forall_guarantee_game(m, word, K, cap=DEFAULT_NODE_CAP):
+def build_forall_guarantee_game(m, word, K):
     """Variant where player 2 hunts for an illegal window; she is guaranteed
     payoff[2] in every equilibrium iff the machine does not accept."""
-    return _build_reduction(m, word, K, "forall", cap)
+    return _build_reduction(m, word, K, "forall")
 
 
 # --- witnesses and decoding -------------------------------------------------------
@@ -881,11 +869,11 @@ def transform_game(kind, g, v, namespace="t"):
 EXISTS_SAT_NAMESPACE = "half"
 
 
-def transform_exists_nash_sat(m, word, K, cap=DEFAULT_NODE_CAP):
+def transform_exists_nash_sat(m, word, K):
     """Guarantee game recast as a satisfaction query: returns (game, phi)
     where phi holds with probability 1 in some equilibrium iff the machine
     accepts.  The side game uses the fixed namespace EXISTS_SAT_NAMESPACE."""
-    ro = build_guarantee_game(m, word, K, cap=cap)
+    ro = build_guarantee_game(m, word, K)
     half = fixed_value_game(Fraction(1, 2), EXISTS_SAT_NAMESPACE)
     h1, h2 = half.game.goals
     g1, g2 = ro.game.goals

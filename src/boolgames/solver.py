@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from fractions import Fraction
 
 from .formula import compile_formula  # noqa: F401 - perfbench patches it here
@@ -37,6 +36,7 @@ from .game import (
     NormalForm,
     ResourceCapError,
     draw_masks,
+    draw_trials,
     to_normal_form,
     truth_tables,
     utility_sweep,
@@ -290,8 +290,9 @@ def irrational_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
 # --- formula-in-equilibrium ---------------------------------------------------
 
 
-def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP):
-    """Whether some (exists) / every (forall) equilibrium realizes phi a.s."""
+def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, nf=None):
+    """Whether some (exists) / every (forall) equilibrium realizes phi a.s.
+    ``nf``: the expansion of ``g``, if the caller has it already."""
     if not isinstance(g, BooleanGame):
         raise SolverError("nash_sat needs a BooleanGame")
     if g.players != 2:
@@ -300,7 +301,7 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, cell_cap=DEFAULT_CELL_CAP)
     if foreign:
         raise SolverError("formula uses foreign variables: %s"
                           % ", ".join(sorted(foreign)))
-    nf = to_normal_form(g, cell_cap)
+    nf = to_normal_form(g) if nf is None else nf
     (sat,) = truth_tables(g, [phi])
     # two strategies are interchangeable only if they also agree on phi
     nf, classes = nf.collapse([*nf.payoffs, sat])
@@ -353,18 +354,15 @@ def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
     exhaustively by default; more than ``cap`` of them raise
     ResourceCapError before any work (``check_deviation_cap``).  With
     ``sample`` set, that many uniformly random pure strategies are tried
-    instead (no-counterexample-found semantics): ``random.Random(seed)``
-    draws one ``getrandbits(1)`` per used variable, deviation by deviation,
-    each in the goal's first-occurrence order (``formula.var_order``), so a
-    seed always names the same deviations.
+    instead (no-counterexample-found semantics): deviation r takes the r-th
+    ``used`` bytes of ``game.draw_trials(seed, sample * used)``, one per used
+    variable in the goal's first-occurrence order (``formula.var_order``).
     """
     used, count = check_deviation_cap(g, i, cap, sample)
     if sample is None:
         masks = [var_mask(t, count) for t in range(used)]
     else:
-        bit = random.Random(seed).getrandbits
-        masks = draw_masks(bytes(b"01"[bit(1)] for _ in range(count * used)),
-                           used)
+        masks = draw_masks(draw_trials(seed, count * used), used)
     return utility_sweep(g, sigma, i, count, masks)
 
 
@@ -373,7 +371,7 @@ def is_nash(g_or_nf, sigma, cap=DEFAULT_DEVIATION_CAP, sample=None, seed=0):
 
     Exact over all pure deviations by default; with ``sample`` set, each
     player's deviations are checked on that many uniformly random pure
-    strategies instead, drawn from ``random.Random(seed)`` in the order
+    strategies instead, drawn for each player from ``seed`` as
     ``best_deviation_gain`` documents (no-counterexample-found semantics).
     """
     if isinstance(g_or_nf, NormalForm):
@@ -402,11 +400,9 @@ def _is_nash_nf(nf, weights):
 
 
 def pure_equilibria(g_or_nf, cap=DEFAULT_CELL_CAP):
-    """All pure-strategy equilibria, in strategy enumeration order.
-
-    Returns full assignments for Boolean games, index tuples for normal
-    forms.
-    """
+    """All pure-strategy equilibria, in strategy enumeration order: full
+    assignments when the normal form has a strategy index (a Boolean game
+    or its expansion), else index tuples."""
     nf = as_normal_form(g_or_nf, cap)
 
     def stable(idx):
@@ -416,7 +412,7 @@ def pure_equilibria(g_or_nf, cap=DEFAULT_CELL_CAP):
 
     result = [idx for idx in itertools.product(*map(range, nf.shape))
               if stable(idx)]
-    if isinstance(g_or_nf, BooleanGame):
+    if nf.strategy_index is not None:
         return [{k: v for i, j in enumerate(idx)
                  for k, v in nf.strategy_index[i][j].items()}
                 for idx in result]

@@ -65,6 +65,7 @@ from boolgames.solver import (
     witness_to_profile,
     zero_sum_value,
 )
+from test_reductions import machine_json
 from windows import perturbed_windows
 
 
@@ -358,7 +359,7 @@ def test_acceptance_game_desk_scale(tmp_path, capsys):
     assert base2 == Fraction(7, 16)
     assert best2 <= base2
     machine = tmp_path / "machine.json"
-    machine.write_text(m.to_json())
+    machine.write_text(machine_json(m))
     capsys.readouterr()
     code = run(["verify", "witness", "--machine", str(machine), "--bound", "2",
                 "--sample", "2000", "--seed", "17"])

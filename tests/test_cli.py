@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from boolgames.game import (MixedProfile, parse_game, profile_from_json,
 from boolgames.reductions import (build_guarantee_game, immediate_acceptor,
                                   oracle_requires, simulate_tm,
                                   witness_profile)
+from test_reductions import machine_json
 
 MP_TEXT = """\
 players: 2
@@ -46,7 +46,7 @@ def bos_file(tmp_path):
 @pytest.fixture
 def machine_file(tmp_path):
     path = tmp_path / "acc.json"
-    path.write_text(immediate_acceptor().to_json())
+    path.write_text(machine_json(immediate_acceptor()))
     return str(path)
 
 
@@ -200,23 +200,18 @@ def test_verify_squares_aligns_trials(machine_file, monkeypatch, capsys,
              {v: bool(rng.getrandbits(1)) for v in names}
              for r, genuine in enumerate(plan)]
     assert [oracle_requires(ro, a) for a in drawn] == plan
-    # one getrandbits(1) per player-2 variable, trial by trial
-    bits = iter([int(a[v]) for a in drawn for v in names])
+    # the drawer's bytes: one per player-2 variable, trial by trial
+    draws = bytes(b"01"[a[v]] for a in drawn for v in names)
 
-    class Replay:
-        def __init__(self, seed):
-            pass
+    def replay(seed, n):
+        assert n == len(draws)
+        return draws
 
-        def getrandbits(self, k):
-            assert k == 1
-            return next(bits)
-
-    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=Replay))
+    monkeypatch.setattr(cli, "draw_trials", replay)
     data = run_json(["verify", "squares", "--machine", machine_file,
                      "--bound", str(bound), "--trials", str(len(plan))],
                     capsys)
     assert (data["answer"], data["mismatches"]) == ("yes", 0)
-    assert next(bits, None) is None
 
 
 def test_nash_is_with_sample_flag(machine_file, tmp_path, capsys):
@@ -543,7 +538,7 @@ def test_zero_sum_flag_asserts_constant_sum(mp_file, bos_file, capsys):
 
 
 @pytest.mark.parametrize("what", ["find", "guarantee", "forall-guarantee",
-                                  "unique", "irrational"])
+                                  "unique", "irrational", "pure", "sat"])
 def test_zero_sum_flag_expands_once(mp_file, monkeypatch, capsys, what):
     # the constant-sum check reads the expansion that the query then uses
     calls = []
@@ -556,8 +551,8 @@ def test_zero_sum_flag_expands_once(mp_file, monkeypatch, capsys, what):
     monkeypatch.setattr(solver, "to_normal_form", counted)
     for flags in ([], ["--zero-sum"]):
         calls.clear()
-        assert run(["nash", what, "--game", mp_file, "--payoffs", "0,0"]
-                   + flags) in (0, 1)
+        assert run(["nash", what, "--game", mp_file, "--payoffs", "0,0",
+                    "--formula", "x"] + flags) in (0, 1)
         assert len(calls) == 1, flags
     capsys.readouterr()
 

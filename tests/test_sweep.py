@@ -24,6 +24,7 @@ from boolgames.game import (
     MixedProfile,
     ResourceCapError,
     draw_masks,
+    draw_trials,
     expected_utility,
     player_assignments,
 )
@@ -120,6 +121,15 @@ def test_sweep_exact_gain_off_equilibrium():
         Fraction(2, 3), Fraction(2, 3))
     assert best_deviation_gain(g, profile, 0, sample=3, seed=0) == (
         Fraction(2, 3), 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draw_trials_match_one_bit_draws(seed):
+    # whole-word draws read as one-bit draws, across word and call edges
+    for n in (0, 1, 31, 32, 33, 84000):
+        rng = random.Random(seed)
+        want = bytes(b"01"[rng.getrandbits(1)] for _ in range(n))
+        assert draw_trials(seed, n) == want, n
 
 
 def test_draw_masks_read_trial_by_trial():
