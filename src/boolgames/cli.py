@@ -369,6 +369,23 @@ def cmd_reduce(args):
     raise UsageError("unknown reduce command %r" % args.what)
 
 
+class DrawnTrial:
+    """One trial of ``draw_trials`` bytes as a read-only assignment: the
+    trial starts at byte ``at``, and ``index`` maps each variable to its
+    byte in the trial, so no dict is built per trial."""
+
+    __slots__ = ("_draws", "_index", "_at")
+
+    def __init__(self, draws, index, at):
+        self._draws, self._index, self._at = draws, index, at
+
+    def __getitem__(self, name):
+        return self._draws[self._at + self._index[name]] == 0x31  # b"1"
+
+    def __contains__(self, name):
+        return name in self._index
+
+
 def cmd_verify(args):
     if args.what == "cover-matrix":
         return _decision(reductions.cover_matrix_check(args.m))
@@ -396,11 +413,10 @@ def cmd_verify(args):
         # drawn one bit per player-2 variable in var_sets order
         names = ro.game.var_sets[1]
         draws = draw_trials(args.seed, args.trials * len(names))
-        oracle = bytearray()
-        for r in range(0, len(draws), len(names)):
-            trial = draws[r:r + len(names)].decode()
-            assign = {v: c == "1" for v, c in zip(names, trial)}
-            oracle.append(b"01"[reductions.oracle_requires(ro, assign)])
+        index = {v: t for t, v in enumerate(names)}
+        oracle = bytes(
+            b"01"[reductions.oracle_requires(ro, DrawnTrial(draws, index, r))]
+            for r in range(0, len(draws), len(names)))
         masks = dict(zip(names, draw_masks(draws, len(names))))
         said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
         mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from collections.abc import Sequence
 from fractions import Fraction
@@ -28,6 +29,8 @@ from .formula import (
 
 DEFAULT_CELL_CAP = 1 << 22
 DEFAULT_DEVIATION_CAP = 1 << 22
+# bits per goal evaluation in a utility sweep: bounds its masks' memory
+SWEEP_BUDGET = 1 << 18
 
 
 class GameError(Exception):
@@ -96,10 +99,6 @@ def validate_game(g):
 # --- mixed profiles ---------------------------------------------------------
 
 
-def freeze_assignment(a):
-    return tuple(sorted(a.items()))
-
-
 class MixedProfile:
     """Independent per-player distributions over pure assignments.
 
@@ -136,14 +135,17 @@ def validate_profile(g, profile):
             raise ValidationError("player %d has empty support" % (i + 1))
         total = Fraction(0)
         seen = set()
+        domain = set(g.var_sets[i])
+        # past the domain check, an entry is its values in var_sets order
+        values = operator.itemgetter(*g.var_sets[i])
         for a, w in support:
-            if set(a) != set(g.var_sets[i]):
+            if a.keys() != domain:
                 raise ValidationError(
                     "player %d strategy domain mismatch" % (i + 1)
                 )
             if w <= 0:
                 raise ValidationError("non-positive weight for player %d" % (i + 1))
-            key = freeze_assignment(a)
+            key = values(a)
             if key in seen:
                 raise ValidationError("duplicate support entry for player %d" % (i + 1))
             seen.add(key)
@@ -166,9 +168,11 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
 
     The goal is evaluated bit-parallel over rows: player i's support
     entries, then the deviations.  Opponent entries are merged by their
-    values on the goal's variables; each merged combination is one
-    evaluation with its variables as constant masks, and adds its
-    satisfaction mask times its integer weight into bit-sliced counters.
+    values on the goal's variables, and the merged combinations are laid
+    side by side: combination c's rows are byte-aligned block c of every
+    mask, so one evaluation covers a chunk of about ``SWEEP_BUDGET`` bits.
+    Each block of the result, times the combination's integer weight, is
+    added into bit-sliced counters.
     """
     validate_profile(g, profile)
     names = [[] for _ in g.var_sets]  # the goal's variables by owner
@@ -176,14 +180,15 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
         names[g.owner(v)].append(v)
     support = profile.strategies[i]
     s = len(support)
-    full = (1 << (s + deviations)) - 1
-    var_masks = {}
+    width = (s + deviations + 7) // 8  # bytes per block
+    rows = (1 << (s + deviations)) - 1
+    own_masks = []
     for t, v in enumerate(names[i]):
         m = masks[t] << s if deviations else 0
         for r, (a, _) in enumerate(support):
             if a[v]:
                 m |= 1 << r
-        var_masks[v] = m
+        own_masks.append((v, m.to_bytes(width, "little")))
     den, merged = 1, []
     for j, opp in enumerate(profile.strategies):
         if j == i:
@@ -194,31 +199,53 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
             dist[key] = dist.get(key, 0) + w
         d = math.lcm(*(w.denominator for w in dist.values()))
         den *= d
-        merged.append([({v: full if b else 0 for v, b in zip(names[j], key)},
-                         w.numerator * (d // w.denominator))
-                        for key, w in dist.items()])
+        merged.append([(key, w.numerator * (d // w.denominator))
+                       for key, w in dist.items()])
+    # a combination: one merged entry per opponent, their values joined in
+    # ``opp_names`` order and their weights multiplied
+    opp_names = [v for j, vs in enumerate(names) if j != i for v in vs]
+    combos = ((sum((key for key, _ in c), ()), math.prod(w for _, w in c))
+              for c in itertools.product(*merged))
+    per_chunk = max(1, SWEEP_BUDGET // (8 * width))
+    ones, zeros = rows.to_bytes(width, "little"), bytes(width)
+    tiled = {}  # chunk size -> (full, own variable masks)
     # planes[b]: rows whose count has bit b set (counts are at most den)
     planes = [0] * den.bit_length()
-    for combo in itertools.product(*merged):
-        weight = 1
-        for consts, w in combo:
-            var_masks.update(consts)
-            weight *= w
-        sat = eval_bits(g.goals[i], var_masks, full)
-        b = 0
-        while weight:
-            if weight & 1:
-                carry, p = sat, b
-                while carry:
-                    planes[p], carry = planes[p] ^ carry, planes[p] & carry
-                    p += 1
-            weight >>= 1
-            b += 1
+    while chunk := list(itertools.islice(combos, per_chunk)):
+        n = len(chunk)
+        if n not in tiled:
+            tiled[n] = (int.from_bytes(ones * n, "little"),
+                        {v: int.from_bytes(m * n, "little")
+                         for v, m in own_masks})
+        full, own_tiled = tiled[n]
+        var_masks = dict(own_tiled)
+        # an opponent variable's mask: its values over the chunk, one
+        # block each; variables with equal values share one int
+        by_column = {(True,) * n: full, (False,) * n: 0}
+        for v, column in zip(opp_names, zip(*(key for key, _ in chunk))):
+            if column not in by_column:
+                by_column[column] = int.from_bytes(
+                    b"".join([ones if b else zeros for b in column]),
+                    "little")
+            var_masks[v] = by_column[column]
+        sat = eval_bits(g.goals[i], var_masks, full).to_bytes(n * width,
+                                                             "little")
+        for c, (_, weight) in enumerate(chunk):
+            block = int.from_bytes(sat[c * width:(c + 1) * width], "little")
+            b = 0
+            while weight and block:
+                if weight & 1:
+                    carry, p = block, b
+                    while carry:
+                        planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                        p += 1
+                weight >>= 1
+                b += 1
     own = (1 << s) - 1
     low = [p & own for p in planes]
     eu = sum(w * sum((p >> r & 1) << b for b, p in enumerate(low))
              for r, (_, w) in enumerate(support)) / den
-    rows, best = full ^ own, 0  # the deviation rows, narrowed to the max
+    rows, best = rows ^ own, 0  # the deviation rows, narrowed to the max
     for b in reversed(range(len(planes))):
         if rows & planes[b]:
             rows &= planes[b]

@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 from boolgames import cli, gadgets, solver
-from boolgames.cli import run
-from boolgames.game import (MixedProfile, parse_game, profile_from_json,
-                            profile_to_json)
-from boolgames.reductions import (build_guarantee_game, immediate_acceptor,
+from boolgames.cli import DrawnTrial, run
+from boolgames.game import (MixedProfile, draw_trials, parse_game,
+                            profile_from_json, profile_to_json)
+from boolgames.reductions import (build_forall_guarantee_game,
+                                  build_guarantee_game, immediate_acceptor,
                                   oracle_requires, simulate_tm,
                                   witness_profile)
 from test_reductions import machine_json
+from windows import perturbed_windows
 
 MP_TEXT = """\
 players: 2
@@ -212,6 +214,32 @@ def test_verify_squares_aligns_trials(machine_file, monkeypatch, capsys,
                      "--bound", str(bound), "--trials", str(len(plan))],
                     capsys)
     assert (data["answer"], data["mismatches"]) == ("yes", 0)
+
+
+@pytest.mark.parametrize("bound, mode",
+                         [(2, "exists"), (4, "exists"), (4, "forall")])
+def test_drawn_trial_reads_as_its_dict(bound, mode):
+    # the view of a trial's bytes against the dict of the same trial, on
+    # uniform draws (rejected at the first entry's flags) and on windows a
+    # few bits from legal ones (which reach the square oracle)
+    build = build_guarantee_game if mode == "exists" else \
+        build_forall_guarantee_game
+    ro = build(immediate_acceptor(), "", bound)
+    names = ro.game.var_sets[1]
+    index = {v: t for t, v in enumerate(names)}
+    near = list(perturbed_windows(ro, random.Random(bound), 300))
+    draws = b"".join(bytes(b"01"[a[v]] for v in names) for a in near)
+    draws += draw_trials(bound, 300 * len(names))
+    verdicts = []
+    for r in range(0, len(draws), len(names)):
+        view = DrawnTrial(draws, index, r)
+        a = {v: c == "1" for v, c in zip(names,
+                                          draws[r:r + len(names)].decode())}
+        assert [view[v] for v in names] == [a[v] for v in names]
+        assert "x.nowhere" not in view and all(v in view for v in names)
+        verdicts.append(oracle_requires(ro, a))
+        assert oracle_requires(ro, view) == verdicts[-1]
+    assert set(verdicts[:300]) == {False, True}
 
 
 def test_nash_is_with_sample_flag(machine_file, tmp_path, capsys):

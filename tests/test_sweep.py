@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import truth
 
+from boolgames import game
 from boolgames.formula import And, Not, Or, Var, compile_formula
 from boolgames.game import (
     BooleanGame,
@@ -85,10 +86,7 @@ def sampled_deviations(g, i, sample, seed):
         yield a
 
 
-@settings(deadline=None, max_examples=150)
-@given(game_and_profile(), st.integers(0, 4), st.integers(0, 99))
-def test_sweep_matches_brute_force(gp, sample, seed):
-    g, profile = gp
+def check_sweep(g, profile, sample, seed):
     for i in range(g.players):
         base = brute_eu(g, profile, i)
         assert expected_utility(g, profile, i) == base
@@ -99,6 +97,25 @@ def test_sweep_matches_brute_force(gp, sample, seed):
                                 sampled_deviations(g, i, sample, seed)])
         assert best_deviation_gain(g, profile, i, sample=sample,
                                    seed=seed) == (base, sampled)
+
+
+@settings(deadline=None, max_examples=150)
+@given(game_and_profile(), st.integers(0, 4), st.integers(0, 99))
+def test_sweep_matches_brute_force(gp, sample, seed):
+    check_sweep(*gp, sample, seed)
+
+
+# budget 1: every opponent combination is a chunk of its own.  Budget 24:
+# three one-byte blocks per chunk, as in every expected-utility and sampled
+# sweep here (at most 4 support entries and 4 samples), so 2 combinations
+# fill part of a chunk and 4, 8 or 16 end on a partial one
+@pytest.mark.parametrize("budget", [1, 24])
+@settings(deadline=None, max_examples=100)
+@given(game_and_profile(), st.integers(0, 4), st.integers(0, 99))
+def test_sweep_chunks_match_brute_force(budget, gp, sample, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game, "SWEEP_BUDGET", budget)
+        check_sweep(*gp, sample, seed)
 
 
 def test_sweep_exact_gain_off_equilibrium():
@@ -162,6 +179,24 @@ def test_bound_4_witness_player_1_sweep(machine):
     assert best_deviation_gain(ro.game, wp, 0) == (Fraction(57, 64),
                                                    Fraction(57, 64))
     assert expected_utility(ro.game, wp, 1) == ro.payoff[1]
+
+
+def test_bound_8_player_1_sweep_memory():
+    # 256 opponent combinations of 256 + 2^14 rows each: side by side in
+    # one evaluation, every mask would be 4.3 million bits (a 21.6 MB
+    # traced peak); in chunks of SWEEP_BUDGET bits the peak is under 2 MB
+    m = immediate_acceptor()
+    ro = build_guarantee_game(m, "", 8)
+    size = 1 << ro.k
+    wp = witness_profile(ro, simulate_tm(m, "", size, size, accept_row=7))
+    tracemalloc.start()
+    try:
+        got = best_deviation_gain(ro.game, wp, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (Fraction(249, 256), Fraction(249, 256))
+    assert peak < 4 << 20
 
 
 def test_deviation_cap_trips_before_allocating():
