@@ -448,8 +448,13 @@ def _build_parser():
     cells.add_argument("--cap-cells", type=int,
                        default=game.DEFAULT_CELL_CAP)
     sweeps = argparse.ArgumentParser(add_help=False)
-    sweeps.add_argument("--cap-deviations", type=int,
-                        default=game.DEFAULT_DEVIATION_CAP)
+    sweeps.add_argument(
+        "--cap-deviations", type=int, default=game.DEFAULT_DEVIATION_CAP,
+        help="work allowed before exit 3: pure deviations per player, "
+             "or the --sample size (nash is, verify witness); support pairs "
+             "of the collapsed game (nash find, guarantee); square systems "
+             "of vertex enumeration, 2(C(m+n, m) - 1) on the collapsed m x n "
+             "game (nash unique, irrational, forall-guarantee, sat)")
     sweeps.add_argument("--sample", type=_positive, default=None)
     sweeps.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="verb", required=True)

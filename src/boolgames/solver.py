@@ -1,6 +1,6 @@
-"""Equilibrium computation: zero-sum values, support enumeration,
-uniqueness, formula-in-equilibrium queries, equilibrium verification, and
-irrationality tests.
+"""Equilibrium computation: zero-sum values, support enumeration, vertex
+enumeration, uniqueness, formula-in-equilibrium queries, equilibrium
+verification, and irrationality tests.
 
 Every two-player query runs on the collapsed game (``NormalForm.collapse``):
 one strategy per class of strategies with the same row in both payoff
@@ -8,12 +8,22 @@ matrices, which trade weight freely with no payoff changing.  A witness
 puts each class's weight on its first member; an equilibrium that weights
 a class of two or more is a continuum.
 
+The queries about every equilibrium (``unique_nash``, ``irrational_nash``,
+``forall_guarantee_nash``, ``nash_sat``) read one list of the collapsed
+game's extreme equilibria: the completely labelled pairs of vertices of the
+two best-response polytopes, found by solving each square system of
+best-reply equations exactly (Avis, Rosenberg, Savani & von Stengel,
+"Enumeration of Nash equilibria for two-player games", Economic Theory 42,
+2010).  On a constant-sum game, ``unique_nash``, ``irrational_nash`` and
+``forall_guarantee_nash`` read the value programs instead.
+
 Every LP is a reply system (``_reply_system``): one player's weights
 against the opponent's pure replies.  Its variables are the player's
 strategy indices (each one's weight) and ``u``, so a solution reads back
-with no renaming.  A support pair is two of them, one per player (the
-best-response polytopes).  A constant-sum game's value program is one per
-player, with no forced best reply and ``u`` minimized.
+with no renaming.  A support pair is two of them, one per player; support
+enumeration over them finds the witnesses of ``exists_guarantee_nash``.  A
+constant-sum game's value program is one per player, with no forced best
+reply and ``u`` minimized.
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -22,6 +32,7 @@ or a NormalForm directly.  Player indices are 0-based.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -42,7 +53,13 @@ from .game import (
     utility_sweep,
     var_mask,
 )
-from .lp import LinearProgram, Optimal, solve_lp, variable_ranges
+from .lp import (
+    LinearProgram,
+    Optimal,
+    solve_lp,
+    square_solutions,
+    variable_ranges,
+)
 from .lp import solution_unique  # noqa: F401 - perfbench patches it here
 
 
@@ -182,19 +199,6 @@ def equilibrium_for_support(nf, support, bounds=None):
     return EquilibriumWitness(*weights, payoffs[::-1])
 
 
-def _support_ranges(nf, support, names=(None, None)):
-    """Per half, x then y, ``variable_ranges`` over its ``names``
-    (strategy indices or ``"u"``; None: every variable of the half); None
-    once a half is infeasible."""
-    out = []
-    for lp, probe in zip(_halves(nf, support), names):
-        ranges = variable_ranges(lp, lp.variables if probe is None else probe)
-        if ranges is None:
-            return None
-        out.append(ranges)
-    return out
-
-
 def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
     """All support pairs, increasing total size then lexicographic."""
     _require_two_player(nf)
@@ -227,64 +231,145 @@ def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     return None
 
 
-def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
-    """True iff every equilibrium pays every player i at least v[i]."""
-    nf = as_normal_form(g_or_nf)
-    nf, _ = nf.collapse(nf.payoffs)
-    v = [Fraction(x) for x in v]
-    for sp in support_pairs(nf, cap):
-        # the x-half's u is beta, the y-half's alpha
-        ranges = _support_ranges(nf, sp, (["u"], ["u"]))
-        if ranges is not None and (ranges[1]["u"][0] < v[0]
-                                   or ranges[0]["u"][0] < v[1]):
-            return False
-    return True
+# --- vertex enumeration ------------------------------------------------------
 
 
-def _equilibrium_points(nf, cap):
-    """Each feasible system's one equilibrium, as nonzero weights per
-    player, ending with None at the first system with a continuum: a
-    weight that ranges, or weight on a class of two or more strategies.
-    A system is two polytopes whose product is a set of the collapsed
-    game's equilibria: a support pair's halves, or in a constant-sum game
-    (classes keyed on A alone, as B = c - A) the optimal-strategy sets."""
+def _positive_ints(p):
+    """``p`` times the lcm of its denominators, plus the constant that
+    makes every entry at least 1: the same best replies, so the same
+    equilibria."""
+    scale = math.lcm(*[x.denominator for row in p for x in row])
+    q = [[x.numerator * (scale // x.denominator) for x in row] for row in p]
+    shift = 1 - min(map(min, q))
+    return [[x + shift for x in row] for row in q]
+
+
+def _vertices(q):
+    """{vertex: (support, tight)} over the nonzero vertices of the polytope
+    {w >= 0 : sum_s q[s][c] w_s <= 1 for every column c} of the int matrix
+    ``q``, whose entries are positive.  A vertex w = (w_0, ...) / d is the
+    int tuple (w_0, ..., d) reduced by its gcd; ``support`` and ``tight``
+    are bitmasks of the s with w_s > 0 and of the columns whose constraint
+    holds with equality, read from the exact point (a degenerate vertex
+    solves several systems).
+
+    Every nonzero vertex solves sum_{s in X} q[s][c] w_s = 1 for c in J,
+    w_s = 0 off X, for some nonsingular block with |X| = |J|; each such
+    square system is solved and its solution kept when feasible."""
+    own, cons = len(q), len(q[0])
+    vertices = {}
+    for k in range(1, min(own, cons) + 1):
+        for X in itertools.combinations(range(own), k):
+            cols = [[q[s][c] for s in X] for c in range(cons)]
+            for w, d in square_solutions([col + [1] for col in cols], k):
+                if min(w) < 0:
+                    continue
+                tight = 0
+                for c, col in enumerate(cols):
+                    load = sum(map(operator.mul, col, w))
+                    if load > d:
+                        break
+                    if load == d:
+                        tight |= 1 << c
+                else:
+                    full = [0] * own
+                    for s, ws in zip(X, w):
+                        full[s] = ws
+                    g = math.gcd(d, *full)
+                    support = sum(1 << s for s, ws in zip(X, w) if ws)
+                    vertices[tuple(x // g for x in full + [d])] = (support,
+                                                                  tight)
+    return vertices
+
+
+def _extreme_equilibria(nf, cap=DEFAULT_DEVIATION_CAP):
+    """Every extreme equilibrium of the two-player game ``nf`` as (x, y),
+    tuples of Fraction weights: the completely labelled pairs of nonzero
+    vertices of P = {x >= 0 : B'^T x <= 1} and Q = {y >= 0 : A'y <= 1}, A'
+    and B' the payoffs made positive integers, normalized.  In such a pair
+    every strategy of each player is unplayed or a best reply.  The
+    equilibria are the union, over the maximal bicliques of these pairs, of
+    the products of the two sides' convex hulls.  The 2 (C(m + n, m) - 1)
+    square systems this solves on an m x n game are checked against ``cap``
+    before any work."""
+    a, b = _require_two_player(nf)
+    m, n = nf.shape
+    count = 2 * (math.comb(m + n, m) - 1)
+    if count > cap:
+        raise ResourceCapError(
+            "vertex enumeration on the %dx%d collapsed game solves %d square "
+            "systems; cap is %d" % (m, n, count, cap))
+    xs = _vertices(_positive_ints(b))
+    ys = _vertices(_positive_ints(list(zip(*a))))
+    pairs = [(x, y) for x, (x_support, x_tight) in xs.items()
+             for y, (y_support, y_tight) in ys.items()
+             if not x_support & ~y_tight and not y_support & ~x_tight]
+    if not pairs:
+        raise SolverError("no equilibrium found (should be impossible)")
+    return [tuple(tuple(Fraction(w, sum(v[:-1])) for w in v[:-1])
+                  for v in pair) for pair in pairs]
+
+
+def _best_reply_payoff(payoff, w):
+    """The payoff of the best pure reply, a row of ``payoff``, to ``w``."""
+    return max(sum(map(operator.mul, row, w)) for row in payoff)
+
+
+def _equilibrium_count(nf, cap):
+    """The number of extreme equilibria of the collapsed game, or None if
+    the game has a continuum of equilibria: a vertex in two extreme
+    equilibria (an edge of a maximal Nash subset), or weight on a class of
+    two or more strategies.  A constant-sum game (classes keyed on A alone,
+    as B = c - A) has one equilibrium set, the product of the two
+    optimal-strategy sets, a continuum if a weight ranges over it."""
     c = constant_sum(nf)
     small, classes = nf.collapse(nf.payoffs[:1] if c is not None
                                  else nf.payoffs)
-    if c is None:  # per system, its weights' ranges, or None if infeasible
-        systems = (_support_ranges(small, sp, sp)
-                   for sp in support_pairs(small, cap))
+    if c is None:
+        pairs = _extreme_equilibria(small, cap)
     else:
         programs = (_value_program(small, p)[0] for p in (0, 1))
-        systems = [[variable_ranges(lp, lp.variables[:-1]) for lp in programs]]
-    for ranges in filter(None, systems):
-        if any(lo != hi or (lo and len(side[j]) > 1)
-               for half, side in zip(ranges, classes)
-               for j, (lo, hi) in half.items()):
-            yield None
-            return
-        yield [{j: lo for j, (lo, _) in half.items() if lo}
-               for half in ranges]
+        ranges = [variable_ranges(lp, lp.variables[:-1]) for lp in programs]
+        if any(lo != hi for half in ranges for lo, hi in half.values()):
+            return None
+        pairs = [tuple(tuple(lo for lo, _ in half.values())
+                       for half in ranges)]
+    for vertices, side in zip(zip(*pairs), classes):
+        if len(set(vertices)) < len(vertices) or any(
+                w and len(side[s]) > 1 for v in vertices
+                for s, w in enumerate(v)):
+            return None
+    return len(pairs)
+
+
+def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
+    """True iff every equilibrium pays every player i at least v[i]: in a
+    constant-sum game every one pays (value, c - value); otherwise each
+    player's payoff is linear on each maximal Nash subset, so the extreme
+    equilibria decide."""
+    nf = as_normal_form(g_or_nf)
+    v = [Fraction(x) for x in v]
+    c = constant_sum(nf)
+    if c is not None:
+        value, _ = zero_sum_value(nf)
+        return value >= v[0] and c - value >= v[1]
+    small, _ = nf.collapse(nf.payoffs)
+    a, b = small.payoffs
+    b_cols = list(zip(*b))
+    return all(_best_reply_payoff(a, y) >= v[0]
+               and _best_reply_payoff(b_cols, x) >= v[1]
+               for x, y in _extreme_equilibria(small, cap))
 
 
 def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
-    """True iff the game has exactly one equilibrium: every system of the
-    collapsed game gives the same point, and none a continuum."""
-    first = None
-    for point in _equilibrium_points(as_normal_form(g_or_nf), cap):
-        if point is None or first not in (None, point):
-            return False
-        first = point
-    if first is None:
-        raise SolverError("no equilibrium found (should be impossible)")
-    return True
+    """True iff the game has exactly one equilibrium."""
+    return _equilibrium_count(as_normal_form(g_or_nf), cap) == 1
 
 
 def irrational_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
     """True iff the game has an irrational equilibrium: a two-player game
     has one exactly when it has a continuum of equilibria."""
-    return any(point is None for point in
-               _equilibrium_points(as_normal_form(g_or_nf), cap))
+    return _equilibrium_count(as_normal_form(g_or_nf), cap) is None
 
 
 # --- formula-in-equilibrium ---------------------------------------------------
@@ -295,6 +380,8 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, nf=None):
     ``nf``: the expansion of ``g``, if the caller has it already."""
     if not isinstance(g, BooleanGame):
         raise SolverError("nash_sat needs a BooleanGame")
+    if mode not in ("exists", "forall"):
+        raise SolverError("mode must be 'exists' or 'forall'")
     if g.players != 2:
         raise SolverError("nash_sat requires two players")
     foreign = free_vars(phi) - set(g.all_vars())
@@ -306,27 +393,13 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, nf=None):
     # two strategies are interchangeable only if they also agree on phi
     nf, classes = nf.collapse([*nf.payoffs, sat])
     sat = [[sat[r[0]][c[0]] for c in classes[1]] for r in classes[0]]
-    if mode == "exists":
-        for X, Y in support_pairs(nf, cap):
-            if all(sat[i][j] for i in X for j in Y):
-                if equilibrium_for_support(nf, (X, Y)) is not None:
-                    return True
-        return False
-    if mode == "forall":
-        for X, Y in support_pairs(nf, cap):
-            bad = [(i, j) for i in X for j in Y if not sat[i][j]]
-            if not bad:
-                continue
-            # a violating pair occurs with positive probability in some
-            # equilibrium of this system iff x_i and y_j can each be made
-            # positive (the halves' solutions combine freely)
-            ranges = _support_ranges(nf, (X, Y), [set(s) for s in zip(*bad)])
-            if ranges is not None and any(
-                    ranges[0][i][1] > 0 and ranges[1][j][1] > 0
-                    for i, j in bad):
-                return False
-        return True
-    raise SolverError("mode must be 'exists' or 'forall'")
+    # phi holds a.s. in some equilibrium of a maximal Nash subset iff it
+    # holds on the supports of one of its extreme equilibria, and fails in
+    # some iff it fails on the supports of one
+    holds = (all(sat[i][j] for i, xi in enumerate(x) if xi
+                 for j, yj in enumerate(y) if yj)
+             for x, y in _extreme_equilibria(nf, cap))
+    return any(holds) if mode == "exists" else all(holds)
 
 
 # --- equilibrium verification -------------------------------------------------

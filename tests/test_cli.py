@@ -333,6 +333,29 @@ def test_cap_exceeded_exits_3(tmp_path, capsys):
     assert run(["normal-form", "--game", str(path), "--cap-cells", "8"]) == 3
 
 
+@pytest.mark.parametrize("what, code", [
+    (["unique"], 1),
+    (["irrational"], 1),
+    (["forall-guarantee", "--payoffs", "1,1"], 1),
+    (["sat", "--mode", "exists", "--formula", "x & y"], 0),
+])
+def test_vertex_enumeration_honours_cap_deviations(tmp_path, capsys, what,
+                                                   code):
+    # a 2x2 general-sum game: vertex enumeration solves 2 (C(4, 2) - 1)
+    # square systems, and a cap one below that trips before any is solved
+    path = tmp_path / "coordination.bg"
+    path.write_text("players: 2\nvars 1: x\nvars 2: y\n"
+                    "goal 1: x & y\ngoal 2: x & y\n")
+    argv = ["nash"] + what + ["--game", str(path), "--cap-deviations"]
+    assert run(argv + ["9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("vertex enumeration on the 2x2 collapsed game solves 10 square "
+            "systems; cap is 9") in captured.err
+    assert run(argv + ["10"]) == code
+    capsys.readouterr()
+
+
 def test_text_format(mp_file, capsys):
     assert run(["value", "--game", mp_file, "--format", "text"]) == 0
     out = capsys.readouterr().out

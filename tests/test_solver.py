@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import reference_nash
 from boolgames import solver
 from boolgames.formula import Not, Var, disj, parse_formula
 from boolgames.game import (
@@ -15,12 +16,12 @@ from boolgames.game import (
     characteristic_formula,
     parse_game,
     player_assignments,
-    truth_tables,
 )
 from boolgames.lp import LinearProgram, Optimal, solve_lp, variable_ranges
 from boolgames.solver import (
     SolverError,
-    _support_ranges,
+    _extreme_equilibria,
+    _is_nash_nf,
     as_normal_form,
     best_deviation_gain,
     constant_sum,
@@ -93,20 +94,21 @@ def test_equilibrium_for_support_mp():
 
 
 def test_support_ranges():
+    support_ranges = reference_nash.support_ranges
     half = Fraction(1, 2)
     point = {0: (half, half), 1: (half, half), "u": (half, half)}
     nf = as_normal_form(MP)
-    assert _support_ranges(nf, ((0, 1), (0, 1))) == [point, point]
-    assert _support_ranges(nf, ((0,), (0,))) is None
+    assert support_ranges(nf, ((0, 1), (0, 1))) == [point, point]
+    assert support_ranges(nf, ((0,), (0,))) is None
     # duplicated rows produce a continuum on the full support; ``names``
     # picks the probed variables per half
     dup = NormalForm([[[1, 0], [0, 1], [1, 0]],
                       [[0, 1], [1, 0], [0, 1]]])
-    x, y = _support_ranges(dup, ((0, 1, 2), (0, 1)))
+    x, y = support_ranges(dup, ((0, 1, 2), (0, 1)))
     assert x == {0: (0, half), 1: (half, half), 2: (0, half),
                  "u": (half, half)}
     assert y == point
-    assert _support_ranges(dup, ((0, 1, 2), (0, 1)), ([2], ["u"])) == [
+    assert support_ranges(dup, ((0, 1, 2), (0, 1)), ([2], ["u"])) == [
         {2: (0, half)}, {"u": (half, half)}]
 
 
@@ -259,7 +261,7 @@ def repeated_games(draw, constant=st.booleans(), size=3):
 def test_zero_sum_routes_match_support_routes(nf):
     # adding a column constant to A and a row constant to B keeps every
     # equilibrium; the shifted game is not constant-sum, so its answers
-    # come from support enumeration
+    # come from vertex enumeration
     (a, b), (m, n) = nf.payoffs, nf.shape
     shifted = NormalForm([
         [[a[i][j] + j for j in range(n)] for i in range(m)],
@@ -270,10 +272,10 @@ def test_zero_sum_routes_match_support_routes(nf):
     assert irrational_nash(nf) == irrational_nash(shifted)
 
 
-def test_constant_sum_games_skip_support_enumeration(monkeypatch):
+def test_constant_sum_games_skip_vertex_enumeration(monkeypatch):
     def no_enumeration(nf, cap=None):
-        raise AssertionError("support enumeration on a constant-sum game")
-    monkeypatch.setattr(solver, "support_pairs", no_enumeration)
+        raise AssertionError("vertex enumeration on a constant-sum game")
+    monkeypatch.setattr(solver, "_extreme_equilibria", no_enumeration)
     rng = random.Random(5)
     games = [as_normal_form(MP)]
     for _ in range(30):
@@ -282,6 +284,12 @@ def test_constant_sum_games_skip_support_enumeration(monkeypatch):
         games.append(NormalForm([a, [[2 - x for x in row] for row in a]]))
     for nf in games:
         assert unique_nash(nf) != irrational_nash(nf)
+        # every equilibrium pays (value, 2 - value), and no more
+        value, _ = zero_sum_value(nf)
+        c = constant_sum(nf)
+        assert forall_guarantee_nash(nf, (value, c - value))
+        assert not forall_guarantee_nash(nf, (value + Fraction(1, 7), 0))
+        assert not forall_guarantee_nash(nf, (0, c - value + Fraction(1, 7)))
 
 
 @st.composite
@@ -375,7 +383,7 @@ def test_support_halves_match_joint_program(nf, bounds):
             assert w.payoffs == (sol["alpha"], sol["beta"])
         lp = joint_support_system(nf, X, Y)
         ranges = variable_ranges(lp, lp.variables)
-        halves = _support_ranges(nf, (X, Y))
+        halves = reference_nash.support_ranges(nf, (X, Y))
         if ranges is None:
             assert halves is None
             continue
@@ -383,15 +391,6 @@ def test_support_halves_match_joint_program(nf, bounds):
         assert ranges == {**{"x%d" % i: x[i] for i in X},
                           **{"y%d" % j: y[j] for j in Y},
                           "alpha": y["u"], "beta": x["u"]}
-
-
-def full_game_systems(nf):
-    """(support pair, ranges of every variable) of each feasible support
-    system of ``nf`` itself, with no strategy collapsed."""
-    for sp in support_pairs(nf):
-        ranges = _support_ranges(nf, sp)
-        if ranges is not None:
-            yield sp, ranges
 
 
 # a duplicated strategy weighted in the one equilibrium of the collapsed
@@ -409,16 +408,11 @@ DUPLICATED_PD = NormalForm([[[1, 3], [1, 3], [0, 2]],
 @example(DUPLICATED_MP, (Fraction(1, 2), Fraction(1, 2)))
 @example(DUPLICATED_PD, (Fraction(1), Fraction(1)))
 def test_collapsed_queries_match_full_game(nf, v):
-    systems = list(full_game_systems(nf))
-    continuum = any(lo != hi for _, ranges in systems
-                    for half in ranges for lo, hi in half.values())
-    points = [[{name: lo for name, (lo, _) in half.items() if lo}
-               for half in ranges] for _, ranges in systems]
-    assert irrational_nash(nf) == continuum
-    assert unique_nash(nf) == (not continuum and all(p == points[0]
-                                                     for p in points))
-    assert forall_guarantee_nash(nf, v) == all(
-        y["u"][0] >= v[0] and x["u"][0] >= v[1] for _, (x, y) in systems)
+    systems = list(reference_nash.systems(nf))
+    assert irrational_nash(nf) == reference_nash.irrational(systems)
+    assert unique_nash(nf) == reference_nash.unique(systems)
+    assert forall_guarantee_nash(nf, v) == reference_nash.forall_guarantee(
+        systems, v)
     w = exists_guarantee_nash(nf, v)
     assert (w is not None) == any(
         equilibrium_for_support(nf, sp, v) is not None for sp, _ in systems)
@@ -465,24 +459,6 @@ def sat_games(draw):
         formula()
 
 
-def full_game_sat(g, phi, mode):
-    """``nash_sat`` by support enumeration on the uncollapsed expansion."""
-    nf = as_normal_form(g)
-    (sat,) = truth_tables(g, [phi])
-    for X, Y in support_pairs(nf):
-        bad = [(i, j) for i in X for j in Y if not sat[i][j]]
-        if mode == "exists" and not bad:
-            if equilibrium_for_support(nf, (X, Y)) is not None:
-                return True
-        if mode == "forall" and bad:
-            ranges = _support_ranges(nf, (X, Y))
-            if ranges is not None and any(
-                    ranges[0][i][1] > 0 and ranges[1][j][1] > 0
-                    for i, j in bad):
-                return False
-    return mode == "forall"
-
-
 # player 1's z changes no payoff, but phi = z tells its two values apart:
 # "z in some equilibrium" holds, "z in every equilibrium" does not
 Z_ONLY_IN_PHI = (parse_game("players: 2\nvars 1: x z\nvars 2: y w\n"
@@ -496,4 +472,76 @@ Z_ONLY_IN_PHI = (parse_game("players: 2\nvars 1: x z\nvars 2: y w\n"
 def test_collapsed_nash_sat_matches_full_game(game):
     g, phi = game
     for mode in ("exists", "forall"):
-        assert nash_sat(g, phi, mode) == full_game_sat(g, phi, mode)
+        assert nash_sat(g, phi, mode) == reference_nash.nash_sat(g, phi, mode)
+
+
+@st.composite
+def win_lose_games(draw):
+    """Boolean games with one or two variables per player, so win-lose
+    expansions up to 4x4, whose goals need not read every variable: rows
+    and columns repeat, and the games are degenerate.  With a formula phi
+    over the same variables."""
+    mine = ["x", "z"][:draw(st.integers(1, 2))]
+    theirs = ["y", "w"][:draw(st.integers(1, 2))]
+
+    def formula():
+        over = draw(st.lists(st.sampled_from(mine + theirs), min_size=1,
+                             max_size=4, unique=True))
+        cells = itertools.product((False, True), repeat=len(over))
+        return disj(characteristic_formula(dict(zip(over, bits)))
+                    for bits in cells if draw(st.booleans()))
+
+    return BooleanGame([mine, theirs], [formula(), formula()]), formula()
+
+
+THIRDS = st.sampled_from([Fraction(k, 6) for k in range(7)])
+
+
+@settings(deadline=None, max_examples=150)
+@given(win_lose_games(), st.tuples(THIRDS, THIRDS))
+@example(Z_ONLY_IN_PHI, (Fraction(1, 2), Fraction(1, 2)))
+def test_vertex_enumeration_matches_support_enumeration(game, v):
+    g, phi = game
+    nf = as_normal_form(g)
+    systems = list(reference_nash.systems(nf))
+    assert unique_nash(nf) == reference_nash.unique(systems)
+    assert irrational_nash(nf) == reference_nash.irrational(systems)
+    assert forall_guarantee_nash(nf, v) == reference_nash.forall_guarantee(
+        systems, v)
+    for mode in ("exists", "forall"):
+        assert nash_sat(g, phi, mode, nf=nf) == reference_nash.nash_sat(
+            g, phi, mode)
+    # some equilibrium pays v iff an extreme one does: find's support
+    # enumeration against the vertex pairs
+    small, _ = nf.collapse(nf.payoffs)
+    (a, b), (m, n) = small.payoffs, small.shape
+    pays = []
+    for x, y in _extreme_equilibria(small):
+        assert _is_nash_nf(small, [dict(enumerate(x)), dict(enumerate(y))])
+        pays.append([sum(x[i] * p[i][j] * y[j] for i in range(m)
+                         for j in range(n)) for p in (a, b)])
+    assert (exists_guarantee_nash(nf, v) is not None) == any(
+        u1 >= v[0] and u2 >= v[1] for u1, u2 in pays)
+
+
+def seeded_generic(n):
+    """The n x n game with A, then B, drawn row by row from
+    ``random.Random(5).randint(0, 10**6)``."""
+    rng = random.Random(5)
+    return NormalForm([[[rng.randint(0, 10 ** 6) for _ in range(n)]
+                        for _ in range(n)] for _ in range(2)])
+
+
+def test_generic_8x8_all_equilibria_queries():
+    nf = seeded_generic(8)
+    pairs = _extreme_equilibria(nf)
+    for x, y in pairs:
+        assert _is_nash_nf(nf, [dict(enumerate(x)), dict(enumerate(y))])
+    # a generic game has finitely many equilibria, all extreme
+    assert len(set(pairs)) == len(pairs) > 1
+    assert not unique_nash(nf) and not irrational_nash(nf)
+    a, b = nf.payoffs
+    least = [min(sum(x[i] * p[i][j] * y[j] for i in range(8)
+                     for j in range(8)) for x, y in pairs) for p in (a, b)]
+    assert forall_guarantee_nash(nf, least)
+    assert not forall_guarantee_nash(nf, (least[0] + 1, least[1]))
