@@ -222,8 +222,8 @@ def cmd_value(args):
     nf = solver.as_normal_form(load_game(args.game), cap=args.cap_cells)
     # zero_sum_value checks that the game is constant-sum (exit 2 if not)
     value, strategy = solver.zero_sum_value(nf)
-    a, b = nf.payoffs
-    return 0, {"value": _fr_str(value), "constant": _fr_str(a[0][0] + b[0][0]),
+    return 0, {"value": _fr_str(value),
+               "constant": _fr_str(solver.constant_sum(nf)),
                "maxmin": [str(w) for w in strategy]}
 
 

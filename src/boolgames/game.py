@@ -1,11 +1,18 @@
 """Boolean games: players, goals, profiles, utilities, normal forms.
 
+A Boolean game's normal form (``Expansion``) keeps each goal as one int
+mask over the pure profiles, evaluated once; its nested payoff lists are
+built only when read.  Two-player strategy classes come from the masks
+(``Expansion.collapse_masks``); ``NormalForm.collapse`` groups the nested
+lists of an explicit normal form.
+
 Players are indexed from 0 in this API; serialized formats (game files,
 profile JSON) use the 1-based numbering of the text format.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -288,7 +295,7 @@ class NormalForm:
 
     @property
     def players(self):
-        return len(self.payoffs)
+        return len(self.shape)
 
     def payoff(self, i, idx):
         t = self.payoffs[i]
@@ -404,10 +411,10 @@ def draw_masks(draws, width):
     return [int(b"0" + draws[t::width][::-1], 2) for t in range(width)]
 
 
-def truth_tables(g, formulas):
-    """Each formula's 0/1 value at every pure profile of ``g``, as nested
-    lists indexed like the normal form, from one bit-parallel evaluation
-    per formula.  The caller checks the cell count first.
+def profile_masks(g, formulas):
+    """Each formula's value at every pure profile of ``g``, as one mask per
+    formula from one bit-parallel evaluation.  The caller checks the cell
+    count first.
 
     Bit p of a mask is the profile whose normal-form index, read in mixed
     radix with player 0 most significant, is p: the variables of all
@@ -419,32 +426,88 @@ def truth_tables(g, formulas):
     masks = {name: var_mask(b, total)
              for b, name in enumerate(reversed(names))}
     full = (1 << total) - 1
-    shape = [1 << len(vs) for vs in g.var_sets]
-    tables = []
-    for f in formulas:
-        # the mask as bytes of 0/1 in index order: linear in the cell count
-        cells = format(eval_bits(f, masks, full), "0%db" % total)[::-1]
-        cells = cells.encode().translate(_BIT_BYTES)
-        t = [list(cells[i:i + shape[-1]])
-             for i in range(0, total, shape[-1])]
-        for size in reversed(shape[1:-1]):
-            t = [t[i:i + size] for i in range(0, len(t), size)]
-        tables.append(t)
-    return tables
+    return [eval_bits(f, masks, full) for f in formulas]
+
+
+def _cell_bytes(masks, cells):
+    """One byte per pure profile, in index order: bit t of byte p is bit p
+    of ``masks[t]`` (at most eight masks).  Linear in the cell count."""
+    joined = 0
+    for t, mask in enumerate(masks):
+        spread = format(mask, "0%db" % cells).encode().translate(_BIT_BYTES)
+        joined |= int.from_bytes(spread, "big") << t
+    return joined.to_bytes(cells, "little")
+
+
+def _nested(mask, shape):
+    """The 0/1 cells of a profile mask as nested lists of the given
+    shape."""
+    total = math.prod(shape)
+    cells = _cell_bytes([mask], total)
+    t = [list(cells[i:i + shape[-1]]) for i in range(0, total, shape[-1])]
+    for size in reversed(shape[1:-1]):
+        t = [t[i:i + size] for i in range(0, len(t), size)]
+    return t
+
+
+class Expansion(NormalForm):
+    """The normal form of a Boolean game, kept as its goals' masks:
+    ``masks[i]`` is player i's payoff at every pure profile
+    (``profile_masks``).  With two players, row s of a mask is its bits
+    [s n, (s + 1) n) and column t every n-th bit from t, n the column
+    count.  The nested ``payoffs`` are built from the masks when first
+    read; the two-player queries read the masks instead
+    (``collapse_masks``)."""
+
+    def __init__(self, g):
+        self.shape = tuple(1 << len(vs) for vs in g.var_sets)
+        self.strategy_index = [_Assignments(vs) for vs in g.var_sets]
+        self.masks = profile_masks(g, g.goals)
+
+    @functools.cached_property
+    def payoffs(self):
+        return [_nested(mask, self.shape) for mask in self.masks]
+
+    def collapse_masks(self, keys):
+        """``collapse`` keyed on the tables of the profile masks ``keys``
+        (at most eight): the same (game, classes), with no nested table.
+        Each profile's key bits are one byte, so a row's key is a slice of
+        the bytes and a column's a stride."""
+        if self.players != 2:
+            raise ValidationError("operation requires a two-player game")
+        m, n = self.shape
+        cells = _cell_bytes(keys, m * n)
+        classes = []
+        for lines in ((cells[s:s + n] for s in range(0, m * n, n)),
+                      (cells[t::n] for t in range(n))):
+            groups = {}
+            for s, key in enumerate(lines):
+                groups.setdefault(key, []).append(s)
+            classes.append(list(groups.values()))
+        payoffs = [self.restrict(mask, classes) for mask in self.masks]
+        small = NormalForm._exact(payoffs, tuple(map(len, classes)), None)
+        return small, classes
+
+    def restrict(self, mask, classes):
+        """The 0/1 table of a two-player profile mask on the first members
+        of ``classes`` (rows, then columns)."""
+        n = self.shape[1]
+        bits = format(mask, "0%db" % (self.shape[0] * n))  # bit p at ~p
+        return [[int(bits[~(r[0] * n + c[0])]) for c in classes[1]]
+                for r in classes[0]]
 
 
 def to_normal_form(g, cap=DEFAULT_CELL_CAP):
-    """The expansion of ``g``; payoff cells are the ints 0 and 1."""
-    cells = 1
-    for vs in g.var_sets:
-        cells *= 1 << len(vs)
-        if cells > cap:
-            raise ResourceCapError(
-                "normal form needs %d cells; cap is %d" % (cells, cap)
-            )
-    shape = tuple(1 << len(vs) for vs in g.var_sets)
-    index = [_Assignments(vs) for vs in g.var_sets]
-    return NormalForm._exact(truth_tables(g, g.goals), shape, index)
+    """The expansion of ``g`` (``Expansion``); payoff cells are the ints 0
+    and 1.  The cell count is checked against ``cap`` before any mask is
+    built."""
+    shape = [1 << len(vs) for vs in g.var_sets]
+    cells = 1 << len(g.all_vars())
+    if cells > cap:
+        raise ResourceCapError(
+            "expansion of the %s game needs %d cells; cap is %d"
+            % ("x".join(map(str, shape)), cells, cap))
+    return Expansion(g)
 
 
 # --- names and literals -----------------------------------------------------

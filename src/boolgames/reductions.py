@@ -527,12 +527,19 @@ def _build_require(m, word, K, k, vi):
     patterns = set()
     for pats in admissible_squares(m).values():
         patterns |= pats
-    rule_disj = disj(sorted(
-        (conj([_descriptor_formula(vi.flags2[p], d)
-               for p, d in zip(ENTRY_PREFIXES, pat)])
-         for pat in patterns),
-        key=str,
-    ))
+    # the rules in the order of their reprs, each entry's formula built and
+    # rendered once: a rule is And((four entries)), its repr theirs joined
+    # inside a constant wrapper, and no repr is a proper prefix of another,
+    # so comparing the lists of entry reprs compares the rules' reprs
+    entries = {}
+    for pat in patterns:
+        for p, d in zip(ENTRY_PREFIXES, pat):
+            if (p, d) not in entries:
+                f = _descriptor_formula(vi.flags2[p], d)
+                entries[p, d] = (repr(f), f)
+    rules = sorted([entries[p, d] for p, d in zip(ENTRY_PREFIXES, pat)]
+                   for pat in patterns)
+    rule_disj = disj(conj([f for _, f in rule]) for rule in rules)
 
     def wrap_row(pa, pb):
         fa, fb = vi.flags2[pa], vi.flags2[pb]

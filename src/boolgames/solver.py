@@ -2,11 +2,14 @@
 enumeration, uniqueness, formula-in-equilibrium queries, equilibrium
 verification, and irrationality tests.
 
-Every two-player query runs on the collapsed game (``NormalForm.collapse``):
-one strategy per class of strategies with the same row in both payoff
-matrices, which trade weight freely with no payoff changing.  A witness
-puts each class's weight on its first member; an equilibrium that weights
-a class of two or more is a continuum.
+Every two-player query runs on the collapsed game: one strategy per class
+of strategies with the same row in both payoff matrices, which trade
+weight freely with no payoff changing.  A witness puts each class's weight
+on its first member; an equilibrium that weights a class of two or more is
+a continuum.  A Boolean game's expansion (``game.Expansion``) answers the
+constant-sum test with bit operations on its goal masks and collapses
+with ``Expansion.collapse_masks``, so no query builds its nested payoff
+tables; a JSON normal form collapses with ``NormalForm.collapse``.
 
 The queries about every equilibrium (``unique_nash``, ``irrational_nash``,
 ``forall_guarantee_nash``, ``nash_sat``) read one list of the collapsed
@@ -42,14 +45,15 @@ from .game import (
     DEFAULT_CELL_CAP,
     DEFAULT_DEVIATION_CAP,
     BooleanGame,
+    Expansion,
     GameError,
     MixedProfile,
     NormalForm,
     ResourceCapError,
     draw_masks,
     draw_trials,
+    profile_masks,
     to_normal_form,
-    truth_tables,
     utility_sweep,
     var_mask,
 )
@@ -82,7 +86,17 @@ def _require_two_player(nf):
 
 
 def constant_sum(nf):
-    """The constant c with A+B = c everywhere, or None if not constant-sum."""
+    """The constant c with A+B = c everywhere, or None if not constant-sum.
+    An expansion's goal masks answer with bit operations: c is 1 when the
+    masks are complements, 0 or 2 when both are empty or full."""
+    if isinstance(nf, Expansion) and nf.players == 2:
+        a, b = nf.masks
+        full = (1 << math.prod(nf.shape)) - 1
+        if a ^ b == full:
+            return 1
+        if a == b and a in (0, full):
+            return 2 if a else 0
+        return None
     a, b = _require_two_player(nf)
     c = a[0][0] + b[0][0]
     want = {c}
@@ -90,6 +104,14 @@ def constant_sum(nf):
         if set(map(operator.add, row_a, row_b)) != want:
             return None
     return c
+
+
+def _collapse(nf, keyed):
+    """``nf.collapse`` keyed on its first ``keyed`` payoff matrices; an
+    expansion's classes are read from its goal masks."""
+    if isinstance(nf, Expansion):
+        return nf.collapse_masks(nf.masks[:keyed])
+    return nf.collapse(nf.payoffs[:keyed])
 
 
 # --- reply systems and the zero-sum value ------------------------------------
@@ -140,7 +162,7 @@ def zero_sum_value(nf):
     of identical rows weighted on its first member."""
     if constant_sum(nf) is None:
         raise SolverError("game is not constant-sum")
-    small, classes = nf.collapse(nf.payoffs[:1])
+    small, classes = _collapse(nf, 1)
     _, sol = _value_program(small, 0)
     weights = [Fraction(0)] * nf.shape[0]
     for k, c in enumerate(classes[0]):
@@ -221,7 +243,7 @@ def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     bounds, or None for any equilibrium), else None: the collapsed game's
     first, each class's weight on its first member."""
     nf = as_normal_form(g_or_nf)
-    small, classes = nf.collapse(nf.payoffs)
+    small, classes = _collapse(nf, 2)
     for sp in support_pairs(small, cap):
         w = equilibrium_for_support(small, sp, bounds=v)
         if w is not None:
@@ -323,8 +345,7 @@ def _equilibrium_count(nf, cap):
     as B = c - A) has one equilibrium set, the product of the two
     optimal-strategy sets, a continuum if a weight ranges over it."""
     c = constant_sum(nf)
-    small, classes = nf.collapse(nf.payoffs[:1] if c is not None
-                                 else nf.payoffs)
+    small, classes = _collapse(nf, 2 if c is None else 1)
     if c is None:
         pairs = _extreme_equilibria(small, cap)
     else:
@@ -353,7 +374,7 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     if c is not None:
         value, _ = zero_sum_value(nf)
         return value >= v[0] and c - value >= v[1]
-    small, _ = nf.collapse(nf.payoffs)
+    small, _ = _collapse(nf, 2)
     a, b = small.payoffs
     b_cols = list(zip(*b))
     return all(_best_reply_payoff(a, y) >= v[0]
@@ -389,16 +410,16 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, nf=None):
         raise SolverError("formula uses foreign variables: %s"
                           % ", ".join(sorted(foreign)))
     nf = to_normal_form(g) if nf is None else nf
-    (sat,) = truth_tables(g, [phi])
+    (sat,) = profile_masks(g, [phi])
     # two strategies are interchangeable only if they also agree on phi
-    nf, classes = nf.collapse([*nf.payoffs, sat])
-    sat = [[sat[r[0]][c[0]] for c in classes[1]] for r in classes[0]]
+    small, classes = nf.collapse_masks([*nf.masks, sat])
+    sat = nf.restrict(sat, classes)
     # phi holds a.s. in some equilibrium of a maximal Nash subset iff it
     # holds on the supports of one of its extreme equilibria, and fails in
     # some iff it fails on the supports of one
     holds = (all(sat[i][j] for i, xi in enumerate(x) if xi
                  for j, yj in enumerate(y) if yj)
-             for x, y in _extreme_equilibria(nf, cap))
+             for x, y in _extreme_equilibria(small, cap))
     return any(holds) if mode == "exists" else all(holds)
 
 

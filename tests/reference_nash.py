@@ -12,7 +12,8 @@ against each other.  It costs (2^m - 1)(2^n - 1) systems, each with two
 range probes per variable: keep the games small.
 """
 
-from boolgames.game import truth_tables
+from boolgames.formula import eval_formula
+from boolgames.game import player_assignments
 from boolgames.lp import variable_ranges
 from boolgames.solver import (
     _halves,
@@ -69,7 +70,8 @@ def nash_sat(g, phi, mode):
     system in which a violating cell can get positive weight on both sides
     (forall), on the expansion of the Boolean game ``g``."""
     nf = as_normal_form(g)
-    (sat,) = truth_tables(g, [phi])
+    sat = [[eval_formula(phi, {**a, **b}) for b in player_assignments(g, 1)]
+           for a in player_assignments(g, 0)]
     for X, Y in support_pairs(nf):
         bad = [(i, j) for i in X for j in Y if not sat[i][j]]
         if mode == "exists" and not bad:

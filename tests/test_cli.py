@@ -10,7 +10,8 @@ import pytest
 from boolgames import cli, gadgets, solver
 from boolgames.cli import DrawnTrial, run
 from boolgames.game import (MixedProfile, draw_trials, parse_game,
-                            profile_from_json, profile_to_json)
+                            profile_from_json, profile_to_json, render_game,
+                            to_normal_form)
 from boolgames.reductions import (build_forall_guarantee_game,
                                   build_guarantee_game, immediate_acceptor,
                                   oracle_requires, simulate_tm,
@@ -645,3 +646,38 @@ def test_one_player_normal_form_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "a game needs at least two players" in captured.err
+
+
+def test_cap_cells_message_counts_the_whole_expansion(tmp_path, capsys):
+    # player 1's 8 strategies alone pass the cap; the message still names
+    # every cell of the 8x8 expansion
+    path = tmp_path / "eight.bg"
+    path.write_text("players: 2\nvars 1: a b c\nvars 2: d e f\n"
+                    "goal 1: a <-> d\ngoal 2: ~(a <-> d)\n")
+    assert run(["value", "--game", str(path), "--cap-cells", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource cap exceeded: expansion of the 8x8 "
+                            "game needs 64 cells; cap is 7\n")
+
+
+def test_value_of_4096x8_sum_matches_nested_route(tmp_path, capsys):
+    # the Boolean game's value is read from its goal masks; the same
+    # payoffs as a JSON normal form take the nested-list route
+    c = gadgets.combine_games("sum",
+                              gadgets.fixed_value_game(Fraction(1, 2), "a"),
+                              gadgets.fixed_value_game(Fraction(3, 4), "b"))
+    boolean = tmp_path / "sum.bg"
+    boolean.write_text(render_game(c.game))
+    nf = to_normal_form(c.game)
+    assert nf.shape == (4096, 8)
+    nested = tmp_path / "sum.nf"
+    nested.write_text(json.dumps({"payoffs": nf.payoffs}))
+    outs = []
+    for path in (boolean, nested):
+        assert run(["value", "--game", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    data = json.loads(outs[0])
+    assert data["value"] == "7/8" and data["constant"] == "1"
+    assert len(data["maxmin"]) == 4096

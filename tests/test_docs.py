@@ -1,11 +1,16 @@
 """The documents stay true to the code: README.md's Python examples run,
-and every test that PAPER.md's claim map names exists."""
+every test that PAPER.md's claim map names exists, and every dotted name
+that PAPER.md's code column or README.md's module table puts in backticks
+(``module.name``, ``Class.method``) is a real attribute."""
 
 import ast
+import importlib
 import os
 import re
 
 import pytest
+
+import boolgames
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,4 +42,41 @@ def test_claim_map_cites_existing_tests():
                  if isinstance(node, ast.FunctionDef)}
         if name not in tests:
             missing.append("%s::%s" % (path, name))
+    assert missing == []
+
+
+def table_cells(name, row, column):
+    """Cell ``column`` of every table row of ``name`` that matches ``row``
+    (``\\|`` inside a cell is not a separator)."""
+    return [re.split(r"(?<!\\)\|", line)[column + 1]
+            for line in read(name).splitlines() if re.match(row, line)]
+
+
+CODE_CELLS = (table_cells("PAPER.md", r"\| \d+ \|", 2)
+              + table_cells("README.md", r"\| `boolgames\.", 1))
+
+
+def resolve(dotted):
+    """The object a dotted name names: its head is a ``boolgames`` module or
+    a name the package exports."""
+    head, *rest = dotted.split(".")
+    try:
+        obj = importlib.import_module("boolgames." + head)
+    except ModuleNotFoundError:
+        obj = getattr(boolgames, head)
+    for attr in rest:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_code_names_resolve():
+    names = {name for cell in CODE_CELLS
+             for name in re.findall(r"`(\w+(?:\.\w+)+)", cell)}
+    assert len(names) > 10  # the pattern still finds the claim map's names
+    missing = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except AttributeError:
+            missing.append(name)
     assert missing == []

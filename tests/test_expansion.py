@@ -1,10 +1,13 @@
 """Differential checks of the bit-parallel normal-form expansion.
 
-Every cell of ``to_normal_form`` and of ``truth_tables`` (the sat matrix of
-``nash_sat``) is compared with per-cell evaluation of the same formula by
-the independent reference evaluator (the sat matrix also by
-``eval_formula``), and the zero-sum route is run on an expansion and on
-the same payoffs loaded as a JSON normal form.
+Every cell of ``to_normal_form`` and every bit of ``profile_masks`` is
+compared with per-cell evaluation of the same formula by the independent
+reference evaluator (the masks also by ``eval_formula``); the goal-mask
+route of the two-player queries (constant-sum test, classes, collapsed
+payoffs and the sat matrix of ``nash_sat``) is compared with
+``NormalForm.collapse`` on nested lists of those cells; and the zero-sum
+route is run on an expansion and on the same payoffs loaded as a JSON
+normal form.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference import truth
 
 from boolgames.formula import (
@@ -34,8 +37,8 @@ from boolgames.game import (
     ResourceCapError,
     parse_game,
     player_assignments,
+    profile_masks,
     to_normal_form,
-    truth_tables,
 )
 from boolgames.solver import constant_sum, nash_sat, zero_sum_value
 
@@ -87,12 +90,6 @@ def profiles(g):
         yield idx, merged
 
 
-def cell(t, idx):
-    for j in idx:
-        t = t[j]
-    return t
-
-
 @settings(deadline=None)
 @given(st.integers(min_value=2, max_value=3).flatmap(games))
 def test_expansion_cells_match_pure_utilities(g):
@@ -115,10 +112,61 @@ def test_expansion_cells_match_pure_utilities(g):
 def test_truth_tables_match_eval_formula(data):
     g = data.draw(st.integers(min_value=2, max_value=3).flatmap(games))
     phi = data.draw(formulas(g.all_vars()))
-    (table,) = truth_tables(g, [phi])
-    for idx, merged in profiles(g):
-        assert cell(table, idx) == eval_formula(phi, merged) \
+    # a profile mask is a truth table: bit p is the profile of index p
+    (mask,) = profile_masks(g, [phi])
+    for p, (_, merged) in enumerate(profiles(g)):
+        assert mask >> p & 1 == eval_formula(phi, merged) \
             == truth(phi, merged)
+
+
+@st.composite
+def mask_route_games(draw):
+    """A two-player game whose players own one to four variables each, so
+    a row (one cell per player-2 strategy) is 2 to 16 bits, narrower than
+    a byte to two bytes wide; its goals and a formula phi need not read
+    every variable, so strategies repeat.  Player 2's goal is player 1's
+    negated about half of the time (constant sum 1)."""
+    var_sets = [["x%d" % t for t in range(draw(st.integers(1, 4)))],
+                ["y%d" % t for t in range(draw(st.integers(1, 4)))]]
+    names = var_sets[0] + var_sets[1]
+    goals = [draw(formulas(names)) for _ in range(2)]
+    if draw(st.booleans()):
+        goals[1] = Not(goals[0])
+    return BooleanGame(var_sets, goals), draw(formulas(names))
+
+
+def constant_game(goal, sizes=(3, 1)):
+    """Both players' goal is ``goal``, a constant: constant sum 0 or 2."""
+    var_sets = [["x%d" % t for t in range(sizes[0])],
+                ["y%d" % t for t in range(sizes[1])]]
+    return BooleanGame(var_sets, [goal, goal]), Var("x0")
+
+
+@settings(deadline=None)
+@given(mask_route_games())
+@example(constant_game(FALSE))
+@example(constant_game(TRUE, (2, 3)))
+def test_mask_route_matches_nested_collapse(game):
+    g, phi = game
+    nf = to_normal_form(g)
+    # the reference: nested lists of per-cell evaluations
+    m, n = nf.shape
+    cells = [[int(truth(f, merged)) for _, merged in profiles(g)]
+             for f in (*g.goals, phi)]
+    nested = [[t[s * n:(s + 1) * n] for s in range(m)] for t in cells]
+    reference = NormalForm(nested[:2])
+    assert constant_sum(nf) == constant_sum(reference)
+    masks = [*nf.masks, *profile_masks(g, [phi])]
+    for keyed in (1, 2, 3):
+        small, classes = nf.collapse_masks(masks[:keyed])
+        want_small, want_classes = reference.collapse(nested[:keyed])
+        assert classes == want_classes
+        assert small.shape == want_small.shape
+        assert small.payoffs == want_small.payoffs
+        assert nf.restrict(masks[2], classes) == [
+            [nested[2][r[0]][c[0]] for c in classes[1]] for r in classes[0]]
+    # no query above read the nested payoffs
+    assert "payoffs" not in vars(nf)
 
 
 @settings(deadline=None)

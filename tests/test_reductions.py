@@ -24,6 +24,7 @@ from boolgames.reductions import (
     Square2x2,
     Transition,
     TuringMachine,
+    _build_require,
     admissible_squares,
     build_forall_guarantee_game,
     build_guarantee_game,
@@ -267,6 +268,21 @@ def two_step_acceptor():
         ["q0", "q1", "qa"], "q0", "qa",
         [Transition("q0", "_", "0", "R", "q1"),
          Transition("q1", "_", "1", "L", "qa")] + halt)
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor,
+                                     one_reader])
+@pytest.mark.parametrize("bound", [2, 4])
+def test_window_rules_sorted_by_their_text(machine, bound):
+    # the rules of the window disjunction are sorted on their entries'
+    # cached reprs; the order, and so every rendered game, must be that of
+    # sorting the rules on their own text
+    m = machine()
+    ro = build_guarantee_game(m, "", bound)
+    consistency = _build_require(m, "", bound, ro.k, ro.var_index)[3]
+    rules = consistency.children[2].children[1].children
+    assert len(rules) > 1
+    assert list(rules) == sorted(rules, key=str)
 
 
 def check_witness_windows(machine, build, bound):
