@@ -224,7 +224,8 @@ def cmd_value(args):
     value, strategy = solver.zero_sum_value(nf)
     return 0, {"value": _fr_str(value),
                "constant": _fr_str(solver.constant_sum(nf)),
-               "maxmin": [str(w) for w in strategy]}
+               # only each class's first member can weigh more than zero
+               "maxmin": [str(w) if w else "0" for w in strategy]}
 
 
 def cmd_nash(args):
@@ -451,10 +452,10 @@ def _build_parser():
     sweeps.add_argument(
         "--cap-deviations", type=int, default=game.DEFAULT_DEVIATION_CAP,
         help="work allowed before exit 3: pure deviations per player, "
-             "or the --sample size (nash is, verify witness); support pairs "
-             "of the collapsed game (nash find, guarantee); square systems "
+             "or the --sample size (nash is, verify witness); square systems "
              "of vertex enumeration, 2(C(m+n, m) - 1) on the collapsed m x n "
-             "game (nash unique, irrational, forall-guarantee, sat)")
+             "game (nash find, guarantee, unique, irrational, "
+             "forall-guarantee, sat)")
     sweeps.add_argument("--sample", type=_positive, default=None)
     sweeps.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="verb", required=True)

@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import random
+import struct
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -471,14 +472,14 @@ class Expansion(NormalForm):
     def collapse_masks(self, keys):
         """``collapse`` keyed on the tables of the profile masks ``keys``
         (at most eight): the same (game, classes), with no nested table.
-        Each profile's key bits are one byte, so a row's key is a slice of
-        the bytes and a column's a stride."""
+        Each profile's key bits are one byte, so a row's key is its n
+        bytes (read with ``struct.iter_unpack``) and a column's a stride."""
         if self.players != 2:
             raise ValidationError("operation requires a two-player game")
         m, n = self.shape
         cells = _cell_bytes(keys, m * n)
         classes = []
-        for lines in ((cells[s:s + n] for s in range(0, m * n, n)),
+        for lines in (struct.iter_unpack("%ds" % n, cells),
                       (cells[t::n] for t in range(n))):
             groups = {}
             for s, key in enumerate(lines):

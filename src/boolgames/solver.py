@@ -1,5 +1,5 @@
-"""Equilibrium computation: zero-sum values, support enumeration, vertex
-enumeration, uniqueness, formula-in-equilibrium queries, equilibrium
+"""Equilibrium computation: zero-sum values, vertex enumeration of the
+extreme equilibria, uniqueness, formula-in-equilibrium queries, equilibrium
 verification, and irrationality tests.
 
 Every two-player query runs on the collapsed game: one strategy per class
@@ -11,22 +11,19 @@ constant-sum test with bit operations on its goal masks and collapses
 with ``Expansion.collapse_masks``, so no query builds its nested payoff
 tables; a JSON normal form collapses with ``NormalForm.collapse``.
 
-The queries about every equilibrium (``unique_nash``, ``irrational_nash``,
-``forall_guarantee_nash``, ``nash_sat``) read one list of the collapsed
-game's extreme equilibria: the completely labelled pairs of vertices of the
-two best-response polytopes, found by solving each square system of
-best-reply equations exactly (Avis, Rosenberg, Savani & von Stengel,
-"Enumeration of Nash equilibria for two-player games", Economic Theory 42,
-2010).  On a constant-sum game, ``unique_nash``, ``irrational_nash`` and
-``forall_guarantee_nash`` read the value programs instead.
-
-Every LP is a reply system (``_reply_system``): one player's weights
-against the opponent's pure replies.  Its variables are the player's
-strategy indices (each one's weight) and ``u``, so a solution reads back
-with no renaming.  A support pair is two of them, one per player; support
-enumeration over them finds the witnesses of ``exists_guarantee_nash``.  A
-constant-sum game's value program is one per player, with no forced best
-reply and ``u`` minimized.
+Every equilibrium query of a general-sum game (``exists_guarantee_nash``,
+``unique_nash``, ``irrational_nash``, ``forall_guarantee_nash``,
+``nash_sat``) reads the collapsed game's extreme equilibria: the
+completely labelled pairs of vertices of the two best-response polytopes,
+found by solving each square system of best-reply equations exactly
+(Avis, Rosenberg, Savani & von Stengel, "Enumeration of Nash equilibria
+for two-player games", Economic Theory 42, 2010).  They are yielded as
+they are found, so ``exists_guarantee_nash`` stops at the first that meets
+its bound, and ``forall_guarantee_nash`` and ``nash_sat`` at the first
+that decides.  On a constant-sum game every query but ``nash_sat`` reads
+the two players' value programs instead (``_value_program``: the player's
+weights against the opponent's pure replies, ``u``, minus the payoff they
+guarantee, minimized), with no enumeration.
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -114,40 +111,29 @@ def _collapse(nf, keyed):
     return nf.collapse(nf.payoffs[:keyed])
 
 
-# --- reply systems and the zero-sum value ------------------------------------
-
-
-def _reply_system(payoff, own, best, bound=None):
-    """One player's weights against the opponent's pure replies.
-
-    ``payoff[i][j]`` is the opponent's payoff when it plays i against the
-    player's pure strategy j.  The variables are the indices j in ``own``
-    (the weight w_j) and then ``u``, free: the opponent's payoff.  Row i
-    reads ``sum_j payoff[i][j] w_j - u``, ``= 0`` for i in ``best`` (a best
-    reply) and ``<= 0`` otherwise; then come ``sum w = 1`` and, given a
-    bound, ``u >= bound``.
-    """
-    lp = LinearProgram()
-    for j in own:
-        lp.add_variable(j)
-    lp.add_variable("u", nonneg=False)
-    for i, row in enumerate(payoff):
-        coeffs = {j: row[j] for j in own}
-        coeffs["u"] = -1
-        lp.add_constraint(coeffs, "=" if i in best else "<=", 0)
-    lp.add_constraint(dict.fromkeys(own, 1), "=", 1)
-    if bound is not None:
-        lp.add_constraint({"u": 1}, ">=", bound)
-    return lp
+# --- the zero-sum value -------------------------------------------------------
 
 
 def _value_program(nf, player):
     """(program, solution): ``player``'s value program in the collapsed
     constant-sum game ``nf``, solved (``u`` ends at minus the value), and
-    pinned at that optimum: its feasible set is the optimal strategies."""
+    pinned at that optimum: its feasible set is the optimal strategies.
+
+    Its variables are the player's strategy indices j (the weight w_j) and
+    ``u``, free; each opponent reply i adds ``-sum_j payoff[i][j] w_j - u
+    <= 0``, ``payoff[i][j]`` the player's payoff at j against i; then comes
+    ``sum w = 1``, and ``u`` is minimized."""
     payoff = list(zip(*nf.payoffs[0])) if player == 0 else nf.payoffs[1]
-    lp = _reply_system([[-x for x in row] for row in payoff],
-                       range(nf.shape[player]), ())
+    own = range(nf.shape[player])
+    lp = LinearProgram()
+    for j in own:
+        lp.add_variable(j)
+    lp.add_variable("u", nonneg=False)
+    for row in payoff:
+        coeffs = {j: -row[j] for j in own}
+        coeffs["u"] = -1
+        lp.add_constraint(coeffs, "<=", 0)
+    lp.add_constraint(dict.fromkeys(own, 1), "=", 1)
     lp.set_objective({"u": 1}, "minimize")
     out = solve_lp(lp)
     if not isinstance(out, Optimal):
@@ -170,11 +156,12 @@ def zero_sum_value(nf):
     return -sol["u"], weights
 
 
-# --- support enumeration -----------------------------------------------------
+# --- vertex enumeration ------------------------------------------------------
 
 
 class EquilibriumWitness:
-    """An equilibrium found by the support linear system.
+    """An equilibrium: an extreme equilibrium of the collapsed game, or a
+    constant-sum game's pair of optimal strategies.
 
     x and y map strategy indices to positive weights; payoffs is the
     (player 1, player 2) expected-utility pair.
@@ -191,36 +178,8 @@ class EquilibriumWitness:
         return xs, ys
 
 
-def _halves(nf, support, bounds=None):
-    """The two reply systems of support pair (X, Y), x-half first, built
-    one at a time; the pair's equilibria are their solutions' products.
-    The x-half (from B transposed) holds player 1's weights on X that make
-    each column in Y a best reply, its ``u`` is beta; the y-half (from A)
-    holds player 2's on Y, its ``u`` is alpha.  ``bounds``: lower bounds
-    (alpha, beta), either may be None."""
-    a, b = _require_two_player(nf)
-    m, n = nf.shape
-    X, Y = [sorted(set(s)) for s in support]
-    if not X or not Y or X[0] < 0 or Y[0] < 0 or X[-1] >= m or Y[-1] >= n:
-        raise SolverError("malformed support pair")
-    alpha, beta = bounds or (None, None)
-    yield _reply_system(list(zip(*b)), X, set(Y), beta)
-    yield _reply_system(a, Y, set(X), alpha)
-
-
-def equilibrium_for_support(nf, support, bounds=None):
-    """A witness equilibrium with support within (X, Y), or None."""
-    weights, payoffs = [], []
-    for lp in _halves(nf, support, bounds):
-        out = solve_lp(lp)
-        if not isinstance(out, Optimal):
-            return None
-        payoffs.append(out.solution.pop("u"))
-        weights.append(out.solution)
-    # the x-half's u is player 2's payoff
-    return EquilibriumWitness(*weights, payoffs[::-1])
-
-
+# no library caller: perfbench's tracer patches and counts it here, and it
+# is the pair order of the support-enumeration oracle, tests/reference_nash.py
 def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
     """All support pairs, increasing total size then lexicographic."""
     _require_two_player(nf)
@@ -238,24 +197,6 @@ def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
                     yield X, Y
 
 
-def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
-    """First equilibrium witness with payoffs at least v (a pair of lower
-    bounds, or None for any equilibrium), else None: the collapsed game's
-    first, each class's weight on its first member."""
-    nf = as_normal_form(g_or_nf)
-    small, classes = _collapse(nf, 2)
-    for sp in support_pairs(small, cap):
-        w = equilibrium_for_support(small, sp, bounds=v)
-        if w is not None:
-            x, y = ({side[k][0]: p for k, p in weights.items()}
-                    for side, weights in zip(classes, (w.x, w.y)))
-            return EquilibriumWitness(x, y, w.payoffs)
-    return None
-
-
-# --- vertex enumeration ------------------------------------------------------
-
-
 def _positive_ints(p):
     """``p`` times the lcm of its denominators, plus the constant that
     makes every entry at least 1: the same best replies, so the same
@@ -267,19 +208,20 @@ def _positive_ints(p):
 
 
 def _vertices(q):
-    """{vertex: (support, tight)} over the nonzero vertices of the polytope
-    {w >= 0 : sum_s q[s][c] w_s <= 1 for every column c} of the int matrix
-    ``q``, whose entries are positive.  A vertex w = (w_0, ...) / d is the
-    int tuple (w_0, ..., d) reduced by its gcd; ``support`` and ``tight``
-    are bitmasks of the s with w_s > 0 and of the columns whose constraint
-    holds with equality, read from the exact point (a degenerate vertex
-    solves several systems).
+    """Each nonzero vertex of the polytope {w >= 0 : sum_s q[s][c] w_s <= 1
+    for every column c} of the int matrix ``q``, whose entries are
+    positive, once, as (vertex, support, tight), in order of support size.
+    A vertex w = (w_0, ...) / d is the int tuple (w_0, ..., d) reduced by
+    its gcd; ``support`` and ``tight`` are bitmasks of the s with w_s > 0
+    and of the columns whose constraint holds with equality, read from the
+    exact point (a degenerate vertex solves several systems).
 
     Every nonzero vertex solves sum_{s in X} q[s][c] w_s = 1 for c in J,
-    w_s = 0 off X, for some nonsingular block with |X| = |J|; each such
-    square system is solved and its solution kept when feasible."""
+    w_s = 0 off X, for some nonsingular block with |X| = |J|, X its
+    support; the square systems are solved for |X| = 1, 2, ... and each
+    feasible solution not seen before is yielded."""
     own, cons = len(q), len(q[0])
-    vertices = {}
+    seen = set()
     for k in range(1, min(own, cons) + 1):
         for X in itertools.combinations(range(own), k):
             cols = [[q[s][c] for s in X] for c in range(cons)]
@@ -298,22 +240,27 @@ def _vertices(q):
                     for s, ws in zip(X, w):
                         full[s] = ws
                     g = math.gcd(d, *full)
-                    support = sum(1 << s for s, ws in zip(X, w) if ws)
-                    vertices[tuple(x // g for x in full + [d])] = (support,
-                                                                  tight)
-    return vertices
+                    vertex = tuple(x // g for x in full + [d])
+                    if vertex not in seen:
+                        seen.add(vertex)
+                        support = sum(1 << s for s, ws in zip(X, w) if ws)
+                        yield vertex, support, tight
 
 
 def _extreme_equilibria(nf, cap=DEFAULT_DEVIATION_CAP):
-    """Every extreme equilibrium of the two-player game ``nf`` as (x, y),
-    tuples of Fraction weights: the completely labelled pairs of nonzero
-    vertices of P = {x >= 0 : B'^T x <= 1} and Q = {y >= 0 : A'y <= 1}, A'
-    and B' the payoffs made positive integers, normalized.  In such a pair
-    every strategy of each player is unplayed or a best reply.  The
+    """Each extreme equilibrium of the two-player game ``nf`` once, as (x,
+    y), tuples of Fraction weights: the completely labelled pairs of
+    nonzero vertices of P = {x >= 0 : B'^T x <= 1} and Q = {y >= 0 : A'y <=
+    1}, A' and B' the payoffs made positive integers, normalized.  In such
+    a pair every strategy of each player is unplayed or a best reply.  The
     equilibria are the union, over the maximal bicliques of these pairs, of
-    the products of the two sides' convex hulls.  The 2 (C(m + n, m) - 1)
-    square systems this solves on an m x n game are checked against ``cap``
-    before any work."""
+    the products of the two sides' convex hulls.
+
+    The vertices of P and Q are enumerated side by side, one of each in
+    turn, and a pair is yielded as soon as its second vertex is found, so
+    a caller that needs one equilibrium stops early.  The 2 (C(m + n, m) -
+    1) square systems a full pass solves on an m x n game are checked
+    against ``cap`` before any work."""
     a, b = _require_two_player(nf)
     m, n = nf.shape
     count = 2 * (math.comb(m + n, m) - 1)
@@ -321,20 +268,38 @@ def _extreme_equilibria(nf, cap=DEFAULT_DEVIATION_CAP):
         raise ResourceCapError(
             "vertex enumeration on the %dx%d collapsed game solves %d square "
             "systems; cap is %d" % (m, n, count, cap))
-    xs = _vertices(_positive_ints(b))
-    ys = _vertices(_positive_ints(list(zip(*a))))
-    pairs = [(x, y) for x, (x_support, x_tight) in xs.items()
-             for y, (y_support, y_tight) in ys.items()
-             if not x_support & ~y_tight and not y_support & ~x_tight]
-    if not pairs:
+    polytopes = (_vertices(_positive_ints(b)),
+                 _vertices(_positive_ints(list(zip(*a)))))
+    found = ([], [])
+    paired = False
+    for step in itertools.zip_longest(*polytopes):
+        for side, new in enumerate(step):
+            if new is None:
+                continue
+            found[side].append(new)
+            for other in found[1 - side]:
+                x, y = (new, other) if side == 0 else (other, new)
+                if not x[1] & ~y[2] and not y[1] & ~x[2]:
+                    paired = True
+                    yield tuple(tuple(Fraction(w, sum(v[:-1]))
+                                      for w in v[:-1]) for v in (x[0], y[0]))
+    if not paired:
         raise SolverError("no equilibrium found (should be impossible)")
-    return [tuple(tuple(Fraction(w, sum(v[:-1])) for w in v[:-1])
-                  for v in pair) for pair in pairs]
 
 
 def _best_reply_payoff(payoff, w):
     """The payoff of the best pure reply, a row of ``payoff``, to ``w``."""
     return max(sum(map(operator.mul, row, w)) for row in payoff)
+
+
+def _paid_equilibria(nf, cap):
+    """(x, y, payoffs) of each extreme equilibrium of ``nf``, in
+    ``_extreme_equilibria``'s order: every strategy played is a best reply,
+    so each player's payoff is its best reply's."""
+    a, b = nf.payoffs
+    b_cols = list(zip(*b))
+    for x, y in _extreme_equilibria(nf, cap):
+        yield x, y, (_best_reply_payoff(a, y), _best_reply_payoff(b_cols, x))
 
 
 def _equilibrium_count(nf, cap):
@@ -347,7 +312,7 @@ def _equilibrium_count(nf, cap):
     c = constant_sum(nf)
     small, classes = _collapse(nf, 2 if c is None else 1)
     if c is None:
-        pairs = _extreme_equilibria(small, cap)
+        pairs = list(_extreme_equilibria(small, cap))
     else:
         programs = (_value_program(small, p)[0] for p in (0, 1))
         ranges = [variable_ranges(lp, lp.variables[:-1]) for lp in programs]
@@ -363,6 +328,30 @@ def _equilibrium_count(nf, cap):
     return len(pairs)
 
 
+def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
+    """An equilibrium witness paying every player i at least v[i] (v None:
+    any equilibrium), each class's weight on its first member, else None.
+    On a maximal Nash subset each player's payoff is linear in the
+    opponent's strategy alone, so if some equilibrium meets v an extreme
+    one does: the first found that meets it is returned.  Every
+    equilibrium of a constant-sum game pays (value, c - value), and its
+    witness is the two value programs' optima, with no enumeration."""
+    nf = as_normal_form(g_or_nf)
+    c = constant_sum(nf)
+    small, classes = _collapse(nf, 2 if c is None else 1)
+    if c is None:
+        found = _paid_equilibria(small, cap)
+    else:
+        x, y = (_value_program(small, p)[1] for p in (0, 1))
+        found = [(x, y, (-x["u"], c + x["u"]))]
+    for x, y, payoffs in found:
+        if v is None or (payoffs[0] >= v[0] and payoffs[1] >= v[1]):
+            x, y = ({side[k][0]: w[k] for k in range(len(side))}
+                    for side, w in zip(classes, (x, y)))
+            return EquilibriumWitness(x, y, payoffs)
+    return None
+
+
 def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     """True iff every equilibrium pays every player i at least v[i]: in a
     constant-sum game every one pays (value, c - value); otherwise each
@@ -375,11 +364,8 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
         value, _ = zero_sum_value(nf)
         return value >= v[0] and c - value >= v[1]
     small, _ = _collapse(nf, 2)
-    a, b = small.payoffs
-    b_cols = list(zip(*b))
-    return all(_best_reply_payoff(a, y) >= v[0]
-               and _best_reply_payoff(b_cols, x) >= v[1]
-               for x, y in _extreme_equilibria(small, cap))
+    return all(p1 >= v[0] and p2 >= v[1]
+               for _, _, (p1, p2) in _paid_equilibria(small, cap))
 
 
 def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):

@@ -1,26 +1,80 @@
-"""Reference all-equilibria queries for the solver tests: support enumeration.
+"""Reference equilibrium queries for the solver tests: support enumeration.
 
 Every equilibrium of a two-player game lies in the support system of its own
-supports (X, Y): two reply systems, one per player (``solver._halves``),
-whose solutions combine freely.  So the queries about every equilibrium
-read the variables' ranges over each feasible system of the game itself,
-no strategy collapsed: ``irrational``, ``unique`` and ``forall_guarantee``
-take the list ``systems`` yields.  ``boolgames.solver`` answers them by
-vertex enumeration on the collapsed game instead, sharing only the reply
-systems and the simplex with this module, so the two routes can be checked
+supports (X, Y): two reply systems, one per player (``halves``), whose
+solutions combine freely.  ``equilibrium_for_support`` solves one pair, and
+the queries about every equilibrium read the variables' ranges over each
+feasible system of the game itself, no strategy collapsed: ``irrational``,
+``unique`` and ``forall_guarantee`` take the list ``systems`` yields.
+``boolgames.solver`` answers every query by vertex enumeration on the
+collapsed game instead, sharing only the simplex and the pair order of
+``solver.support_pairs`` with this module, so the two routes can be checked
 against each other.  It costs (2^m - 1)(2^n - 1) systems, each with two
 range probes per variable: keep the games small.
 """
 
 from boolgames.formula import eval_formula
 from boolgames.game import player_assignments
-from boolgames.lp import variable_ranges
+from boolgames.lp import LinearProgram, Optimal, solve_lp, variable_ranges
 from boolgames.solver import (
-    _halves,
+    EquilibriumWitness,
+    SolverError,
     as_normal_form,
-    equilibrium_for_support,
     support_pairs,
 )
+
+
+def reply_system(payoff, own, best, bound=None):
+    """One player's weights against the opponent's pure replies.
+
+    ``payoff[i][j]`` is the opponent's payoff when it plays i against the
+    player's pure strategy j.  The variables are the indices j in ``own``
+    (the weight w_j) and then ``u``, free: the opponent's payoff.  Row i
+    reads ``sum_j payoff[i][j] w_j - u``, ``= 0`` for i in ``best`` (a best
+    reply) and ``<= 0`` otherwise; then come ``sum w = 1`` and, given a
+    bound, ``u >= bound``.
+    """
+    lp = LinearProgram()
+    for j in own:
+        lp.add_variable(j)
+    lp.add_variable("u", nonneg=False)
+    for i, row in enumerate(payoff):
+        coeffs = {j: row[j] for j in own}
+        coeffs["u"] = -1
+        lp.add_constraint(coeffs, "=" if i in best else "<=", 0)
+    lp.add_constraint(dict.fromkeys(own, 1), "=", 1)
+    if bound is not None:
+        lp.add_constraint({"u": 1}, ">=", bound)
+    return lp
+
+
+def halves(nf, support, bounds=None):
+    """The two reply systems of support pair (X, Y), x-half first, built
+    one at a time; the pair's equilibria are their solutions' products.
+    The x-half (from B transposed) holds player 1's weights on X that make
+    each column in Y a best reply, its ``u`` is beta; the y-half (from A)
+    holds player 2's on Y, its ``u`` is alpha.  ``bounds``: lower bounds
+    (alpha, beta), either may be None."""
+    (a, b), (m, n) = nf.payoffs, nf.shape
+    X, Y = [sorted(set(s)) for s in support]
+    if not X or not Y or X[0] < 0 or Y[0] < 0 or X[-1] >= m or Y[-1] >= n:
+        raise SolverError("malformed support pair")
+    alpha, beta = bounds or (None, None)
+    yield reply_system(list(zip(*b)), X, set(Y), beta)
+    yield reply_system(a, Y, set(X), alpha)
+
+
+def equilibrium_for_support(nf, support, bounds=None):
+    """A witness equilibrium with support within (X, Y), or None."""
+    weights, payoffs = [], []
+    for lp in halves(nf, support, bounds):
+        out = solve_lp(lp)
+        if not isinstance(out, Optimal):
+            return None
+        payoffs.append(out.solution.pop("u"))
+        weights.append(out.solution)
+    # the x-half's u is player 2's payoff
+    return EquilibriumWitness(*weights, payoffs[::-1])
 
 
 def support_ranges(nf, support, names=(None, None)):
@@ -28,7 +82,7 @@ def support_ranges(nf, support, names=(None, None)):
     (strategy indices or ``"u"``; None: every variable of the half); None
     once a half is infeasible."""
     out = []
-    for lp, probe in zip(_halves(nf, support), names):
+    for lp, probe in zip(halves(nf, support), names):
         ranges = variable_ranges(lp, lp.variables if probe is None else probe)
         if ranges is None:
             return None

@@ -55,7 +55,6 @@ from boolgames.reductions import (
 from boolgames.solver import (
     as_normal_form,
     best_deviation_gain,
-    equilibrium_for_support,
     exists_guarantee_nash,
     irrational_nash,
     is_nash,
@@ -65,6 +64,7 @@ from boolgames.solver import (
     witness_to_profile,
     zero_sum_value,
 )
+from reference_nash import equilibrium_for_support
 from test_reductions import machine_json
 from windows import perturbed_windows
 

@@ -15,7 +15,7 @@ from boolgames.game import (MixedProfile, draw_trials, parse_game,
 from boolgames.reductions import (build_forall_guarantee_game,
                                   build_guarantee_game, immediate_acceptor,
                                   oracle_requires, simulate_tm,
-                                  witness_profile)
+                                  transform_game, witness_profile)
 from test_reductions import machine_json
 from windows import perturbed_windows
 
@@ -339,6 +339,8 @@ def test_cap_exceeded_exits_3(tmp_path, capsys):
     (["irrational"], 1),
     (["forall-guarantee", "--payoffs", "1,1"], 1),
     (["sat", "--mode", "exists", "--formula", "x & y"], 0),
+    (["find"], 0),
+    (["guarantee", "--payoffs", "1,1"], 0),
 ])
 def test_vertex_enumeration_honours_cap_deviations(tmp_path, capsys, what,
                                                    code):
@@ -661,12 +663,17 @@ def test_cap_cells_message_counts_the_whole_expansion(tmp_path, capsys):
                             "game needs 64 cells; cap is 7\n")
 
 
+def sum_of_gadgets():
+    """The 4096x8 sum of G(1/2) and G(3/4), constant-sum with value 7/8."""
+    return gadgets.combine_games(
+        "sum", gadgets.fixed_value_game(Fraction(1, 2), "a"),
+        gadgets.fixed_value_game(Fraction(3, 4), "b"))
+
+
 def test_value_of_4096x8_sum_matches_nested_route(tmp_path, capsys):
     # the Boolean game's value is read from its goal masks; the same
     # payoffs as a JSON normal form take the nested-list route
-    c = gadgets.combine_games("sum",
-                              gadgets.fixed_value_game(Fraction(1, 2), "a"),
-                              gadgets.fixed_value_game(Fraction(3, 4), "b"))
+    c = sum_of_gadgets()
     boolean = tmp_path / "sum.bg"
     boolean.write_text(render_game(c.game))
     nf = to_normal_form(c.game)
@@ -681,3 +688,25 @@ def test_value_of_4096x8_sum_matches_nested_route(tmp_path, capsys):
     data = json.loads(outs[0])
     assert data["value"] == "7/8" and data["constant"] == "1"
     assert len(data["maxmin"]) == 4096
+
+
+def test_nash_find_answers_on_large_games(tmp_path, capsys):
+    # a constant-sum game's witness comes from its value programs, with no
+    # enumeration and no cap: support enumeration needed 8355585 pairs here
+    path = tmp_path / "sum.bg"
+    path.write_text(render_game(sum_of_gadgets().game))
+    data = run_json(["nash", "find", "--game", str(path)], capsys)
+    assert data["witness"]["payoffs"] == ["7/8", "1/8"]
+    # the uniqueness transform of matching pennies collapses to 31x16;
+    # vertex enumeration stops at the first equilibrium it pairs
+    mp = parse_game(MP_TEXT)
+    half = Fraction(1, 2)
+    g, _ = transform_game("unique_nash", mp, (half, half))
+    path = tmp_path / "unique.bg"
+    path.write_text(render_game(g))
+    data = run_json(["nash", "find", "--game", str(path),
+                     "--cap-deviations", "10000000000000"], capsys)
+    nf = to_normal_form(g)
+    x, y = ({int(k): Fraction(w) for k, w in side.items()}
+            for side in (data["witness"]["x"], data["witness"]["y"]))
+    assert solver._is_nash_nf(nf, [x, y])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_nash
+from reference_nash import equilibrium_for_support
 from boolgames import solver
 from boolgames.formula import Not, Var, disj, parse_formula
 from boolgames.game import (
@@ -25,7 +26,6 @@ from boolgames.solver import (
     as_normal_form,
     best_deviation_gain,
     constant_sum,
-    equilibrium_for_support,
     exists_guarantee_nash,
     forall_guarantee_nash,
     irrational_nash,
@@ -112,10 +112,15 @@ def test_support_ranges():
         {2: (0, half)}, {"u": (half, half)}]
 
 
-def test_support_enumeration_needs_two_players():
+def test_equilibrium_queries_need_two_players():
     three = NormalForm([[[[1]]], [[[1]]], [[[1]]]])
-    with pytest.raises(SolverError, match="two-player"):
-        next(support_pairs(three))
+    for query in (lambda nf: exists_guarantee_nash(nf, None),
+                  lambda nf: forall_guarantee_nash(nf, (0, 0)),
+                  unique_nash, irrational_nash, zero_sum_value,
+                  lambda nf: next(_extreme_equilibria(nf)),
+                  lambda nf: next(support_pairs(nf))):
+        with pytest.raises(SolverError, match="two-player"):
+            query(three)
 
 
 def test_exists_and_forall_guarantee():
@@ -290,6 +295,14 @@ def test_constant_sum_games_skip_vertex_enumeration(monkeypatch):
         assert forall_guarantee_nash(nf, (value, c - value))
         assert not forall_guarantee_nash(nf, (value + Fraction(1, 7), 0))
         assert not forall_guarantee_nash(nf, (0, c - value + Fraction(1, 7)))
+        # the witness is the two value programs' optima
+        for v in (None, (value, c - value)):
+            w = exists_guarantee_nash(nf, v)
+            assert w.payoffs == (value, c - value)
+            assert is_nash(nf, [w.x, w.y])
+        above = Fraction(1, 7)
+        assert exists_guarantee_nash(nf, (value + above, 0)) is None
+        assert exists_guarantee_nash(nf, (0, c - value + above)) is None
 
 
 @st.composite
@@ -515,6 +528,12 @@ def test_vertex_enumeration_matches_support_enumeration(game, v):
     # enumeration against the vertex pairs
     small, _ = nf.collapse(nf.payoffs)
     (a, b), (m, n) = small.payoffs, small.shape
+    # each vertex once, in order of support size, degenerate or not
+    for q in (b, list(zip(*a))):
+        found = list(solver._vertices(solver._positive_ints(q)))
+        assert len({vertex for vertex, _, _ in found}) == len(found)
+        sizes = [bin(support).count("1") for _, support, _ in found]
+        assert sizes == sorted(sizes)
     pays = []
     for x, y in _extreme_equilibria(small):
         assert _is_nash_nf(small, [dict(enumerate(x)), dict(enumerate(y))])
@@ -534,7 +553,7 @@ def seeded_generic(n):
 
 def test_generic_8x8_all_equilibria_queries():
     nf = seeded_generic(8)
-    pairs = _extreme_equilibria(nf)
+    pairs = list(_extreme_equilibria(nf))
     for x, y in pairs:
         assert _is_nash_nf(nf, [dict(enumerate(x)), dict(enumerate(y))])
     # a generic game has finitely many equilibria, all extreme
