@@ -452,10 +452,10 @@ def _build_parser():
     sweeps.add_argument(
         "--cap-deviations", type=int, default=game.DEFAULT_DEVIATION_CAP,
         help="work allowed before exit 3: pure deviations per player, "
-             "or the --sample size (nash is, verify witness); square systems "
-             "of vertex enumeration, 2(C(m+n, m) - 1) on the collapsed m x n "
-             "game (nash find, guarantee, unique, irrational, "
-             "forall-guarantee, sat)")
+             "or the --sample size (nash is, verify witness); rays each "
+             "best-response polytope's double description holds at once "
+             "(nash find, guarantee, unique, irrational, forall-guarantee, "
+             "sat)")
     sweeps.add_argument("--sample", type=_positive, default=None)
     sweeps.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="verb", required=True)

@@ -11,8 +11,7 @@ cross-multiplying) and the feasibility test make the choices the rational
 simplex makes; results are deterministic for a given input.  Free variables
 are split into two nonnegative parts.  Phase 1 is shared:
 ``variable_ranges`` (the range probes behind uniqueness questions) runs it
-once and every bound from its basis.  ``square_solutions`` solves the
-square systems of vertex enumeration by the same pivot.
+once and every bound from its basis.
 """
 
 from __future__ import annotations
@@ -99,13 +98,12 @@ def _integer_coeffs(coeffs, rhs=0):
 def _pivot(rows, zrow, basis, d, r, c):
     """Fraction-free pivot on ``rows[r][c]``; returns the new denominator.
 
-    Every row, ``zrow`` included unless None, becomes
-    ``(row * p - row[c] * prow) // d`` with ``p`` the pivot (Edmonds 1967;
-    Bareiss 1968).  The division is exact: ``d`` and ``p`` are the
-    determinants of the old and new basis, and each entry is the rational
-    tableau's entry times that determinant.  A negative pivot (the phase-1
-    drive-out and ``square_solutions`` meet them) negates its row first, so
-    the denominator stays positive and every sign test keeps its meaning.
+    Every row, ``zrow`` included, becomes ``(row * p - row[c] * prow) //
+    d`` with ``p`` the pivot (Edmonds 1967; Bareiss 1968).  The division is
+    exact: ``d`` and ``p`` are the determinants of the old and new basis,
+    and each entry is the rational tableau's entry times that determinant.
+    A negative pivot (met in the phase-1 drive-out) negates its row first,
+    so the denominator stays positive and sign tests keep their meaning.
     """
     prow = rows[r]
     p = prow[c]
@@ -115,8 +113,7 @@ def _pivot(rows, zrow, basis, d, r, c):
     for rr, row in enumerate(rows):
         if rr != r:
             rows[rr] = _eliminate(row, prow, p, d, c)
-    if zrow is not None:
-        zrow[:] = _eliminate(zrow, prow, p, d, c)
+    zrow[:] = _eliminate(zrow, prow, p, d, c)
     basis[r] = c
     return p
 
@@ -292,41 +289,6 @@ def variable_ranges(lp, names):
                 for sense in ("minimize", "maximize"))
         ranges[name] = tuple(None if out is None else out[0] for out in ends)
     return ranges
-
-
-def square_solutions(rows, k):
-    """Every nonsingular square system made of ``k`` of ``rows`` (each k
-    int coefficients, then the right-hand side), solved by ``_pivot``:
-    yields (numerators, d), the solution being the numerators over the
-    positive common denominator ``d``.
-
-    A system grows one row at a time, in increasing row order, each row
-    pivoted on its first nonzero column not yet pivoted; the rows it may
-    still take are pivoted along, so systems with the same first rows share
-    those pivots.  A row with no such column makes every system holding it
-    and the rows pivoted so far singular."""
-    # (pivoted rows, their columns, denominator, rows still to choose from)
-    stack = [([], [], 1, list(rows))]
-    while stack:
-        done, basis, d, rest = stack.pop()
-        t = len(done)
-        for i in range(len(rest) - (k - t) + 1):
-            row = rest[i]
-            c = next((c for c in range(k) if row[c] and c not in basis), None)
-            if c is None:
-                continue
-            last = t + 1 == k
-            tableau = done + [row] + ([] if last else rest[i + 1:])
-            pivots = basis + [-1] * (len(tableau) - t)
-            p = _pivot(tableau, None, pivots, d, t, c)
-            if not last:
-                stack.append((tableau[:t + 1], pivots[:t + 1], p,
-                              tableau[t + 1:]))
-                continue
-            x = [0] * k
-            for b, r in zip(pivots, tableau):
-                x[b] = r[-1]
-            yield x, p
 
 
 def verify_solution(lp, sol):

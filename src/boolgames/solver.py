@@ -11,19 +11,14 @@ constant-sum test with bit operations on its goal masks and collapses
 with ``Expansion.collapse_masks``, so no query builds its nested payoff
 tables; a JSON normal form collapses with ``NormalForm.collapse``.
 
-Every equilibrium query of a general-sum game (``exists_guarantee_nash``,
-``unique_nash``, ``irrational_nash``, ``forall_guarantee_nash``,
-``nash_sat``) reads the collapsed game's extreme equilibria: the
-completely labelled pairs of vertices of the two best-response polytopes,
-found by solving each square system of best-reply equations exactly
-(Avis, Rosenberg, Savani & von Stengel, "Enumeration of Nash equilibria
-for two-player games", Economic Theory 42, 2010).  They are yielded as
-they are found, so ``exists_guarantee_nash`` stops at the first that meets
-its bound, and ``forall_guarantee_nash`` and ``nash_sat`` at the first
-that decides.  On a constant-sum game every query but ``nash_sat`` reads
-the two players' value programs instead (``_value_program``: the player's
-weights against the opponent's pure replies, ``u``, minus the payoff they
-guarantee, minimized), with no enumeration.
+Every equilibrium query of a general-sum game reads the collapsed game's
+extreme equilibria: the completely labelled pairs of vertices of the two
+best-response polytopes (Avis, Rosenberg, Savani & von Stengel, Economic
+Theory 42, 2010), found by the double description method.  Pairs are
+yielded as they are matched, so ``exists_guarantee_nash`` stops at the
+first that meets its bound, and ``forall_guarantee_nash`` and ``nash_sat``
+at the first that decides.  On a constant-sum game every query but
+``nash_sat`` reads the two players' value programs (``_value_program``).
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -58,7 +53,6 @@ from .lp import (
     LinearProgram,
     Optimal,
     solve_lp,
-    square_solutions,
     variable_ranges,
 )
 from .lp import solution_unique  # noqa: F401 - perfbench patches it here
@@ -161,11 +155,9 @@ def zero_sum_value(nf):
 
 class EquilibriumWitness:
     """An equilibrium: an extreme equilibrium of the collapsed game, or a
-    constant-sum game's pair of optimal strategies.
-
-    x and y map strategy indices to positive weights; payoffs is the
-    (player 1, player 2) expected-utility pair.
-    """
+    constant-sum game's pair of optimal strategies.  x and y map strategy
+    indices to positive weights; payoffs is the (player 1, player 2)
+    expected-utility pair."""
 
     def __init__(self, x, y, payoffs):
         self.x = {i: w for i, w in x.items() if w != 0}
@@ -197,109 +189,115 @@ def support_pairs(nf, cap=DEFAULT_DEVIATION_CAP):
                     yield X, Y
 
 
-def _positive_ints(p):
-    """``p`` times the lcm of its denominators, plus the constant that
-    makes every entry at least 1: the same best replies, so the same
-    equilibria."""
-    scale = math.lcm(*[x.denominator for row in p for x in row])
-    q = [[x.numerator * (scale // x.denominator) for x in row] for row in p]
-    shift = 1 - min(map(min, q))
-    return [[x + shift for x in row] for row in q]
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _vertices(q):
-    """Each nonzero vertex of the polytope {w >= 0 : sum_s q[s][c] w_s <= 1
-    for every column c} of the int matrix ``q``, whose entries are
-    positive, once, as (vertex, support, tight), in order of support size.
-    A vertex w = (w_0, ...) / d is the int tuple (w_0, ..., d) reduced by
-    its gcd; ``support`` and ``tight`` are bitmasks of the s with w_s > 0
-    and of the columns whose constraint holds with equality, read from the
-    exact point (a degenerate vertex solves several systems).
+def _holders(masks, width):
+    """Per label below ``width``, the bitset of the i whose masks[i] has it."""
+    # one string of bits per mask, lowest label first, read column by column
+    rows = [format(mask, "0%db" % width)[::-1] for mask in masks]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)]
 
-    Every nonzero vertex solves sum_{s in X} q[s][c] w_s = 1 for c in J,
-    w_s = 0 off X, for some nonsingular block with |X| = |J|, X its
-    support; the square systems are solved for |X| = 1, 2, ... and each
-    feasible solution not seen before is yielded."""
-    own, cons = len(q), len(q[0])
-    seen = set()
-    for k in range(1, min(own, cons) + 1):
-        for X in itertools.combinations(range(own), k):
-            cols = [[q[s][c] for s in X] for c in range(cons)]
-            for w, d in square_solutions([col + [1] for col in cols], k):
-                if min(w) < 0:
+
+def _vertices(payoff, cap=DEFAULT_DEVIATION_CAP, where="the polytope"):
+    """Each nonzero vertex w of {w >= 0 : sum_s q[s][c] w_s <= 1 for every
+    column c}, q = ``payoff`` times the lcm of its denominators plus the
+    shift that makes its least entry 1 (the same best replies), as
+    (weights, value, support, tight) in order of support size: w
+    normalized, the payoff of its best replies (the columns c that hold
+    with equality), and bitmasks of the s with w_s > 0 and of those
+    columns.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) of the
+    cone {(w, t) >= 0 : t - sum_s q[s][c] w_s >= 0}, whose extreme rays
+    are the vertices w / t, as int tuples reduced by their gcd: from the
+    orthant's unit rays each column is added in turn, keeping the rays that
+    meet it and joining each adjacent pair across its hyperplane.  Zero
+    sets are bitmasks of labels (w_s = 0, t = 0, then the columns); two
+    rays are adjacent iff no third one's zero set holds their common one.
+    More than ``cap`` rays held at once raise ResourceCapError."""
+    scale = math.lcm(*[x.denominator for row in payoff for x in row])
+    ints = [[x.numerator * (scale // x.denominator) for x in row]
+            for row in payoff]
+    shift = 1 - min(map(min, ints))
+    own, cons = len(ints), len(ints[0])
+    dim = own + 1
+    # the origin's ray (0, ..., 0, 1) first: every column keeps it there
+    rays = [tuple(int(s == k) for s in range(dim)) for k in (own, *range(own))]
+    zeros = [((1 << dim) - 1) ^ (1 << k) for k in (own, *range(own))]
+    for c in range(cons):
+        a = [-ints[s][c] - shift for s in range(own)] + [1]
+        side = [sum(map(operator.mul, a, r)) for r in rays]
+        new = 1 << (dim + c)
+        out = [(r, z | new * (v == 0))
+               for r, z, v in zip(rays, zeros, side) if v >= 0]
+        neg = [(n, zeros[n]) for n, v in enumerate(side) if v < 0]
+        pos = [p for p, v in enumerate(side) if v > 0] if neg else []
+        has = _holders(zeros, dim + c) if pos else None
+        everyone = (1 << len(rays)) - 1
+        for p in pos:
+            # adjacent rays of a dim-dimensional cone share dim - 2 zeros
+            for n, common in [(n, common) for n, z in neg
+                              if (common := zeros[p] & z).bit_count()
+                              >= dim - 2]:
+                held = everyone
+                for label in _bits(common):
+                    held &= has[label]
+                if held != (1 << p) | (1 << n):
                     continue
-                tight = 0
-                for c, col in enumerate(cols):
-                    load = sum(map(operator.mul, col, w))
-                    if load > d:
-                        break
-                    if load == d:
-                        tight |= 1 << c
-                else:
-                    full = [0] * own
-                    for s, ws in zip(X, w):
-                        full[s] = ws
-                    g = math.gcd(d, *full)
-                    vertex = tuple(x // g for x in full + [d])
-                    if vertex not in seen:
-                        seen.add(vertex)
-                        support = sum(1 << s for s, ws in zip(X, w) if ws)
-                        yield vertex, support, tight
+                ray = [side[p] * x - side[n] * y
+                       for x, y in zip(rays[n], rays[p])]
+                g = math.gcd(*ray)
+                out.append((tuple(x // g for x in ray), common | new))
+                if len(out) > cap:
+                    raise ResourceCapError(
+                        "vertex enumeration on %s holds %d rays at "
+                        "constraint %d of %d; cap is %d"
+                        % (where, len(out), c + 1, cons, cap))
+        rays, zeros = (list(half) for half in zip(*out))
+    found = []
+    for ray, z in zip(rays[1:], zeros[1:]):
+        total = sum(ray[:-1])
+        found.append((tuple(Fraction(w, total) for w in ray[:-1]),
+                      (Fraction(ray[-1], total) - shift) / scale,
+                      ~z & ((1 << own) - 1), z >> dim))
+    return sorted(found, key=lambda v: v[2].bit_count())
 
 
 def _extreme_equilibria(nf, cap=DEFAULT_DEVIATION_CAP):
     """Each extreme equilibrium of the two-player game ``nf`` once, as (x,
-    y), tuples of Fraction weights: the completely labelled pairs of
-    nonzero vertices of P = {x >= 0 : B'^T x <= 1} and Q = {y >= 0 : A'y <=
-    1}, A' and B' the payoffs made positive integers, normalized.  In such
-    a pair every strategy of each player is unplayed or a best reply.  The
+    y, payoffs): the completely labelled pairs of vertices of P = {x >= 0 :
+    B^T x <= 1} and Q = {y >= 0 : A y <= 1}, payoffs made positive ints
+    (``_vertices``), in which each player plays only best replies.  The
     equilibria are the union, over the maximal bicliques of these pairs, of
-    the products of the two sides' convex hulls.
-
-    The vertices of P and Q are enumerated side by side, one of each in
-    turn, and a pair is yielded as soon as its second vertex is found, so
-    a caller that needs one equilibrium stops early.  The 2 (C(m + n, m) -
-    1) square systems a full pass solves on an m x n game are checked
-    against ``cap`` before any work."""
+    the products of the two sides' convex hulls.  Labels are the rows, then
+    the columns: a y has the rows that are best replies and the columns it
+    leaves unplayed, and an x pairs with the y that have every label x
+    lacks.  Pairs are yielded x by x; ``cap`` bounds each polytope's rays."""
     a, b = _require_two_player(nf)
     m, n = nf.shape
-    count = 2 * (math.comb(m + n, m) - 1)
-    if count > cap:
-        raise ResourceCapError(
-            "vertex enumeration on the %dx%d collapsed game solves %d square "
-            "systems; cap is %d" % (m, n, count, cap))
-    polytopes = (_vertices(_positive_ints(b)),
-                 _vertices(_positive_ints(list(zip(*a)))))
-    found = ([], [])
+    where = "the %dx%d collapsed game's polytope of player %%d" % (m, n)
+    xs = _vertices(b, cap, where % 1)
+    ys = _vertices(list(zip(*a)), cap, where % 2)
+    cols = (1 << n) - 1
+    has = _holders([tight | (~support & cols) << m
+                    for *_, support, tight in ys], m + n)
     paired = False
-    for step in itertools.zip_longest(*polytopes):
-        for side, new in enumerate(step):
-            if new is None:
-                continue
-            found[side].append(new)
-            for other in found[1 - side]:
-                x, y = (new, other) if side == 0 else (other, new)
-                if not x[1] & ~y[2] and not y[1] & ~x[2]:
-                    paired = True
-                    yield tuple(tuple(Fraction(w, sum(v[:-1]))
-                                      for w in v[:-1]) for v in (x[0], y[0]))
+    for x, beta, support, tight in xs:
+        partners = (1 << len(ys)) - 1
+        for label in _bits(support | (~tight & cols) << m):
+            partners &= has[label]
+        for k in _bits(partners):
+            paired = True
+            y, alpha, _, _ = ys[k]
+            yield x, y, (alpha, beta)
     if not paired:
         raise SolverError("no equilibrium found (should be impossible)")
-
-
-def _best_reply_payoff(payoff, w):
-    """The payoff of the best pure reply, a row of ``payoff``, to ``w``."""
-    return max(sum(map(operator.mul, row, w)) for row in payoff)
-
-
-def _paid_equilibria(nf, cap):
-    """(x, y, payoffs) of each extreme equilibrium of ``nf``, in
-    ``_extreme_equilibria``'s order: every strategy played is a best reply,
-    so each player's payoff is its best reply's."""
-    a, b = nf.payoffs
-    b_cols = list(zip(*b))
-    for x, y in _extreme_equilibria(nf, cap):
-        yield x, y, (_best_reply_payoff(a, y), _best_reply_payoff(b_cols, x))
 
 
 def _equilibrium_count(nf, cap):
@@ -311,7 +309,7 @@ def _equilibrium_count(nf, cap):
     optimal-strategy sets, a continuum if a weight ranges over it."""
     c = constant_sum(nf)
     small, classes = _collapse(nf, 2 if c is None else 1)
-    if c is None:
+    if c is None:  # zip below drops each pair's payoffs
         pairs = list(_extreme_equilibria(small, cap))
     else:
         programs = (_value_program(small, p)[0] for p in (0, 1))
@@ -340,7 +338,7 @@ def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     c = constant_sum(nf)
     small, classes = _collapse(nf, 2 if c is None else 1)
     if c is None:
-        found = _paid_equilibria(small, cap)
+        found = _extreme_equilibria(small, cap)
     else:
         x, y = (_value_program(small, p)[1] for p in (0, 1))
         found = [(x, y, (-x["u"], c + x["u"]))]
@@ -365,7 +363,7 @@ def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
         return value >= v[0] and c - value >= v[1]
     small, _ = _collapse(nf, 2)
     return all(p1 >= v[0] and p2 >= v[1]
-               for _, _, (p1, p2) in _paid_equilibria(small, cap))
+               for _, _, (p1, p2) in _extreme_equilibria(small, cap))
 
 
 def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
@@ -405,7 +403,7 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, nf=None):
     # some iff it fails on the supports of one
     holds = (all(sat[i][j] for i, xi in enumerate(x) if xi
                  for j, yj in enumerate(y) if yj)
-             for x, y in _extreme_equilibria(small, cap))
+             for x, y, _ in _extreme_equilibria(small, cap))
     return any(holds) if mode == "exists" else all(holds)
 
 

@@ -1,4 +1,5 @@
-"""Reference equilibrium queries for the solver tests: support enumeration.
+"""Reference equilibrium queries for the solver tests: support enumeration,
+and the best-response polytopes' vertices by brute force.
 
 Every equilibrium of a two-player game lies in the support system of its own
 supports (X, Y): two reply systems, one per player (``halves``), whose
@@ -10,8 +11,13 @@ feasible system of the game itself, no strategy collapsed: ``irrational``,
 collapsed game instead, sharing only the simplex and the pair order of
 ``solver.support_pairs`` with this module, so the two routes can be checked
 against each other.  It costs (2^m - 1)(2^n - 1) systems, each with two
-range probes per variable: keep the games small.
+range probes per variable: keep the games small.  ``vertices`` solves
+every square system of a polytope by ``Fraction`` elimination, the route
+the solver's double description avoids.
 """
+
+import itertools
+from fractions import Fraction
 
 from boolgames.formula import eval_formula
 from boolgames.game import player_assignments
@@ -138,3 +144,54 @@ def nash_sat(g, phi, mode):
                     for i, j in bad):
                 return False
     return mode == "forall"
+
+
+def fraction_solve(rows):
+    """Gauss-Jordan over Fraction on augmented rows; None if singular."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    for c in range(len(rows)):
+        r = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if r is None:
+            return None
+        rows[c], rows[r] = rows[r], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for rr in range(len(rows)):
+            if rr != c and rows[rr][c]:
+                rows[rr] = [a - rows[rr][c] * b
+                            for a, b in zip(rows[rr], rows[c])]
+    return tuple(row[-1] for row in rows)
+
+
+def vertices(p):
+    """{weights: (payoff, support, tight)} for each nonzero vertex w of {w
+    >= 0 : sum_s q[s][c] w_s <= 1 for every column c}, q the matrix ``p``
+    plus the constant that makes its least entry 1, as
+    ``solver._vertices`` describes them: w normalized, the best column's
+    payoff in ``p``, bitmasks of the s with w_s > 0 and of the columns
+    holding with equality.  Every such vertex solves sum_{s in X} q[s][c]
+    w_s = 1 for c in J, w_s = 0 off X, for some nonsingular block with |X|
+    = |J|; each one is solved and kept if w lies in the polytope."""
+    shift = 1 - min(map(min, p))
+    q = [[x + shift for x in row] for row in p]
+    own, cons = len(q), len(q[0])
+    found = {}
+    for k in range(1, min(own, cons) + 1):
+        for X, J in itertools.product(itertools.combinations(range(own), k),
+                                      itertools.combinations(range(cons), k)):
+            w = fraction_solve([[q[s][c] for s in X] + [1] for c in J])
+            if w is None or min(w) < 0:
+                continue
+            full = [Fraction(0)] * own
+            for s, ws in zip(X, w):
+                full[s] = ws
+            loads = [sum(q[s][c] * full[s] for s in range(own))
+                     for c in range(cons)]
+            if max(loads) > 1:
+                continue
+            weights = tuple(x / sum(full) for x in full)
+            payoff = max(sum(p[s][c] * weights[s] for s in range(own))
+                         for c in range(cons))
+            support = sum(1 << s for s in range(own) if full[s])
+            tight = sum(1 << c for c in range(cons) if loads[c] == 1)
+            found[weights] = (payoff, support, tight)
+    return found

@@ -453,6 +453,24 @@ def test_transform_unique_nash_prescribed_profile():
     assert is_nash(g2, prof)
 
 
+def test_transform_unique_nash_solved_both_ways(tmp_path, capsys):
+    # matching pennies' equilibrium guarantees (1/2, 1/2), so its
+    # uniqueness transform at (1/2, 1/2), a 31x16 game once collapsed,
+    # must not have a unique equilibrium: bg nash unique answers no at the
+    # default cap
+    half = Fraction(1, 2)
+    assert exists_guarantee_nash(boolean_matching_pennies(),
+                                 (half, half)) is not None
+    game = tmp_path / "g.bg"
+    game.write_text("players: 2\nvars 1: x\nvars 2: y\n"
+                    "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n")
+    assert run(["reduce", "transform", "--kind", "unique-nash", "--game",
+                str(game), "--payoffs", "1/2,1/2"]) == 0
+    game.write_text(json.loads(capsys.readouterr().out)["game"])
+    assert run(["nash", "unique", "--game", str(game)]) == 1
+    assert json.loads(capsys.readouterr().out)["answer"] == "no"
+
+
 def test_transform_forall_sat_formula_verbatim():
     mp = boolean_matching_pennies()
     g3, phi = transform_game("forall_nash_sat", mp,

@@ -344,19 +344,36 @@ def test_cap_exceeded_exits_3(tmp_path, capsys):
 ])
 def test_vertex_enumeration_honours_cap_deviations(tmp_path, capsys, what,
                                                    code):
-    # a 2x2 general-sum game: vertex enumeration solves 2 (C(4, 2) - 1)
-    # square systems, and a cap one below that trips before any is solved
+    # a 2x2 general-sum game: each polytope's double description holds at
+    # most 3 rays at once, as many as the unit rays it starts from, so a
+    # cap of 2 trips while the first constraint is added
     path = tmp_path / "coordination.bg"
     path.write_text("players: 2\nvars 1: x\nvars 2: y\n"
                     "goal 1: x & y\ngoal 2: x & y\n")
     argv = ["nash"] + what + ["--game", str(path), "--cap-deviations"]
-    assert run(argv + ["9"]) == 3
+    assert run(argv + ["2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("vertex enumeration on the 2x2 collapsed game solves 10 square "
-            "systems; cap is 9") in captured.err
-    assert run(argv + ["10"]) == code
+    assert ("vertex enumeration on the 2x2 collapsed game's polytope of "
+            "player 1 holds 3 rays at constraint 1 of 2; cap is 2"
+            ) in captured.err
+    assert run(argv + ["3"]) == code
     capsys.readouterr()
+
+
+def test_vertex_enumeration_cap_counts_rays_as_they_grow(tmp_path, capsys):
+    # player 1's polytope starts from 4 unit rays and holds 6 once its last
+    # constraint is added: the cap is checked there, not estimated up front
+    path = tmp_path / "generic.nf"
+    path.write_text(json.dumps({"payoffs": [
+        [[9, 4, 5], [8, 0, 7], [3, 0, 2]],
+        [[1, 5, 7], [3, 6, 8], [1, 9, 3]]]}))
+    argv = ["nash", "unique", "--game", str(path), "--cap-deviations"]
+    assert run(argv + ["5"]) == 3
+    assert ("vertex enumeration on the 3x3 collapsed game's polytope of "
+            "player 1 holds 6 rays at constraint 3 of 3; cap is 5"
+            ) in capsys.readouterr().err
+    assert run(argv + ["6"]) == 0
 
 
 def test_text_format(mp_file, capsys):
@@ -697,15 +714,14 @@ def test_nash_find_answers_on_large_games(tmp_path, capsys):
     path.write_text(render_game(sum_of_gadgets().game))
     data = run_json(["nash", "find", "--game", str(path)], capsys)
     assert data["witness"]["payoffs"] == ["7/8", "1/8"]
-    # the uniqueness transform of matching pennies collapses to 31x16;
-    # vertex enumeration stops at the first equilibrium it pairs
+    # the uniqueness transform of matching pennies collapses to 31x16, and
+    # vertex enumeration answers at the default cap
     mp = parse_game(MP_TEXT)
     half = Fraction(1, 2)
     g, _ = transform_game("unique_nash", mp, (half, half))
     path = tmp_path / "unique.bg"
     path.write_text(render_game(g))
-    data = run_json(["nash", "find", "--game", str(path),
-                     "--cap-deviations", "10000000000000"], capsys)
+    data = run_json(["nash", "find", "--game", str(path)], capsys)
     nf = to_normal_form(g)
     x, y = ({int(k): Fraction(w) for k, w in side.items()}
             for side in (data["witness"]["x"], data["witness"]["y"]))

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from boolgames.lp import (
     objective_value,
     solution_unique,
     solve_lp,
-    square_solutions,
     variable_ranges,
     verify_solution,
 )
@@ -324,44 +322,3 @@ def test_drive_out_on_negative_pivot_matches_reference():
     out = solve_lp(lp)
     assert (out.value, out.solution) == reference_lp.solve(lp)[1:]
     assert out.value == 3 and out.solution["z"] == 3
-
-
-def fraction_solve(rows):
-    """Gauss-Jordan over Fraction on augmented rows; None if singular."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    for c in range(len(rows)):
-        r = next((r for r in range(c, len(rows)) if rows[r][c]), None)
-        if r is None:
-            return None
-        rows[c], rows[r] = rows[r], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for rr in range(len(rows)):
-            if rr != c and rows[rr][c]:
-                rows[rr] = [a - rows[rr][c] * b
-                            for a, b in zip(rows[rr], rows[c])]
-    return tuple(row[-1] for row in rows)
-
-
-@st.composite
-def row_sets(draw):
-    k = draw(st.integers(1, 4))
-    cell = st.integers(-3, 3)
-    rows = draw(st.lists(st.lists(cell, min_size=k + 1, max_size=k + 1),
-                         min_size=k, max_size=6))
-    return rows, k
-
-
-@settings(deadline=None, max_examples=200)
-@given(row_sets())
-def test_square_solutions_solve_every_nonsingular_system(case):
-    # one solution per nonsingular choice of k rows, as Fraction
-    # elimination finds it, despite the pivots shared between choices
-    rows, k = case
-    want = [fraction_solve(list(J))
-            for J in itertools.combinations(rows, k)]
-    got = []
-    for x, d in square_solutions(rows, k):
-        assert type(d) is int and d > 0
-        assert all(type(v) is int for v in x)
-        got.append(tuple(Fraction(v, d) for v in x))
-    assert sorted(got) == sorted(w for w in want if w is not None)

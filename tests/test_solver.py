@@ -510,6 +510,42 @@ def win_lose_games(draw):
 THIRDS = st.sampled_from([Fraction(k, 6) for k in range(7)])
 
 
+def assert_vertices_match_square_systems(p):
+    """``solver._vertices`` of ``p`` against brute force: the same
+    vertices, each once, in order of support size."""
+    found = solver._vertices(p)
+    want = reference_nash.vertices(p)
+    assert {w: rest for w, *rest in found} == {
+        w: list(rest) for w, rest in want.items()}
+    assert len(found) == len(want)
+    sizes = [support.bit_count() for _, _, support, _ in found]
+    assert sizes == sorted(sizes)
+
+
+@st.composite
+def repeated_win_lose(draw):
+    """Win-lose matrices up to 5x5 whose rows and columns are drawn, with
+    repeats, from those of a 0/1 matrix up to 5x5: degenerate polytopes."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    return [[base[i][j] for j in cols] for i in rows]
+
+
+@settings(deadline=None, max_examples=300)
+@given(repeated_win_lose())
+@example([[1, 0, 0, 1, 0]] * 5)
+# two rays that share enough zeros to pass the count test, but are not
+# adjacent: a join of every such pair adds points that are not vertices
+@example([[1, 0, 0, 1], [0, 1, 1, 1], [0, 1, 1, 0]])
+@example([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1], [1, 0, 0, 0],
+          [1, 1, 1, 0]])
+def test_vertices_match_square_systems(p):
+    assert_vertices_match_square_systems(p)
+
+
 @settings(deadline=None, max_examples=150)
 @given(win_lose_games(), st.tuples(THIRDS, THIRDS))
 @example(Z_ONLY_IN_PHI, (Fraction(1, 2), Fraction(1, 2)))
@@ -528,17 +564,15 @@ def test_vertex_enumeration_matches_support_enumeration(game, v):
     # enumeration against the vertex pairs
     small, _ = nf.collapse(nf.payoffs)
     (a, b), (m, n) = small.payoffs, small.shape
-    # each vertex once, in order of support size, degenerate or not
-    for q in (b, list(zip(*a))):
-        found = list(solver._vertices(solver._positive_ints(q)))
-        assert len({vertex for vertex, _, _ in found}) == len(found)
-        sizes = [bin(support).count("1") for _, support, _ in found]
-        assert sizes == sorted(sizes)
+    # each vertex once, degenerate or not, as the square systems give it
+    for p in (b, list(zip(*a))):
+        assert_vertices_match_square_systems(p)
     pays = []
-    for x, y in _extreme_equilibria(small):
+    for x, y, payoffs in _extreme_equilibria(small):
         assert _is_nash_nf(small, [dict(enumerate(x)), dict(enumerate(y))])
         pays.append([sum(x[i] * p[i][j] * y[j] for i in range(m)
                          for j in range(n)) for p in (a, b)])
+        assert list(payoffs) == pays[-1]
     assert (exists_guarantee_nash(nf, v) is not None) == any(
         u1 >= v[0] and u2 >= v[1] for u1, u2 in pays)
 
@@ -553,7 +587,7 @@ def seeded_generic(n):
 
 def test_generic_8x8_all_equilibria_queries():
     nf = seeded_generic(8)
-    pairs = list(_extreme_equilibria(nf))
+    pairs = [(x, y) for x, y, _ in _extreme_equilibria(nf)]
     for x, y in pairs:
         assert _is_nash_nf(nf, [dict(enumerate(x)), dict(enumerate(y))])
     # a generic game has finitely many equilibria, all extreme
