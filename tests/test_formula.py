@@ -81,10 +81,34 @@ def test_parse_constants_and_parens():
     assert parse_formula("(p)") == Var("p")
 
 
-@pytest.mark.parametrize("bad", ["", "p &", "p q", "(p", "p <- q", "&p", "p)"])
-def test_parse_errors(bad):
-    with pytest.raises(FormulaError):
+PARSE_ERRORS = [
+    # (id, text, message, line, column)
+    ("", "", "expected a formula, got None", 1, 1),
+    ("p &", "p &", "expected a formula, got None", 1, 4),
+    ("p q", "p q", "unexpected token 'q'", 1, 3),
+    ("(p", "(p", "expected ')'", 1, 3),
+    ("p <- q", "p <- q", "unexpected character '<'", 1, 3),
+    ("&p", "&p", "expected a formula, got '&'", 1, 1),
+    ("p)", "p)", "unexpected token ')'", 1, 2),
+    ("multi-line", "p &\nq |\n  & r", "expected a formula, got '&'", 3, 3),
+    ("tabs-cr", "p\t&\r\n\t~ )", "expected a formula, got ')'", 2, 4),
+    ("non-ascii", "p & é", "unexpected character 'é'", 1, 5),
+    ("digit-start", "p & 1x", "unexpected character '1'", 1, 5),
+    ("blank", "   \n\t ", "expected a formula, got None", 2, 3),
+    ("eof-after-space", "(p | q   \n  ", "expected ')'", 2, 3),
+    # a bad character anywhere wins over an earlier parse error
+    ("char-before-parse", "& p & ?", "unexpected character '?'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("bad,message,line,col",
+                         [case[1:] for case in PARSE_ERRORS],
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_errors(bad, message, line, col):
+    with pytest.raises(FormulaError) as err:
         parse_formula(bad)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == "%s (line %d, column %d)" % (message, line, col)
 
 
 @pytest.mark.parametrize("deep", ["~" * 1000 + "p",
