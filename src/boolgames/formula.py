@@ -4,15 +4,18 @@ One evaluator, ``eval_bits``, walks the tree over Python-int masks, one bit
 per assignment; ``eval_formula`` and ``compile_formula`` call it with one
 assignment (masks 0/1, ``full = 1``).
 
-Variables are plain strings (letters, digits, underscore, dot; not starting
-with a digit).  Connective precedence, tightest first: ~  &  |  ->  <->.
-"->" associates to the right, "<->" to the left; "&" and "|" parse into
-n-ary And/Or nodes.  A parsed formula nests at most ``MAX_DEPTH`` levels,
-in its text (parentheses, ``~``, ``->``) and in its tree.
+Variables are plain strings matching ``[A-Za-z_][A-Za-z0-9_.]*``, other
+than ``T`` and ``F`` (the constants).  Connective precedence, tightest
+first: ~  &  |  ->  <->.  "->" associates to the right, "<->" to the left;
+"&" and "|" parse into n-ary And/Or nodes.  A parsed formula nests at most
+``MAX_DEPTH`` levels, in its text (parentheses, ``~``, ``->``) and in its
+tree.  The text is tokenized by one regex pass; a FormulaSyntaxError names
+the line and column of the offending token, found by scanning again.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -24,6 +27,7 @@ class FormulaError(Exception):
 class FormulaSyntaxError(FormulaError):
     def __init__(self, message, line, col):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
+        self.message = message
         self.line = line
         self.col = col
 
@@ -96,7 +100,9 @@ Formula = object  # any of the node classes above
 TRUE = ConstTrue()
 FALSE = ConstFalse()
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+# a variable name; "T" and "F" match it too but are the constants
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
+_IDENT_RE = re.compile(_IDENT)
 
 # every recursive walk here stays far within Python's default limit of 1000
 # frames: a parenthesis costs the parser five, an And/Or level the renderer two
@@ -104,57 +110,43 @@ MAX_DEPTH = 100
 
 
 def is_valid_var(name):
-    m = _IDENT_RE.match(name)
-    return bool(m) and m.end() == len(name) and name not in ("T", "F")
+    return bool(_IDENT_RE.fullmatch(name)) and name not in ("T", "F")
 
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(<->|->|[~&|()]|[A-Za-z_][A-Za-z0-9_.]*)")
+# one match per token: group 1 a token, group 2 any other non-space character
+_TOKEN_RE = re.compile(r"(<->|->|[~&|()]|%s)|(\S)" % _IDENT)
+_OPERATORS = frozenset(["<->", "->", "~", "&", "|", "(", ")", None])
+_JUNCTION = {"|": Or, "&": And}
 
 
 class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.tokens = []  # (token, line, col)
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                col += 1
-                i += 1
-                continue
-            m = _TOKEN_RE.match(text, i)
-            if not m or m.start(1) != i:
-                raise FormulaSyntaxError("unexpected character %r" % ch, line, col)
-            tok = m.group(1)
-            self.tokens.append((tok, line, col))
-            col += len(tok)
-            i = m.end(1)
-        # trailing EOF marker for error reporting
-        self.tokens.append((None, line, col))
+        found = _TOKEN_RE.findall(text)
+        self.tokens = [tok for tok, _ in found]
         self.idx = 0
         self.depth = 0  # parentheses, ~ and -> open at the current token
+        if "" in self.tokens:
+            self.idx = self.tokens.index("")
+            self.error("unexpected character %r" % found[self.idx][1])
+        self.tokens.append(None)  # end of input
 
     def peek(self):
-        return self.tokens[self.idx][0]
+        return self.tokens[self.idx]
 
     def next(self):
-        tok = self.tokens[self.idx]
-        if tok[0] is not None:
-            self.idx += 1
-        return tok
+        self.idx += 1
 
     def error(self, message):
-        _, line, col = self.tokens[self.idx]
-        raise FormulaSyntaxError(message, line, col)
+        """Raise at the current token, located by scanning the text again."""
+        text = self.text
+        at = next(itertools.islice(_TOKEN_RE.finditer(text), self.idx, None),
+                  None)
+        offset = at.start() if at else len(text)
+        raise FormulaSyntaxError(message, text.count("\n", 0, offset) + 1,
+                                 offset - text.rfind("\n", 0, offset))
 
 
 def _check_depth(depth):
@@ -191,27 +183,21 @@ def _parse_iff(ts):
 
 
 def _parse_imp(ts):
-    f = _parse_or(ts)
+    f = _parse_nary(ts, "|")
     if ts.peek() == "->":
         ts.next()
         return Implies(f, _nested(ts, _parse_imp))
     return f
 
 
-def _parse_or(ts):
-    parts = [_parse_and(ts)]
-    while ts.peek() == "|":
+def _parse_nary(ts, op):
+    """Operands joined by ``op``: an Or of And terms, an And of unaries."""
+    parts = []
+    while True:
+        parts.append(_parse_nary(ts, "&") if op == "|" else _parse_unary(ts))
+        if ts.peek() != op:
+            return parts[0] if len(parts) == 1 else _JUNCTION[op](tuple(parts))
         ts.next()
-        parts.append(_parse_and(ts))
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-
-def _parse_and(ts):
-    parts = [_parse_unary(ts)]
-    while ts.peek() == "&":
-        ts.next()
-        parts.append(_parse_unary(ts))
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
 def _parse_unary(ts):
@@ -226,16 +212,10 @@ def _parse_unary(ts):
             ts.error("expected ')'")
         ts.next()
         return f
-    if tok == "T":
-        ts.next()
-        return TRUE
-    if tok == "F":
-        ts.next()
-        return FALSE
-    if tok is not None and _IDENT_RE.fullmatch(tok):
-        ts.next()
-        return Var(tok)
-    ts.error("expected a formula, got %r" % tok)
+    if tok in _OPERATORS:
+        ts.error("expected a formula, got %r" % tok)
+    ts.next()
+    return TRUE if tok == "T" else FALSE if tok == "F" else Var(tok)
 
 
 # --- rendering -------------------------------------------------------------

@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .formula import (
+    FormulaSyntaxError,
     Var,
     Not,
     compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
@@ -556,6 +557,11 @@ def parse_game(text):
                                 % (lineno, kind, idx + 1, entries[kind][idx][0]))
             try:
                 value = rest.split() if kind == "vars" else parse_formula(rest)
+            except FormulaSyntaxError as e:
+                # the goal text is one line: shift its column to the file's
+                col = raw.find(rest, raw.index(":") + 1) + e.col
+                raise GameError("line %d, column %d: %s"
+                                % (lineno, col, e.message)) from None
             except Exception as e:
                 raise GameError("line %d: %s" % (lineno, e)) from None
             entries[kind][idx] = (lineno, value)

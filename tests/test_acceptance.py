@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from boolgames.cli import run
 from boolgames.encodings import (
     build_arithmetic,
@@ -453,22 +455,72 @@ def test_transform_unique_nash_prescribed_profile():
     assert is_nash(g2, prof)
 
 
+# old games for solving rows 10 and 11 both ways at v = (1/2, 1/2):
+# matching pennies, whose equilibrium guarantees v, and a game in which
+# player 1 never wins, so that no equilibrium guarantees v
+OLD_GAMES = {
+    "matching-pennies": "players: 2\nvars 1: x\nvars 2: y\n"
+                        "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n",
+    "never-wins": "players: 2\nvars 1: x\nvars 2: y\n"
+                  "goal 1: x & ~x\ngoal 2: y\n",
+}
+
+
+def _guaranteed(name):
+    half = Fraction(1, 2)
+    return exists_guarantee_nash(parse_game(OLD_GAMES[name]),
+                                 (half, half)) is not None
+
+
+def _transform(tmp_path, capsys, name, kind):
+    """``bg reduce transform --kind kind`` on an old game at (1/2, 1/2): the
+    path of the new game's file and the returned phi."""
+    game = tmp_path / "g.bg"
+    game.write_text(OLD_GAMES[name])
+    assert run(["reduce", "transform", "--kind", kind, "--game", str(game),
+                "--payoffs", "1/2,1/2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    game.write_text(out["game"])
+    return str(game), out.get("phi")
+
+
+def _answer(capsys, argv):
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out)["answer"]
+
+
 def test_transform_unique_nash_solved_both_ways(tmp_path, capsys):
     # matching pennies' equilibrium guarantees (1/2, 1/2), so its
     # uniqueness transform at (1/2, 1/2), a 31x16 game once collapsed,
     # must not have a unique equilibrium: bg nash unique answers no at the
     # default cap
-    half = Fraction(1, 2)
-    assert exists_guarantee_nash(boolean_matching_pennies(),
-                                 (half, half)) is not None
-    game = tmp_path / "g.bg"
-    game.write_text("players: 2\nvars 1: x\nvars 2: y\n"
-                    "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n")
-    assert run(["reduce", "transform", "--kind", "unique-nash", "--game",
-                str(game), "--payoffs", "1/2,1/2"]) == 0
-    game.write_text(json.loads(capsys.readouterr().out)["game"])
-    assert run(["nash", "unique", "--game", str(game)]) == 1
-    assert json.loads(capsys.readouterr().out)["answer"] == "no"
+    assert _guaranteed("matching-pennies")
+    game, _ = _transform(tmp_path, capsys, "matching-pennies", "unique-nash")
+    assert _answer(capsys, ["nash", "unique", "--game", game]) == (1, "no")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the uniqueness transform of a game in which no "
+    "equilibrium guarantees v has three extreme equilibria"))
+def test_transform_unique_nash_solved_both_ways_when_unguaranteed(
+        tmp_path, capsys):
+    # no equilibrium of the old game guarantees (1/2, 1/2) (pinned by the
+    # row-11 test below), so claim-map row 10 says the transform, 22x12
+    # once collapsed, has a unique equilibrium
+    game, _ = _transform(tmp_path, capsys, "never-wins", "unique-nash")
+    assert _answer(capsys, ["nash", "unique", "--game", game]) == (0, "yes")
+
+
+@pytest.mark.parametrize("name", sorted(OLD_GAMES))
+def test_transform_forall_nash_sat_solved_both_ways(name, tmp_path, capsys):
+    # claim-map row 11: phi holds in every equilibrium of the transform iff
+    # no equilibrium of the old game guarantees (1/2, 1/2)
+    guaranteed = _guaranteed(name)
+    assert guaranteed == (name == "matching-pennies")
+    game, phi = _transform(tmp_path, capsys, name, "forall-nash-sat")
+    assert _answer(capsys, ["nash", "sat", "--mode", "forall", "--formula",
+                            phi, "--game", game]) == \
+        ((1, "no") if guaranteed else (0, "yes"))
 
 
 def test_transform_forall_sat_formula_verbatim():

@@ -152,6 +152,14 @@ def test_render_parse_round_trip(f):
     assert parse_formula(render_formula(f)) == f
 
 
+@given(formulas(), st.data())
+def test_whitespace_round_trip(f, data):
+    runs = st.text(alphabet=" \t\n", min_size=1, max_size=4)
+    text = "".join(data.draw(runs) if ch == " " else ch
+                   for ch in render_formula(f))
+    assert parse_formula(text) == f
+
+
 @given(formulas(max_leaves=6))
 def test_eval_bits_matches_reference(f):
     # one pass over the whole truth table: bit p is the assignment giving

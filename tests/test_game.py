@@ -76,6 +76,20 @@ def test_parse_rejects_inconsistent_lines(extra, lineno):
         parse_game(text % extra)
 
 
+@pytest.mark.parametrize("goal, message", [
+    ("goal 1: x & & y", "line 4, column 13: expected a formula, got '&'"),
+    ("  goal 1:\tx & & y  # two", "line 4, column 15: expected a formula, "
+                                  "got '&'"),
+    ("goal 1: (x | y", "line 4, column 15: expected ')'"),
+    ("goal 1: x <- y", "line 4, column 11: unexpected character '<'"),
+])
+def test_parse_goal_syntax_error_names_the_file_position(goal, message):
+    text = "players: 2\nvars 1: x\nvars 2: y\n%s\ngoal 2: y\n" % goal
+    with pytest.raises(GameError) as err:
+        parse_game(text)
+    assert str(err.value) == message
+
+
 def test_parse_rejects_goal_over_unknown_vars():
     bad = "players: 2\nvars 1: x\nvars 2: y\ngoal 1: z\ngoal 2: ~y\n"
     with pytest.raises(GameError):
