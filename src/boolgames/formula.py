@@ -117,6 +117,7 @@ def is_valid_var(name):
 
 # one match per token: group 1 a token, group 2 any other non-space character
 _TOKEN_RE = re.compile(r"(<->|->|[~&|()]|%s)|(\S)" % _IDENT)
+# every token that is not a name; None is the end of input
 _OPERATORS = frozenset(["<->", "->", "~", "&", "|", "(", ")", None])
 _JUNCTION = {"|": Or, "&": And}
 
@@ -128,7 +129,7 @@ class _Tokens:
         self.tokens = [tok for tok, _ in found]
         self.idx = 0
         self.depth = 0  # parentheses, ~ and -> open at the current token
-        if "" in self.tokens:
+        if "" in self.tokens:  # a group-2 match leaves group 1 empty
             self.idx = self.tokens.index("")
             self.error("unexpected character %r" % found[self.idx][1])
         self.tokens.append(None)  # end of input
