@@ -28,7 +28,6 @@ from .formula import (
     render_formula,
 )
 from .game import (
-    BooleanGame,
     GameError,
     NormalForm,
     ResourceCapError,
@@ -437,6 +436,13 @@ def _positive(text):
     return n
 
 
+def _nonnegative(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, not %d" % n)
+    return n
+
+
 # built on the first run, not at import, and reused: a build costs ~30 parses
 @functools.lru_cache(maxsize=None)
 def _build_parser():
@@ -446,11 +452,12 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     cells = argparse.ArgumentParser(add_help=False)
-    cells.add_argument("--cap-cells", type=int,
+    cells.add_argument("--cap-cells", type=_nonnegative,
                        default=game.DEFAULT_CELL_CAP)
     sweeps = argparse.ArgumentParser(add_help=False)
     sweeps.add_argument(
-        "--cap-deviations", type=int, default=game.DEFAULT_DEVIATION_CAP,
+        "--cap-deviations", type=_nonnegative,
+        default=game.DEFAULT_DEVIATION_CAP,
         help="work allowed before exit 3: pure deviations per player, "
              "or the --sample size (nash is, verify witness); rays each "
              "best-response polytope's double description holds at once "

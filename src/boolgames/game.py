@@ -2,9 +2,10 @@
 
 A Boolean game's normal form (``Expansion``) keeps each goal as one int
 mask over the pure profiles, evaluated once; its nested payoff lists are
-built only when read.  Two-player strategy classes come from the masks
-(``Expansion.collapse_masks``); ``NormalForm.collapse`` groups the nested
-lists of an explicit normal form.
+built only when read.  Two-player strategy classes group the strategies
+that agree in both payoff tables and in any extra tables:
+``NormalForm.collapse`` groups the nested lists of an explicit normal form,
+and ``Expansion.collapse`` the same keys read from the goal masks.
 
 Players are indexed from 0 in this API; serialized formats (game files,
 profile JSON) use the 1-based numbering of the text format.
@@ -305,25 +306,36 @@ class NormalForm:
             t = t[j]
         return t
 
-    def collapse(self, keys):
-        """(game, classes) of a two-player game.  ``classes`` holds each
-        player's strategies (rows, then columns) grouped into classes that
-        agree in every m×n matrix of ``keys``: ascending lists, in order of
-        first member.  ``game`` keeps one strategy per class, the first."""
+    def collapse(self, extra=()):
+        """(game, classes, tables) of a two-player game.  ``classes`` holds
+        each player's strategies (rows, then columns) grouped into classes
+        that agree in both payoff matrices and in every m×n matrix of
+        ``extra``: ascending lists, in order of first member.  ``game``
+        keeps one strategy per class, the first, and ``tables`` are the
+        ``extra`` matrices on those first members."""
         if self.players != 2:
             raise ValidationError("operation requires a two-player game")
-        classes = []
-        for lines in (zip(*(map(tuple, k) for k in keys)),
-                      zip(*(zip(*k) for k in keys))):
-            groups = {}
-            for s, key in enumerate(lines):
-                groups.setdefault(key, []).append(s)
-            classes.append(list(groups.values()))
-        rows, cols = ([c[0] for c in side] for side in classes)
-        payoffs = [[[p[i][j] for j in cols] for i in rows]
-                   for p in self.payoffs]
-        small = NormalForm._exact(payoffs, (len(rows), len(cols)), None)
-        return small, classes
+        keys = [*self.payoffs, *extra]
+        return _grouped(zip(*(map(tuple, k) for k in keys)),
+                        zip(*(zip(*k) for k in keys)),
+                        lambda t, i, j: keys[t][i][j], len(keys))
+
+
+def _grouped(rows, cols, cell, count):
+    """``NormalForm.collapse`` from each row's and each column's key, in
+    order, and ``cell(t, i, j)``, entry (i, j) of key table t: the payoff
+    tables, then the extra ones."""
+    classes = []
+    for lines in (rows, cols):
+        groups = {}
+        for s, key in enumerate(lines):
+            groups.setdefault(key, []).append(s)
+        classes.append(list(groups.values()))
+    rows, cols = ([c[0] for c in side] for side in classes)
+    a, b, *tables = [[[cell(t, i, j) for j in cols] for i in rows]
+                     for t in range(count)]
+    small = NormalForm._exact([a, b], (len(rows), len(cols)), None)
+    return small, classes, tables
 
 
 def _exact_tensor(t, shape):
@@ -458,8 +470,7 @@ class Expansion(NormalForm):
     (``profile_masks``).  With two players, row s of a mask is its bits
     [s n, (s + 1) n) and column t every n-th bit from t, n the column
     count.  The nested ``payoffs`` are built from the masks when first
-    read; the two-player queries read the masks instead
-    (``collapse_masks``)."""
+    read; the two-player queries read the masks instead (``collapse``)."""
 
     def __init__(self, g):
         self.shape = tuple(1 << len(vs) for vs in g.var_sets)
@@ -470,33 +481,20 @@ class Expansion(NormalForm):
     def payoffs(self):
         return [_nested(mask, self.shape) for mask in self.masks]
 
-    def collapse_masks(self, keys):
-        """``collapse`` keyed on the tables of the profile masks ``keys``
-        (at most eight): the same (game, classes), with no nested table.
-        Each profile's key bits are one byte, so a row's key is its n
-        bytes (read with ``struct.iter_unpack``) and a column's a stride."""
+    def collapse(self, extra=()):
+        """``NormalForm.collapse`` read from the goal masks, ``extra`` given
+        as profile masks (at most six): each profile's key bits, one per
+        table, are one byte (``_cell_bytes``), so a row's key is its n bytes
+        and a column's a stride, and the collapsed tables are read from the
+        first members' bytes."""
         if self.players != 2:
             raise ValidationError("operation requires a two-player game")
         m, n = self.shape
-        cells = _cell_bytes(keys, m * n)
-        classes = []
-        for lines in (struct.iter_unpack("%ds" % n, cells),
-                      (cells[t::n] for t in range(n))):
-            groups = {}
-            for s, key in enumerate(lines):
-                groups.setdefault(key, []).append(s)
-            classes.append(list(groups.values()))
-        payoffs = [self.restrict(mask, classes) for mask in self.masks]
-        small = NormalForm._exact(payoffs, tuple(map(len, classes)), None)
-        return small, classes
-
-    def restrict(self, mask, classes):
-        """The 0/1 table of a two-player profile mask on the first members
-        of ``classes`` (rows, then columns)."""
-        n = self.shape[1]
-        bits = format(mask, "0%db" % (self.shape[0] * n))  # bit p at ~p
-        return [[int(bits[~(r[0] * n + c[0])]) for c in classes[1]]
-                for r in classes[0]]
+        cells = _cell_bytes([*self.masks, *extra], m * n)
+        return _grouped(struct.iter_unpack("%ds" % n, cells),
+                        (cells[t::n] for t in range(n)),
+                        lambda t, i, j: cells[i * n + j] >> t & 1,
+                        2 + len(extra))
 
 
 def to_normal_form(g, cap=DEFAULT_CELL_CAP):

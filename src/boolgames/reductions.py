@@ -405,7 +405,6 @@ class VarIndex:
 
     def __init__(self, m, k, gadget_roles):
         self.k = k
-        self.states = m.states
         self.time1 = var_bits("Time1", k)
         self.tape1 = var_bits("Tape1", k)
         self.flags1 = _entry_flags("", 1, m.states)

@@ -6,19 +6,20 @@ Every two-player query runs on the collapsed game: one strategy per class
 of strategies with the same row in both payoff matrices, which trade
 weight freely with no payoff changing.  A witness puts each class's weight
 on its first member; an equilibrium that weights a class of two or more is
-a continuum.  A Boolean game's expansion (``game.Expansion``) answers the
-constant-sum test with bit operations on its goal masks and collapses
-with ``Expansion.collapse_masks``, so no query builds its nested payoff
-tables; a JSON normal form collapses with ``NormalForm.collapse``.
+a continuum.  Classes group by both payoff matrices
+(``NormalForm.collapse``), also if A + B = c, where rows agree in A
+exactly when they agree in B.  A Boolean game's expansion answers the
+constant-sum test with bit operations on its goal masks and collapses from
+them (``game.Expansion``), so no query builds its nested payoff tables.
 
-Every equilibrium query of a general-sum game reads the collapsed game's
-extreme equilibria: the completely labelled pairs of vertices of the two
-best-response polytopes (Avis, Rosenberg, Savani & von Stengel, Economic
-Theory 42, 2010), found by the double description method.  Pairs are
-yielded as they are matched, so ``exists_guarantee_nash`` stops at the
-first that meets its bound, and ``forall_guarantee_nash`` and ``nash_sat``
-at the first that decides.  On a constant-sum game every query but
-``nash_sat`` reads the two players' value programs (``_value_program``).
+The guarantee, uniqueness and irrationality queries read one stream of
+equilibria of the collapsed game (``_equilibria``).  In a general-sum game
+it is the extreme equilibria, which ``nash_sat`` reads in every game: the
+completely labelled pairs of vertices of the two best-response polytopes
+(Avis, Rosenberg, Savani & von Stengel, Economic Theory 42, 2010), found
+by the double description method and yielded as they are matched, so the
+exists and forall queries stop at the first pair that decides them.  In a constant-sum game it
+is the two players' value programs' optima (``_value_program``).
 
 Two-player operations accept either a BooleanGame (expanded under a cell cap)
 or a NormalForm directly.  Player indices are 0-based.
@@ -97,21 +98,14 @@ def constant_sum(nf):
     return c
 
 
-def _collapse(nf, keyed):
-    """``nf.collapse`` keyed on its first ``keyed`` payoff matrices; an
-    expansion's classes are read from its goal masks."""
-    if isinstance(nf, Expansion):
-        return nf.collapse_masks(nf.masks[:keyed])
-    return nf.collapse(nf.payoffs[:keyed])
-
-
 # --- the zero-sum value -------------------------------------------------------
 
 
 def _value_program(nf, player):
-    """(program, solution): ``player``'s value program in the collapsed
-    constant-sum game ``nf``, solved (``u`` ends at minus the value), and
-    pinned at that optimum: its feasible set is the optimal strategies.
+    """(program, weights, value): ``player``'s value program in the
+    collapsed constant-sum game ``nf``, pinned at its optimum so that its
+    feasible set is the optimal strategies; an optimal strategy, by
+    strategy index; and the player's value.
 
     Its variables are the player's strategy indices j (the weight w_j) and
     ``u``, free; each opponent reply i adds ``-sum_j payoff[i][j] w_j - u
@@ -132,8 +126,9 @@ def _value_program(nf, player):
     out = solve_lp(lp)
     if not isinstance(out, Optimal):
         raise SolverError("value program unexpectedly unsolvable")
-    lp.add_constraint({"u": 1}, "=", out.solution["u"])
-    return lp, out.solution
+    u = out.solution["u"]  # minus the value
+    lp.add_constraint({"u": 1}, "=", u)
+    return lp, tuple(out.solution[j] for j in own), -u
 
 
 def zero_sum_value(nf):
@@ -142,12 +137,12 @@ def zero_sum_value(nf):
     of identical rows weighted on its first member."""
     if constant_sum(nf) is None:
         raise SolverError("game is not constant-sum")
-    small, classes = _collapse(nf, 1)
-    _, sol = _value_program(small, 0)
+    small, classes, _ = nf.collapse()
+    _, x, value = _value_program(small, 0)
     weights = [Fraction(0)] * nf.shape[0]
-    for k, c in enumerate(classes[0]):
-        weights[c[0]] = sol[k]
-    return -sol["u"], weights
+    for c, w in zip(classes[0], x):
+        weights[c[0]] = w
+    return value, weights
 
 
 # --- vertex enumeration ------------------------------------------------------
@@ -300,24 +295,35 @@ def _extreme_equilibria(nf, cap=DEFAULT_DEVIATION_CAP):
         raise SolverError("no equilibrium found (should be impossible)")
 
 
+def _equilibria(nf, cap):
+    """(classes, programs, found) of the two-player game ``nf``: the classes
+    of its collapse (``NormalForm.collapse``), and ``found``, (x, y,
+    payoffs) over equilibria of the collapsed game that decide the
+    guarantee, uniqueness and irrationality queries.  In a general-sum game
+    these are the extreme equilibria, yielded as they are matched, and
+    ``programs`` is None.  A constant-sum game's equilibria are the product
+    of the two optimal-strategy sets, every one paying (value, c - value),
+    so ``found`` is one pair, the two value programs' optima, and
+    ``programs`` are those programs pinned at their optima."""
+    c = constant_sum(nf)
+    small, classes, _ = nf.collapse()
+    if c is None:
+        return classes, None, _extreme_equilibria(small, cap)
+    (p, x, value), (q, y, _) = (_value_program(small, k) for k in (0, 1))
+    return classes, (p, q), [(x, y, (value, c - value))]
+
+
 def _equilibrium_count(nf, cap):
     """The number of extreme equilibria of the collapsed game, or None if
     the game has a continuum of equilibria: a vertex in two extreme
-    equilibria (an edge of a maximal Nash subset), or weight on a class of
-    two or more strategies.  A constant-sum game (classes keyed on A alone,
-    as B = c - A) has one equilibrium set, the product of the two
-    optimal-strategy sets, a continuum if a weight ranges over it."""
-    c = constant_sum(nf)
-    small, classes = _collapse(nf, 2 if c is None else 1)
-    if c is None:  # zip below drops each pair's payoffs
-        pairs = list(_extreme_equilibria(small, cap))
-    else:
-        programs = (_value_program(small, p)[0] for p in (0, 1))
-        ranges = [variable_ranges(lp, lp.variables[:-1]) for lp in programs]
-        if any(lo != hi for half in ranges for lo, hi in half.values()):
-            return None
-        pairs = [tuple(tuple(lo for lo, _ in half.values())
-                       for half in ranges)]
+    equilibria (an edge of a maximal Nash subset), weight on a class of two
+    or more strategies, or, in a constant-sum game, a weight that ranges
+    over an optimal-strategy set."""
+    classes, programs, found = _equilibria(nf, cap)
+    pairs = [(x, y) for x, y, _ in found]
+    if programs and any(lo != hi for lp in programs for lo, hi in
+                        variable_ranges(lp, lp.variables[:-1]).values()):
+        return None
     for vertices, side in zip(zip(*pairs), classes):
         if len(set(vertices)) < len(vertices) or any(
                 w and len(side[s]) > 1 for v in vertices
@@ -331,17 +337,8 @@ def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
     any equilibrium), each class's weight on its first member, else None.
     On a maximal Nash subset each player's payoff is linear in the
     opponent's strategy alone, so if some equilibrium meets v an extreme
-    one does: the first found that meets it is returned.  Every
-    equilibrium of a constant-sum game pays (value, c - value), and its
-    witness is the two value programs' optima, with no enumeration."""
-    nf = as_normal_form(g_or_nf)
-    c = constant_sum(nf)
-    small, classes = _collapse(nf, 2 if c is None else 1)
-    if c is None:
-        found = _extreme_equilibria(small, cap)
-    else:
-        x, y = (_value_program(small, p)[1] for p in (0, 1))
-        found = [(x, y, (-x["u"], c + x["u"]))]
+    one does: the first found that meets it is returned (``_equilibria``)."""
+    classes, _, found = _equilibria(as_normal_form(g_or_nf), cap)
     for x, y, payoffs in found:
         if v is None or (payoffs[0] >= v[0] and payoffs[1] >= v[1]):
             x, y = ({side[k][0]: w[k] for k in range(len(side))}
@@ -351,19 +348,12 @@ def exists_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
 
 
 def forall_guarantee_nash(g_or_nf, v, cap=DEFAULT_DEVIATION_CAP):
-    """True iff every equilibrium pays every player i at least v[i]: in a
-    constant-sum game every one pays (value, c - value); otherwise each
-    player's payoff is linear on each maximal Nash subset, so the extreme
-    equilibria decide."""
-    nf = as_normal_form(g_or_nf)
+    """True iff every equilibrium pays every player i at least v[i]: each
+    player's payoff is linear on each maximal Nash subset, and the same on
+    every equilibrium of a constant-sum game, so ``_equilibria`` decide."""
     v = [Fraction(x) for x in v]
-    c = constant_sum(nf)
-    if c is not None:
-        value, _ = zero_sum_value(nf)
-        return value >= v[0] and c - value >= v[1]
-    small, _ = _collapse(nf, 2)
-    return all(p1 >= v[0] and p2 >= v[1]
-               for _, _, (p1, p2) in _extreme_equilibria(small, cap))
+    _, _, found = _equilibria(as_normal_form(g_or_nf), cap)
+    return all(p1 >= v[0] and p2 >= v[1] for _, _, (p1, p2) in found)
 
 
 def unique_nash(g_or_nf, cap=DEFAULT_DEVIATION_CAP):
@@ -396,8 +386,7 @@ def nash_sat(g, phi, mode, cap=DEFAULT_DEVIATION_CAP, nf=None):
     nf = to_normal_form(g) if nf is None else nf
     (sat,) = profile_masks(g, [phi])
     # two strategies are interchangeable only if they also agree on phi
-    small, classes = nf.collapse_masks([*nf.masks, sat])
-    sat = nf.restrict(sat, classes)
+    small, _, (sat,) = nf.collapse((sat,))
     # phi holds a.s. in some equilibrium of a maximal Nash subset iff it
     # holds on the supports of one of its extreme equilibria, and fails in
     # some iff it fails on the supports of one

@@ -146,6 +146,18 @@ def nash_sat(g, phi, mode):
     return mode == "forall"
 
 
+def classes_on(matrix):
+    """The rows, then the columns, of ``matrix`` grouped by equal entries:
+    ascending index lists, in order of first member."""
+    out = []
+    for lines in (matrix, list(zip(*matrix))):
+        groups = {}
+        for s, line in enumerate(lines):
+            groups.setdefault(tuple(line), []).append(s)
+        out.append(list(groups.values()))
+    return out
+
+
 def fraction_solve(rows):
     """Gauss-Jordan over Fraction on augmented rows; None if singular."""
     rows = [[Fraction(x) for x in row] for row in rows]

@@ -578,6 +578,18 @@ def test_sample_and_trials_below_1_exit_2(mp_file, machine_file, tmp_path,
         assert captured.out == "" and "at least 1" in captured.err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    "value --game GAME --cap-cells -1",
+    "verify witness --machine MACHINE --cap-deviations -1",
+])
+def test_negative_caps_exit_2(mp_file, machine_file, capsys, argv):
+    # a cap below 0 is malformed input, not a tripped cap (exit 3)
+    files = {"GAME": mp_file, "MACHINE": machine_file}
+    assert run([files.get(a, a) for a in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least 0, not -1" in captured.err
+
+
 @pytest.mark.parametrize("argv,flag", [
     ("encode " + what, "--args")
     for what in ("equal", "succ", "less", "lesseq", "add", "sub")

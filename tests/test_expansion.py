@@ -5,7 +5,8 @@ compared with per-cell evaluation of the same formula by the independent
 reference evaluator (the masks also by ``eval_formula``); the goal-mask
 route of the two-player queries (constant-sum test, classes, collapsed
 payoffs and the sat matrix of ``nash_sat``) is compared with
-``NormalForm.collapse`` on nested lists of those cells; and the zero-sum
+``NormalForm.collapse`` on nested lists of those cells, and a constant-sum
+game's classes with a grouping on player 1's table alone; and the zero-sum
 route is run on an expansion and on the same payoffs loaded as a JSON
 normal form.
 """
@@ -18,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference import truth
+from reference_nash import classes_on
 
 from boolgames.formula import (
     FALSE,
@@ -156,15 +158,20 @@ def test_mask_route_matches_nested_collapse(game):
     nested = [[t[s * n:(s + 1) * n] for s in range(m)] for t in cells]
     reference = NormalForm(nested[:2])
     assert constant_sum(nf) == constant_sum(reference)
-    masks = [*nf.masks, *profile_masks(g, [phi])]
-    for keyed in (1, 2, 3):
-        small, classes = nf.collapse_masks(masks[:keyed])
-        want_small, want_classes = reference.collapse(nested[:keyed])
+    (sat,) = profile_masks(g, [phi])
+    for extra in ((), (sat,)):
+        small, classes, tables = nf.collapse(extra)
+        want_small, want_classes, want_tables = reference.collapse(
+            nested[2:2 + len(extra)])
         assert classes == want_classes
         assert small.shape == want_small.shape
         assert small.payoffs == want_small.payoffs
-        assert nf.restrict(masks[2], classes) == [
-            [nested[2][r[0]][c[0]] for c in classes[1]] for r in classes[0]]
+        assert tables == want_tables == [
+            [[t[r[0]][c[0]] for c in classes[1]] for r in classes[0]]
+            for t in nested[2:2 + len(extra)]]
+    if constant_sum(nf) is not None:
+        # A + B = c: keying on both tables groups as A alone does
+        assert nf.collapse()[1] == classes_on(nested[0])
     # no query above read the nested payoffs
     assert "payoffs" not in vars(nf)
 

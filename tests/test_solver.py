@@ -273,6 +273,8 @@ def test_zero_sum_routes_match_support_routes(nf):
         [[b[i][j] + i for j in range(n)] for i in range(m)],
     ])
     assume(constant_sum(shifted) is None)
+    # A + B = c: the collapse keyed on both tables groups as A alone does
+    assert nf.collapse()[1] == reference_nash.classes_on(a)
     assert unique_nash(nf) == unique_nash(shifted)
     assert irrational_nash(nf) == irrational_nash(shifted)
 
@@ -431,7 +433,7 @@ def test_collapsed_queries_match_full_game(nf, v):
         equilibrium_for_support(nf, sp, v) is not None for sp, _ in systems)
     if w is not None:
         # each class's weight sits on its first member
-        firsts = [{c[0] for c in side} for side in nf.collapse(nf.payoffs)[1]]
+        firsts = [{c[0] for c in side} for side in nf.collapse()[1]]
         assert set(w.x) <= firsts[0] and set(w.y) <= firsts[1]
         assert is_nash(nf, [w.x, w.y])
         assert w.payoffs[0] >= v[0] and w.payoffs[1] >= v[1]
@@ -448,7 +450,7 @@ def test_collapse_decides_duplicated_games():
     assert constant_sum(DUPLICATED_PD) is None
     for nf, rows in ((DUPLICATED_MP, [[0, 2], [1]]),
                      (DUPLICATED_PD, [[0, 1], [2]])):
-        small, classes = nf.collapse(nf.payoffs)
+        small, classes, _ = nf.collapse()
         assert small.shape == (2, 2) and classes == [rows, [[0], [1]]]
         assert unique_nash(small) and not unique_nash(nf)
         assert irrational_nash(nf) and not irrational_nash(small)
@@ -562,7 +564,7 @@ def test_vertex_enumeration_matches_support_enumeration(game, v):
             g, phi, mode)
     # some equilibrium pays v iff an extreme one does: find's support
     # enumeration against the vertex pairs
-    small, _ = nf.collapse(nf.payoffs)
+    small, _, _ = nf.collapse()
     (a, b), (m, n) = small.payoffs, small.shape
     # each vertex once, degenerate or not, as the square systems give it
     for p in (b, list(zip(*a))):
