@@ -429,18 +429,26 @@ def cmd_verify(args):
 # --- argument parsing ---------------------------------------------------------
 
 
-def _positive(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, not %d" % n)
+def _count(text, least):
+    # argparse names the type callable in its own message, so a non-integer
+    # is reported here, as argparse reports one for ``type=int``
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if n < least:
+        raise argparse.ArgumentTypeError(
+            "must be at least %d, not %d" % (least, n))
     return n
+
+
+def _positive(text):
+    return _count(text, 1)
 
 
 def _nonnegative(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, not %d" % n)
-    return n
+    return _count(text, 0)
 
 
 # built on the first run, not at import, and reused: a build costs ~30 parses

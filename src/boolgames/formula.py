@@ -1,7 +1,8 @@
 """Propositional formulas: AST, parser, renderer, evaluation.
 
-One evaluator, ``eval_bits``, walks the tree over Python-int masks, one bit
-per assignment; ``eval_formula`` and ``compile_formula`` call it with one
+The AST nodes are frozen, slotted dataclasses.  One evaluator,
+``eval_bits``, walks the tree over Python-int masks, one bit per
+assignment; ``eval_formula`` and ``compile_formula`` call it with one
 assignment (masks 0/1, ``full = 1``).
 
 Variables are plain strings matching ``[A-Za-z_][A-Za-z0-9_.]*``, other
@@ -45,27 +46,27 @@ class RenameError(FormulaError):
 # --- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstTrue:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstFalse:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     children: tuple  # length >= 2
 
@@ -74,7 +75,7 @@ class And:
             raise FormulaError("And requires at least two children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     children: tuple  # length >= 2
 
@@ -83,19 +84,21 @@ class Or:
             raise FormulaError("Or requires at least two children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-Formula = object  # any of the node classes above
+# any of the node classes above, exactly: the walks dispatch on type(node),
+# so an instance of a subclass is not a node
+Formula = object
 
 TRUE = ConstTrue()
 FALSE = ConstFalse()
@@ -227,24 +230,25 @@ _LEVEL = {Iff: _LVL_IFF, Implies: _LVL_IMP, Or: _LVL_OR, And: _LVL_AND}
 
 
 def _render(f, min_level):
-    lvl = _LEVEL.get(type(f), _LVL_UNARY)
-    if isinstance(f, ConstTrue):
-        s = "T"
-    elif isinstance(f, ConstFalse):
-        s = "F"
-    elif isinstance(f, Var):
+    t = type(f)
+    lvl = _LEVEL.get(t, _LVL_UNARY)
+    if t is Var:
         s = f.name
-    elif isinstance(f, Not):
-        s = "~" + _render(f.child, _LVL_UNARY)
-    elif isinstance(f, And):
+    elif t is And:
         # children at strictly tighter level so n-ary structure survives
         s = " & ".join(_render(c, _LVL_AND + 1) for c in f.children)
-    elif isinstance(f, Or):
+    elif t is Not:
+        s = "~" + _render(f.child, _LVL_UNARY)
+    elif t is Or:
         s = " | ".join(_render(c, _LVL_OR + 1) for c in f.children)
-    elif isinstance(f, Implies):
-        s = _render(f.left, _LVL_IMP + 1) + " -> " + _render(f.right, _LVL_IMP)
-    elif isinstance(f, Iff):
+    elif t is Iff:
         s = _render(f.left, _LVL_IFF) + " <-> " + _render(f.right, _LVL_IFF + 1)
+    elif t is Implies:
+        s = _render(f.left, _LVL_IMP + 1) + " -> " + _render(f.right, _LVL_IMP)
+    elif t is ConstTrue:
+        s = "T"
+    elif t is ConstFalse:
+        s = "F"
     else:
         raise FormulaError("not a formula node: %r" % (f,))
     if lvl < min_level:
@@ -260,30 +264,28 @@ def render_formula(f):
 # --- traversal -------------------------------------------------------------
 
 
-def _iter_vars(f):
-    """Yield variable names in left-to-right depth-first order (with repeats)."""
+def var_order(f):
+    """The variables of ``f`` in order of first occurrence, left to right."""
+    seen = {}
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            yield node.name
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
+        t = type(node)
+        if t is Var:
+            seen[node.name] = None
+        elif t is And or t is Or:
             stack.extend(reversed(node.children))
-        elif isinstance(node, (Implies, Iff)):
+        elif t is Not:
+            stack.append(node.child)
+        elif t is Implies or t is Iff:
             stack.append(node.right)
             stack.append(node.left)
+    return list(seen)
 
 
 def free_vars(f):
     """The set of variable names occurring in ``f``."""
-    return set(_iter_vars(f))
-
-
-def var_order(f):
-    """The variables of ``f`` in order of first occurrence, left to right."""
-    return list(dict.fromkeys(_iter_vars(f)))
+    return set(var_order(f))
 
 
 def _levels(f):
@@ -293,11 +295,12 @@ def _levels(f):
         yield level
         below = []
         for node in level:
-            if isinstance(node, Not):
-                below.append(node.child)
-            elif isinstance(node, (And, Or)):
+            t = type(node)
+            if t is And or t is Or:
                 below.extend(node.children)
-            elif isinstance(node, (Implies, Iff)):
+            elif t is Not:
+                below.append(node.child)
+            elif t is Implies or t is Iff:
                 below.append(node.left)
                 below.append(node.right)
         level = below
@@ -322,18 +325,15 @@ def rename_vars(f, mapping):
         raise RenameError("renaming is not injective on the formula's variables")
 
     def go(node):
-        if isinstance(node, Var):
+        t = type(node)
+        if t is Var:
             return Var(relevant[node.name]) if node.name in relevant else node
-        if isinstance(node, Not):
+        if t is And or t is Or:
+            return t(tuple(go(c) for c in node.children))
+        if t is Not:
             return Not(go(node.child))
-        if isinstance(node, And):
-            return And(tuple(go(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(go(c) for c in node.children))
-        if isinstance(node, Implies):
-            return Implies(go(node.left), go(node.right))
-        if isinstance(node, Iff):
-            return Iff(go(node.left), go(node.right))
+        if t is Implies or t is Iff:
+            return t(go(node.left), go(node.right))
         return node
 
     return go(f)
@@ -359,33 +359,39 @@ def eval_bits(f, var_masks, full):
     assignment.  The result is the mask of assignments satisfying ``f``
     (the truth-table-as-bit-vector technique, Knuth TAOCP 4A 7.1.1-7.1.3).
     """
-    if isinstance(f, Var):
+    t = type(f)
+    # dispatch in order of frequency; a Var child's mask is read in place
+    if t is Var:
         return var_masks[f.name]
-    if isinstance(f, Not):
-        return eval_bits(f.child, var_masks, full) ^ full
-    if isinstance(f, And):
+    if t is And:
         out = full
         for c in f.children:
-            out &= eval_bits(c, var_masks, full)
+            out &= (var_masks[c.name] if type(c) is Var
+                    else eval_bits(c, var_masks, full))
             if not out:
                 break
         return out
-    if isinstance(f, Or):
+    if t is Not:
+        c = f.child
+        return (var_masks[c.name] if type(c) is Var
+                else eval_bits(c, var_masks, full)) ^ full
+    if t is Or:
         out = 0
         for c in f.children:
-            out |= eval_bits(c, var_masks, full)
+            out |= (var_masks[c.name] if type(c) is Var
+                    else eval_bits(c, var_masks, full))
             if out == full:
                 break
         return out
-    if isinstance(f, Implies):
-        return (eval_bits(f.left, var_masks, full) ^ full) | eval_bits(
-            f.right, var_masks, full)
-    if isinstance(f, Iff):
+    if t is Iff:
         return (eval_bits(f.left, var_masks, full)
                 ^ eval_bits(f.right, var_masks, full) ^ full)
-    if isinstance(f, ConstTrue):
+    if t is Implies:
+        return (eval_bits(f.left, var_masks, full) ^ full) | eval_bits(
+            f.right, var_masks, full)
+    if t is ConstTrue:
         return full
-    if isinstance(f, ConstFalse):
+    if t is ConstFalse:
         return 0
     raise FormulaError("not a formula node: %r" % (f,))
 

@@ -30,7 +30,6 @@ from .formula import (
     compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
     conj,
     eval_bits,
-    free_vars,
     is_valid_var,
     parse_formula,
     render_formula,
@@ -56,12 +55,16 @@ class ResourceCapError(Exception):
 
 
 class BooleanGame:
-    """n players, pairwise-disjoint variable sets, one goal formula each."""
+    """n players, pairwise-disjoint variable sets, one goal formula each.
+
+    Validation walks each goal once and the game keeps what it found:
+    ``goal_vars[i]`` is goal i's variables in order of first occurrence
+    (``var_order``), and ``owners`` maps every variable to its player."""
 
     def __init__(self, var_sets, goals):
         self.var_sets = tuple(tuple(sorted(set(vs))) for vs in var_sets)
         self.goals = tuple(goals)
-        validate_game(self)
+        self.owners, self.goal_vars = validate_game(self)
 
     @property
     def players(self):
@@ -74,13 +77,16 @@ class BooleanGame:
         return out
 
     def owner(self, name):
-        for i, vs in enumerate(self.var_sets):
-            if name in vs:
-                return i
-        raise ValidationError("variable %s belongs to no player" % name)
+        try:
+            return self.owners[name]
+        except KeyError:
+            raise ValidationError(
+                "variable %s belongs to no player" % name) from None
 
 
 def validate_game(g):
+    """Raise ValidationError unless ``g`` is well formed; otherwise return
+    (owners, goal_vars), as a ``BooleanGame`` keeps them."""
     if len(g.var_sets) < 2:
         raise ValidationError("a game needs at least two players")
     if len(g.goals) != len(g.var_sets):
@@ -97,13 +103,15 @@ def validate_game(g):
                     "variable %s owned by players %d and %d" % (v, seen[v] + 1, i + 1)
                 )
             seen[v] = i
-    for i, goal in enumerate(g.goals):
-        extra = free_vars(goal) - set(seen)
+    goal_vars = tuple(tuple(var_order(goal)) for goal in g.goals)
+    for i, names in enumerate(goal_vars):
+        extra = [v for v in names if v not in seen]
         if extra:
             raise ValidationError(
                 "goal %d references unowned variables: %s"
                 % (i + 1, ", ".join(sorted(extra)))
             )
+    return seen, goal_vars
 
 
 # --- mixed profiles ---------------------------------------------------------
@@ -186,8 +194,9 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
     """
     validate_profile(g, profile)
     names = [[] for _ in g.var_sets]  # the goal's variables by owner
-    for v in var_order(g.goals[i]):
-        names[g.owner(v)].append(v)
+    owners = g.owners
+    for v in g.goal_vars[i]:
+        names[owners[v]].append(v)
     support = profile.strategies[i]
     s = len(support)
     width = (s + deviations + 7) // 8  # bytes per block

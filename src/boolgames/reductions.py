@@ -23,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .encodings import (
     assign_bits,
@@ -123,8 +124,7 @@ def immediate_acceptor():
     )
 
 
-@dataclass(frozen=True)
-class CellDescriptor:
+class CellDescriptor(NamedTuple):
     content: str  # "0", "1", "_"
     head: str     # "<", ">", or a state name
 
@@ -682,25 +682,23 @@ def witness_profile(ro, table):
                            ro.gadget.equilibrium)
 
 
-def _decode_entry(assign, flags, states):
-    content_bits = (assign[flags["zero"]], assign[flags["one"]])
-    if content_bits == (True, False):
-        content = "0"
-    elif content_bits == (False, True):
-        content = "1"
-    elif content_bits == (False, False):
-        content = "_"
-    else:
+def _decode_entry(assign, flags):
+    """The descriptor that the flags set in ``assign`` spell, or None unless
+    at most one content flag and exactly one head flag are set.  The head
+    flags are read until a second one is set."""
+    zero, one = assign[flags["zero"]], assign[flags["one"]]
+    if zero and one:
         return None
-    heads = []
-    if assign[flags["left"]]:
-        heads.append(LEFT)
-    if assign[flags["right"]]:
-        heads.append(RIGHT)
-    heads += [q for q in states if assign[flags["state"][q]]]
-    if len(heads) != 1:
+    head = None
+    for h, name in [(LEFT, flags["left"]), (RIGHT, flags["right"]),
+                    *flags["state"].items()]:
+        if assign[name]:
+            if head is not None:
+                return None
+            head = h
+    if head is None:
         return None
-    return CellDescriptor(content, heads[0])
+    return CellDescriptor("0" if zero else "1" if one else "_", head)
 
 
 def decode_square(ro, assign):
@@ -711,7 +709,7 @@ def decode_square(ro, assign):
     # the flag checks first: they are cheaper than decoding positions
     entries = []
     for p in ENTRY_PREFIXES:
-        e = _decode_entry(assign, vi.flags2[p], ro.machine.states)
+        e = _decode_entry(assign, vi.flags2[p])
         if e is None:
             return None
         entries.append(e)

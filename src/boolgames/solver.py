@@ -403,7 +403,8 @@ def check_deviation_cap(g, i, cap=DEFAULT_DEVIATION_CAP, sample=None):
     """(used, count): player i's variables in its goal (the others change
     no utility) and the pure deviations ``best_deviation_gain`` tries,
     2^used or ``sample``; a count over ``cap`` raises ResourceCapError."""
-    used = len(free_vars(g.goals[i]) & set(g.var_sets[i]))
+    owners = g.owners
+    used = sum(1 for v in g.goal_vars[i] if owners[v] == i)
     count = 1 << used if sample is None else max(sample, 0)
     if count > cap:
         raise ResourceCapError(

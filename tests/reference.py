@@ -36,3 +36,21 @@ def truth(f, assignment):
     if isinstance(f, Iff):
         return truth(f.left, assignment) == truth(f.right, assignment)
     raise TypeError("not a formula node: %r" % (f,))
+
+
+def first_occurrences(f, out=None):
+    """The variable names of ``f`` in order of first occurrence, left to
+    right, by plain recursion."""
+    out = [] if out is None else out
+    if isinstance(f, Var):
+        if f.name not in out:
+            out.append(f.name)
+    elif isinstance(f, Not):
+        first_occurrences(f.child, out)
+    elif isinstance(f, (And, Or)):
+        for c in f.children:
+            first_occurrences(c, out)
+    elif isinstance(f, (Implies, Iff)):
+        first_occurrences(f.left, out)
+        first_occurrences(f.right, out)
+    return out

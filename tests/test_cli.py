@@ -590,6 +590,18 @@ def test_negative_caps_exit_2(mp_file, machine_file, capsys, argv):
     assert captured.out == "" and "at least 0, not -1" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("value --game GAME --cap-cells abc",
+     "argument --cap-cells: invalid int value: 'abc'"),
+    ("nash is --game GAME --profile GAME --sample x",
+     "argument --sample: invalid int value: 'x'"),
+])
+def test_non_integer_counts_exit_2(mp_file, capsys, argv, message):
+    assert run([mp_file if a == "GAME" else a for a in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("argv,flag", [
     ("encode " + what, "--args")
     for what in ("equal", "succ", "less", "lesseq", "add", "sub")

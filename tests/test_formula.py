@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
-from reference import truth
+from reference import first_occurrences, truth
 
 from boolgames.formula import (
     FALSE,
@@ -28,6 +28,7 @@ from boolgames.formula import (
     rename_vars,
     var_order,
 )
+from boolgames.game import BooleanGame
 
 NAMES = ["p", "q", "r", "x1", "a.b"]
 
@@ -183,6 +184,33 @@ def test_de_morgan(f):
     names = free_vars(f)
     for a in all_assignments(names):
         assert eval_formula(g, a) == (not eval_formula(f, a))
+
+
+@pytest.mark.parametrize("f", [
+    object(), "p", And((Var("p"), "q")), Or((Not(Var("q")), 1)),
+    type("SubVar", (Var,), {})("p"),
+], ids=["object", "str", "str-under-and", "int-under-or", "subclass"])
+def test_eval_bits_rejects_non_nodes(f):
+    # nodes dispatch on their exact class: an instance of a subclass is not
+    # a node either
+    with pytest.raises(FormulaError, match="not a formula node"):
+        eval_bits(f, {"p": 1, "q": 1}, 1)
+
+
+@given(formulas())
+def test_var_order_matches_first_occurrences(f):
+    # formulas() shares subtrees (Iff(f, f)) and mixes in constants
+    assert var_order(f) == first_occurrences(f)
+    assert free_vars(f) == set(first_occurrences(f))
+
+
+@given(formulas(), formulas())
+def test_game_keeps_each_goals_variable_order(f, g):
+    mine, theirs = NAMES[::2] + ["z1"], NAMES[1::2] + ["z2"]
+    game = BooleanGame([mine, theirs], [f, g])
+    assert game.goal_vars == (tuple(var_order(f)), tuple(var_order(g)))
+    for i, vs in enumerate((mine, theirs)):
+        assert all(game.owner(v) == i for v in vs)
 
 
 def test_eval_semantics():

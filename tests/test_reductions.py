@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,10 +8,11 @@ from windows import perturbed_windows
 
 from boolgames.encodings import decode_bits
 from boolgames.formula import (And, Iff, Not, Var, compile_formula,
-                               eval_bits)
+                               eval_bits, render_formula)
 from boolgames.game import (
     BooleanGame,
     expected_utility,
+    render_game,
     validate_game,
     validate_profile,
 )
@@ -268,6 +270,57 @@ def two_step_acceptor():
         ["q0", "q1", "qa"], "q0", "qa",
         [Transition("q0", "_", "0", "R", "q1"),
          Transition("q1", "_", "1", "L", "qa")] + halt)
+
+
+def never_acceptor():
+    """Runs right over blanks and never enters the accept state."""
+    halt = [Transition("qa", s, s, "L", "qa") for s in ("0", "1", "_")]
+    return TuringMachine(["q0", "qa"], "q0", "qa",
+                         [Transition("q0", "_", "1", "R", "q0")] + halt)
+
+
+# sha256 of render_game(ro.game) and of render_formula(ro.require)
+REDUCTION_TEXT = {
+    (immediate_acceptor, 2, "exists"): (
+        "8350ef36ffd97834ada629a2400028d4fbd48f082819ee0e36514f2c286f0cd4",
+        "95cfcee64a1f3093413bb6d236056d9a783144594a1602a28ed3f2f20ded5072"),
+    (immediate_acceptor, 4, "exists"): (
+        "ae2169a2d30a9b728035674daeb2355c5271516d9b63545570df72d5ec6ea846",
+        "bac3cbb25c03efc3c699e9814ca3b17523aa61ec60e2c70e56278fcd7c22f66b"),
+    (immediate_acceptor, 4, "forall"): (
+        "a5f9c437b114c2c7c4bc008a11eb247e676f1f253a1fee3113f82885a93ee492",
+        "63b61b75b954ed9fd503cac1347a70d1a37b2dddb124a56cda598e77f65f4735"),
+    (two_step_acceptor, 2, "exists"): (
+        "726179c631d3b07a643c9a15d929af021e0d51532ebd6109303c14121f3d75fa",
+        "77e1ba4521b1548b8ba0dd9748ab1c2b696a99f0a4319198e08c59daeaa08eb9"),
+    (two_step_acceptor, 4, "exists"): (
+        "9a5a575a817f11b2d58a10a4a2b0e0890077e88a2836a1c15e1d37a9c41def39",
+        "aff04f6bceed7bd36832342788eefcdf94cd1a75df1a9f5b5d5f772e0fa88e95"),
+    (two_step_acceptor, 4, "forall"): (
+        "afb383dfa9fdb53e33fa229f8e07ae9a93e69d117699baf1fa1e9dd6586aa336",
+        "a678a5a65b5793653f78dc5585f5f0753b65bfa89a9a043ad56489028b4acf09"),
+    (never_acceptor, 2, "exists"): (
+        "375a92d41a1c710a3fe176749dd8c6047583ce99a3eec7d8274b2388720c328a",
+        "3c5f1d0b40f5d1f6ae27afcdd7dc4b74436482db014fa08d4285535bd33b638c"),
+    (never_acceptor, 4, "exists"): (
+        "3c9fadeaf8047411092536d5bc53e3ed1a0c797a9cff04a4c145bba0c8e64197",
+        "46afb8f045f1db142813aab0487172157dddf090c509e78fd658cf465b5b9f8e"),
+    (never_acceptor, 4, "forall"): (
+        "b6bd16a5ce77616bc1511f9253f3795d080e413bac9720797d2d7e65dd8753aa",
+        "1d67657f46515b6015bd1442948743abe7313bc0a936c7c85149eb99bc4a2b57"),
+}
+
+
+@pytest.mark.parametrize("machine,bound,mode", list(REDUCTION_TEXT))
+def test_reduction_text_is_pinned(machine, bound, mode):
+    # the same formulas with the same disjunct order, byte for byte: the
+    # texts of the benchmark's three machines, hashed
+    build = build_guarantee_game if mode == "exists" else \
+        build_forall_guarantee_game
+    ro = build(machine(), "", bound)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                    (render_game(ro.game), render_formula(ro.require)))
+    assert digests == REDUCTION_TEXT[machine, bound, mode]
 
 
 @pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor,
