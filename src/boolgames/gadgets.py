@@ -179,9 +179,7 @@ def _parametric_goal(p, q, s, t, w, u, r, n):
             build_comparison("less_eq", p, r),
         )),
     ])
-    # kept for shape; at full width player 2 cannot leave the range
-    d3 = build_comparison("less", top, r)
-    return disj([d1, d2, d3])
+    return Or((d1, d2))
 
 
 def fix_parameter(bundle, value):
@@ -247,6 +245,9 @@ def split_opponent_game(namespace, n):
 
 
 def _namespaced_copy(bundle, namespace):
+    """The operand's variable sets, goals and role vars renamed into
+    ``namespace``, and a function that builds its renamed equilibrium (None
+    if it has none)."""
     g = bundle.game
     mapping = {v: namespaced(namespace, v) for v in g.all_vars()}
     var_sets = [[mapping[v] for v in vs] for vs in g.var_sets]
@@ -259,13 +260,15 @@ def _namespaced_copy(bundle, namespace):
             [({mapping[k]: b for k, b in a.items()}, w) for a, w in support]
             for support in bundle.equilibrium.strategies
         ]))
-    return BooleanGame(var_sets, goals), role_vars, build
+    return var_sets, goals, role_vars, build
 
 
 def _check_zero_sum_bundle(bundle):
     if bundle.game.players != 2:
         raise GadgetError("algebra operands must be two-player")
-    if bundle.game.goals[1] != Not(bundle.game.goals[0]):
+    # a complement's goals are (~goal, goal)
+    goal1, goal2 = bundle.game.goals
+    if goal2 != Not(goal1) and goal1 != Not(goal2):
         raise GadgetError("algebra operands must be zero-sum (goal2 = ~goal1)")
 
 
@@ -277,11 +280,8 @@ def combine_games(kind, g1, g2=None, namespace="c"):
     """
     _check_zero_sum_bundle(g1)
     if kind == "complement":
-        game, role_vars, build = _namespaced_copy(g1, namespace)
-        swapped = BooleanGame(
-            [game.var_sets[1], game.var_sets[0]],
-            [game.goals[1], game.goals[0]],
-        )
+        var_sets, goals, role_vars, build = _namespaced_copy(g1, namespace)
+        swapped = BooleanGame(var_sets[::-1], goals[::-1])
         value = None if g1.value is None else 1 - g1.value
         return GadgetBundle(swapped, role_vars, value=value, build_equilibrium=(
             None if build is None
@@ -289,18 +289,16 @@ def combine_games(kind, g1, g2=None, namespace="c"):
     if g2 is None:
         raise GadgetError("%s needs two operands" % kind)
     _check_zero_sum_bundle(g2)
-    game1, roles1, build1 = _namespaced_copy(g1, namespace + ".a")
-    game2, roles2, build2 = _namespaced_copy(g2, namespace + ".b")
-    var_sets = [
-        list(game1.var_sets[i]) + list(game2.var_sets[i]) for i in range(2)
-    ]
+    vars1, goals1, roles1, build1 = _namespaced_copy(g1, namespace + ".a")
+    vars2, goals2, roles2, build2 = _namespaced_copy(g2, namespace + ".b")
+    var_sets = [vars1[i] + vars2[i] for i in range(2)]
     if kind == "sum":
-        gamma1 = Or((game1.goals[0], game2.goals[0]))
+        gamma1 = Or((goals1[0], goals2[0]))
         value = None
         if g1.value is not None and g2.value is not None:
             value = g1.value + g2.value - g1.value * g2.value
     elif kind == "product":
-        gamma1 = conj([game1.goals[0], game2.goals[0]])
+        gamma1 = conj([goals1[0], goals2[0]])
         value = None
         if g1.value is not None and g2.value is not None:
             value = g1.value * g2.value

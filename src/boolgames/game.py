@@ -25,10 +25,7 @@ from fractions import Fraction
 
 from .formula import (
     FormulaSyntaxError,
-    Var,
-    Not,
     compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
-    conj,
     eval_bits,
     is_valid_var,
     parse_formula,
@@ -75,13 +72,6 @@ class BooleanGame:
         for vs in self.var_sets:
             out.extend(vs)
         return out
-
-    def owner(self, name):
-        try:
-            return self.owners[name]
-        except KeyError:
-            raise ValidationError(
-                "variable %s belongs to no player" % name) from None
 
 
 def validate_game(g):
@@ -227,17 +217,12 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
               for c in itertools.product(*merged))
     per_chunk = max(1, SWEEP_BUDGET // (8 * width))
     ones, zeros = rows.to_bytes(width, "little"), bytes(width)
-    tiled = {}  # chunk size -> (full, own variable masks)
     # planes[b]: rows whose count has bit b set (counts are at most den)
     planes = [0] * den.bit_length()
     while chunk := list(itertools.islice(combos, per_chunk)):
         n = len(chunk)
-        if n not in tiled:
-            tiled[n] = (int.from_bytes(ones * n, "little"),
-                        {v: int.from_bytes(m * n, "little")
-                         for v, m in own_masks})
-        full, own_tiled = tiled[n]
-        var_masks = dict(own_tiled)
+        full = int.from_bytes(ones * n, "little")
+        var_masks = {v: int.from_bytes(m * n, "little") for v, m in own_masks}
         # an opponent variable's mask: its values over the chunk, one
         # block each; variables with equal values share one int
         by_column = {(True,) * n: full, (False,) * n: 0}
@@ -519,21 +504,11 @@ def to_normal_form(g, cap=DEFAULT_CELL_CAP):
     return Expansion(g)
 
 
-# --- names and literals -----------------------------------------------------
+# --- names ------------------------------------------------------------------
 
 
 def namespaced(ns, name):
     return "%s.%s" % (ns, name)
-
-
-def characteristic_formula(a):
-    """Conjunction of literals true exactly when an assignment extends ``a``."""
-    if not a:
-        raise GameError("empty assignment has no characteristic formula")
-    return conj(
-        Var(name) if value else Not(Var(name))
-        for name, value in sorted(a.items())
-    )
 
 
 # --- serialization ----------------------------------------------------------

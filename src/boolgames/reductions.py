@@ -42,6 +42,7 @@ from .game import (
     product_profile,
 )
 from .gadgets import fixed_value_game
+from .lp import _pivot
 
 SYMBOLS = ("0", "1", "_")
 LEFT = "<"
@@ -337,14 +338,13 @@ def square_oracle(sq, m, word, K):
 
 
 def admissible_squares(m):
-    """Per transition rule, the content/head patterns consistent with it.
+    """The content/head patterns consistent with some transition rule.
 
     Each pattern is a (tl, tr, bl, br) tuple of CellDescriptors; generation
-    expands the head-position schemata for the rule over all tape symbols.
+    expands each rule's head-position schemata over all tape symbols.
     """
-    out = {}
+    pats = set()
     for t in m.transitions:
-        pats = set()
         qx, a, b, qy = t.frm, t.read, t.write, t.to
         for z in SYMBOLS:
             # head on the left column, reading a
@@ -376,8 +376,7 @@ def admissible_squares(m):
             pats.add((tl, tr, CellDescriptor(y, RIGHT), CellDescriptor(z, RIGHT)))
             if t.move == "L":
                 pats.add((tl, tr, CellDescriptor(y, RIGHT), CellDescriptor(z, qy)))
-        out[t] = pats
-    return out
+    return pats
 
 
 # --- game construction ----------------------------------------------------------
@@ -523,9 +522,7 @@ def _build_require(m, word, K, k, vi):
         ))
     positional = conj(positional)
 
-    patterns = set()
-    for pats in admissible_squares(m).values():
-        patterns |= pats
+    patterns = admissible_squares(m)
     # the rules in the order of their reprs, each entry's formula built and
     # rendered once: a rule is And((four entries)), its repr theirs joined
     # inside a constant wrapper, and no repr is a proper prefix of another,
@@ -567,12 +564,14 @@ def _corner_match(vi, prefix):
     ))
 
 
-def _agree(vi):
+def _agree(vi, corners):
+    """Player 2's entries agree with player 1's where their corners match
+    (``corners``: each prefix's ``_corner_match``)."""
     parts = []
     for p in ENTRY_PREFIXES:
         same = conj(Iff(Var(a), Var(b)) for a, b in
                     zip(vi.entry1_vars(), vi.entry2_vars(p)))
-        parts.append(Implies(_corner_match(vi, p), same))
+        parts.append(Implies(corners[p], same))
     return conj(parts)
 
 
@@ -592,8 +591,9 @@ def _build_reduction(m, word, K, mode):
     vi = VarIndex(m, k, gadget.role_vars)
     shape, well_formed, positional, consistency = _build_require(m, word, K, k, vi)
 
-    avoid_corner = Not(_corner_match(vi, ""))
-    avoid = conj([Not(_corner_match(vi, p)) for p in ("s", "n", "ns")])
+    corners = {p: _corner_match(vi, p) for p in ENTRY_PREFIXES}
+    avoid_corner = Not(corners[""])
+    avoid = conj([Not(corners[p]) for p in ("s", "n", "ns")])
     g1_goal, g2_goal = gadget.game.goals
 
     gamma1 = And((avoid_corner, Or((avoid, g1_goal))))
@@ -604,7 +604,7 @@ def _build_reduction(m, word, K, mode):
                         Not(And((positional, consistency)))])
     gamma2 = conj([
         Or((Not(avoid_corner), And((Not(avoid), g2_goal)))),
-        _agree(vi),
+        _agree(vi, corners),
         require,
     ])
 
@@ -753,36 +753,34 @@ def cover_matrix_check(m, cap=64):
     rows = []
     for i in range(m):
         for j in range(m):
-            row = [Fraction(0)] * n
+            row = [0] * n
             row[idx(i, j)] += 4
             row[idx(i - 1, j)] += 1
             row[idx(i, j - 1)] += 1
             row[idx(i - 1, j - 1)] += 1
             rows.append(row)
-    # exact Gaussian elimination; determinant is nonzero iff full rank
-    rank = 0
+    # exact elimination by lp's fraction-free pivot: full rank iff every
+    # column finds a nonzero entry in a row not yet pivoted on
+    basis, zrow, d = [None] * n, [0] * n, 1
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
+        r = next((r for r in range(n) if basis[r] is None and rows[r][col]),
+                 None)
+        if r is None:
             return False
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = Fraction(1) / pr[col]
-        for r in range(rank + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
+        d = _pivot(rows, zrow, basis, d, r, col)
     return True
 
 
 # --- game transformations -----------------------------------------------------------
 
 
-def _check_fresh(g, new_vars):
-    clash = set(g.all_vars()) & set(new_vars)
+def _extend(g, new1, new2):
+    """``g``'s two variable lists followed by ``new1`` and ``new2``, which
+    must not reuse any variable of ``g``."""
+    clash = set(g.all_vars()).intersection([*new1, *new2])
     if clash:
         raise ReductionError("variable collision: %s" % sorted(clash)[0])
+    return [*g.var_sets[0], *new1], [*g.var_sets[1], *new2]
 
 
 def _neg_all(names):
@@ -811,15 +809,11 @@ def transform_game(kind, g, v, namespace="t"):
         play1, play2 = namespaced(ns, "Play1"), namespaced(ns, "Play2")
         gu1, gu2 = gu.game.goals
         gw1, gw2 = gw.game.goals
-        var1 = list(g.var_sets[0]) + list(gu.game.var_sets[0]) \
-            + list(gw.game.var_sets[0]) + [play1]
-        var2 = list(g.var_sets[1]) + list(gu.game.var_sets[1]) \
-            + list(gw.game.var_sets[1]) + [play2]
+        new1 = [*gu.game.var_sets[0], *gw.game.var_sets[0], play1]
+        new2 = [*gu.game.var_sets[1], *gw.game.var_sets[1], play2]
         if kind == "unique_nash":
             dummy1, dummy2 = namespaced(ns, "Dummy1"), namespaced(ns, "Dummy2")
-            var1.append(dummy1)
-            var2.append(dummy2)
-            _check_fresh(g, var1[len(g.var_sets[0]):] + var2[len(g.var_sets[1]):])
+            var1, var2 = _extend(g, new1 + [dummy1], new2 + [dummy2])
             gamma1 = And((gw1, Or((
                 And((Not(Var(play1)), Not(Var(play2)), g.goals[0])),
                 And((Var(play1), Not(Var(dummy1)),
@@ -831,7 +825,7 @@ def transform_game(kind, g, v, namespace="t"):
                      _neg_all(g.var_sets[1]), gw2)),
             ))))
             return BooleanGame([var1, var2], [gamma1, gamma2]), None
-        _check_fresh(g, var1[len(g.var_sets[0]):] + var2[len(g.var_sets[1]):])
+        var1, var2 = _extend(g, new1, new2)
         gamma1 = Or((
             And((Not(Var(play1)), Not(Var(play2)), g.goals[0])),
             And((Var(play1), gu1)),
@@ -852,9 +846,8 @@ def transform_game(kind, g, v, namespace="t"):
         gv1, gv2 = gv.game.goals
         dummy = namespaced(ns, "Dummy")
         choice1, choice2 = namespaced(ns, "Choice1"), namespaced(ns, "Choice2")
-        var1 = list(g.var_sets[0]) + [dummy, choice1] + list(gv.game.var_sets[0])
-        var2 = list(g.var_sets[1]) + [choice2] + list(gv.game.var_sets[1])
-        _check_fresh(g, var1[len(g.var_sets[0]):] + var2[len(g.var_sets[1]):])
+        var1, var2 = _extend(g, [dummy, choice1, *gv.game.var_sets[0]],
+                             [choice2, *gv.game.var_sets[1]])
         # player 1's fallback needs only his own refusal; player 2's needs both
         gamma1 = Or((
             And((g.goals[0], Var(choice1), Var(choice2))),
@@ -881,8 +874,7 @@ def transform_exists_nash_sat(m, word, K):
     half = fixed_value_game(Fraction(1, 2), EXISTS_SAT_NAMESPACE)
     h1, h2 = half.game.goals
     g1, g2 = ro.game.goals
-    var1 = list(ro.game.var_sets[0]) + list(half.game.var_sets[0])
-    var2 = list(ro.game.var_sets[1]) + list(half.game.var_sets[1])
+    var1, var2 = _extend(ro.game, *half.game.var_sets)
     gamma1 = And((g1, h1))
     gamma2 = Or((g2, And((Not(g1), h2))))
     phi = Or((g1, g2))

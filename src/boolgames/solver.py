@@ -40,7 +40,6 @@ from .game import (
     BooleanGame,
     Expansion,
     GameError,
-    MixedProfile,
     NormalForm,
     ResourceCapError,
     draw_masks,
@@ -158,11 +157,6 @@ class EquilibriumWitness:
         self.x = {i: w for i, w in x.items() if w != 0}
         self.y = {j: w for j, w in y.items() if w != 0}
         self.payoffs = tuple(payoffs)
-
-    def weight_vectors(self, shape):
-        xs = [self.x.get(i, Fraction(0)) for i in range(shape[0])]
-        ys = [self.y.get(j, Fraction(0)) for j in range(shape[1])]
-        return xs, ys
 
 
 # no library caller: perfbench's tracer patches and counts it here, and it
@@ -486,17 +480,3 @@ def pure_equilibria(g_or_nf, cap=DEFAULT_CELL_CAP):
                 for idx in result]
     return result
 
-
-# --- serialization ------------------------------------------------------------
-
-
-def witness_to_profile(nf, witness):
-    """MixedProfile over a Boolean expansion's assignments from a witness."""
-    if nf.strategy_index is None:
-        raise SolverError("normal form carries no strategy index")
-    return MixedProfile(
-        [
-            [(nf.strategy_index[0][i], w) for i, w in sorted(witness.x.items())],
-            [(nf.strategy_index[1][j], w) for j, w in sorted(witness.y.items())],
-        ]
-    )

@@ -37,7 +37,6 @@ from boolgames.game import (
     BooleanGame,
     MixedProfile,
     NormalForm,
-    characteristic_formula,
     expected_utility,
     parse_game,
     player_assignments,
@@ -63,11 +62,11 @@ from boolgames.solver import (
     pure_equilibria,
     support_pairs,
     unique_nash,
-    witness_to_profile,
     zero_sum_value,
 )
 from reference_nash import equilibrium_for_support
 from test_reductions import machine_json
+from test_solver import literals
 from windows import perturbed_windows
 
 
@@ -572,7 +571,7 @@ def test_count_scoring_expectation():
         names = ["b%d" % i for i in range(k)]
         assignments = list(itertools.product([False, True], repeat=k))
         for m_count in range(n + 1):
-            phi = disj([characteristic_formula(dict(zip(names, bits)))
+            phi = disj([literals(dict(zip(names, bits)))
                         for bits in assignments[:m_count]]) \
                 if m_count else FALSE
             f = compile_formula(phi) if m_count else (lambda a: False)
@@ -607,7 +606,8 @@ def test_zero_sum_equilibrium_midpoint():
     for sp in support_pairs(dup):
         w = equilibrium_for_support(dup, sp)
         if w is not None:
-            xs, ys = w.weight_vectors(dup.shape)
+            xs = [w.x.get(i, Fraction(0)) for i in range(dup.shape[0])]
+            ys = [w.y.get(j, Fraction(0)) for j in range(dup.shape[1])]
             if (xs, ys) not in found:
                 found.append((xs, ys))
         if len(found) >= 2:

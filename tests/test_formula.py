@@ -210,7 +210,7 @@ def test_game_keeps_each_goals_variable_order(f, g):
     game = BooleanGame([mine, theirs], [f, g])
     assert game.goal_vars == (tuple(var_order(f)), tuple(var_order(g)))
     for i, vs in enumerate((mine, theirs)):
-        assert all(game.owner(v) == i for v in vs)
+        assert all(game.owners[v] == i for v in vs)
 
 
 def test_eval_semantics():

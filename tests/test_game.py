@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 from reference import truth
 
-from boolgames.formula import Iff, Not, Var, parse_formula
 from boolgames.game import (
     BooleanGame,
     GameError,
@@ -13,7 +12,6 @@ from boolgames.game import (
     NormalForm,
     ResourceCapError,
     ValidationError,
-    characteristic_formula,
     expected_utility,
     parse_game,
     player_assignments,
@@ -253,13 +251,6 @@ def test_profile_json_validates_against_game():
     text = profile_to_json(prof)
     with pytest.raises(GameError):
         profile_from_json(text, g)
-
-
-def test_characteristic_formula():
-    f = characteristic_formula({"a": True, "b": False})
-    assert f == parse_formula("a & ~b")
-    with pytest.raises(GameError):
-        characteristic_formula({})
 
 
 def profile_text(x="true", w='"1"'):

@@ -8,13 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import reference_nash
 from reference_nash import equilibrium_for_support
 from boolgames import solver
-from boolgames.formula import Not, Var, disj, parse_formula
+from boolgames.formula import Not, Var, conj, disj, parse_formula
 from boolgames.game import (
     BooleanGame,
     MixedProfile,
     NormalForm,
     ResourceCapError,
-    characteristic_formula,
     parse_game,
     player_assignments,
 )
@@ -34,7 +33,6 @@ from boolgames.solver import (
     pure_equilibria,
     support_pairs,
     unique_nash,
-    witness_to_profile,
     zero_sum_value,
 )
 
@@ -42,6 +40,11 @@ MP = parse_game("players: 2\nvars 1: x\nvars 2: y\n"
                 "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n")
 
 BOS = NormalForm([[[3, 0], [0, 2]], [[2, 0], [0, 3]]])
+
+
+def literals(a):
+    """The conjunction of literals true exactly where ``a`` holds."""
+    return conj(Var(v) if b else Not(Var(v)) for v, b in sorted(a.items()))
 
 
 def test_constant_sum_detection():
@@ -210,13 +213,6 @@ def test_best_deviation_gain_exhaustive_vs_sampled():
     assert base_s == half and best_s == Fraction(1)
 
 
-def test_witness_to_profile():
-    nf = as_normal_form(MP)
-    w = equilibrium_for_support(nf, ((0, 1), (0, 1)))
-    prof = witness_to_profile(nf, w)
-    assert is_nash(MP, prof)
-
-
 def test_max_payoff_reduces_to_guarantee():
     # "some equilibrium pays player 1 at least u" via the guarantee query,
     # cross-checked by direct support enumeration
@@ -235,10 +231,10 @@ def test_nash_in_subset_reduces_to_sat():
     g = parse_game("players: 2\nvars 1: x\nvars 2: y\n"
                    "goal 1: x & y\ngoal 2: x & y\n")
     # is there an equilibrium supported inside T = {(T,T)}?
-    phi = characteristic_formula({"x": True, "y": True})
+    phi = literals({"x": True, "y": True})
     assert nash_sat(g, phi, "exists")
     # T = {(T,F)} contains no equilibrium
-    phi2 = characteristic_formula({"x": True, "y": False})
+    phi2 = literals({"x": True, "y": False})
     assert not nash_sat(g, phi2, "exists")
 
 
@@ -325,7 +321,8 @@ def test_guarantee_witness_is_equilibrium(nf, v):
         assert v is not None and not forall_guarantee_nash(nf, v)
         return
     assert is_nash(nf, [w.x, w.y])
-    xs, ys = w.weight_vectors(nf.shape)
+    xs = [w.x.get(i, 0) for i in range(nf.shape[0])]
+    ys = [w.y.get(j, 0) for j in range(nf.shape[1])]
     assert w.payoffs == tuple(
         sum(xs[i] * p[i][j] * ys[j] for i in range(nf.shape[0])
             for j in range(nf.shape[1])) for p in nf.payoffs)
@@ -467,7 +464,7 @@ def sat_games(draw):
         over = draw(st.lists(st.sampled_from(names), min_size=1,
                              max_size=4, unique=True))
         cells = itertools.product((False, True), repeat=len(over))
-        return disj(characteristic_formula(dict(zip(over, bits)))
+        return disj(literals(dict(zip(over, bits)))
                     for bits in cells if draw(st.booleans()))
 
     return BooleanGame([["x", "z"], ["y", "w"]], [formula(), formula()]), \
@@ -503,7 +500,7 @@ def win_lose_games(draw):
         over = draw(st.lists(st.sampled_from(mine + theirs), min_size=1,
                              max_size=4, unique=True))
         cells = itertools.product((False, True), repeat=len(over))
-        return disj(characteristic_formula(dict(zip(over, bits)))
+        return disj(literals(dict(zip(over, bits)))
                     for bits in cells if draw(st.booleans()))
 
     return BooleanGame([mine, theirs], [formula(), formula()]), formula()
