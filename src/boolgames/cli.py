@@ -260,17 +260,16 @@ def cmd_nash(args):
         return _decision(solver.unique_nash(nf, cap=args.cap_deviations))
     if args.what == "irrational":
         return _decision(solver.irrational_nash(nf, cap=args.cap_deviations))
-    if args.what == "forall-guarantee":
-        return _decision(solver.forall_guarantee_nash(nf, v,
-                                                      cap=args.cap_deviations))
-    raise UsageError("unknown nash query %r" % args.what)
+    return _decision(solver.forall_guarantee_nash(nf, v,
+                                                  cap=args.cap_deviations))
 
 
 def cmd_gadget(args):
     if args.what == "combine":
         kind = _need(args.kind, "--kind")
         b1 = gadgets.fixed_value_game(_fr(_need(args.a, "--a")), "a")
-        b2 = gadgets.fixed_value_game(_fr(args.b), "b") if args.b else None
+        b2 = (None if args.b is None
+              else gadgets.fixed_value_game(_fr(args.b), "b"))
         c = gadgets.combine_games(kind, b1, b2, namespace=args.namespace)
         return 0, {"value": _fr_str(c.value), "game": render_game(c.game)}
     b = gadgets.fixed_value_game(_fr(_need(args.value, "--value")),
@@ -315,12 +314,10 @@ def cmd_encode(args):
         summands = [encodings.var_bits("S%d" % j, 2 * k) for j in range(k)]
         partials = [encodings.var_bits("P%d" % j, 2 * k) for j in range(k + 1)]
         f = encodings.build_square(r, rsq, summands, partials)
-    elif kind in ("oneof", "noneof"):
+    else:
         names = [s.strip() for s in _need(args.names, "--names").split(",")]
         f = encodings.build_cardinality(
             "one_of" if kind == "oneof" else "none_of", names)
-    else:
-        raise UsageError("unknown encode kind %r" % kind)
     return 0, {"formula": render_formula(f),
                "vars": sorted(free_vars(f))}
 
@@ -346,27 +343,25 @@ def cmd_reduce(args):
             else:
                 data["witness"] = json.loads(profile_to_json(wp))
         return 0, data
-    if args.what == "transform":
-        if _need(args.kind, "--kind") == "exists-nash-sat":
-            m = load_machine(args.machine)
-            g2, phi = reductions.transform_exists_nash_sat(
-                m, args.input, args.bound)
+    if _need(args.kind, "--kind") == "exists-nash-sat":
+        m = load_machine(args.machine)
+        g2, phi = reductions.transform_exists_nash_sat(
+            m, args.input, args.bound)
+    else:
+        g = load_game(args.game)
+        if isinstance(g, NormalForm):
+            raise UsageError("transform works on Boolean games")
+        kind = args.kind.replace("-", "_")
+        if kind == "irrational":
+            v = _fr(_need(args.value, "--value"))
         else:
-            g = load_game(args.game)
-            if isinstance(g, NormalForm):
-                raise UsageError("transform works on Boolean games")
-            kind = args.kind.replace("-", "_")
-            if kind == "irrational":
-                v = _fr(_need(args.value, "--value"))
-            else:
-                v = _payoff_pair(args)
-            g2, phi = reductions.transform_game(kind, g, v,
-                                                namespace=args.namespace)
-        data = {"game": render_game(g2)}
-        if phi is not None:
-            data["phi"] = render_formula(phi)
-        return 0, data
-    raise UsageError("unknown reduce command %r" % args.what)
+            v = _payoff_pair(args)
+        g2, phi = reductions.transform_game(kind, g, v,
+                                            namespace=args.namespace)
+    data = {"game": render_game(g2)}
+    if phi is not None:
+        data["phi"] = render_formula(phi)
+    return 0, data
 
 
 class DrawnTrial:
@@ -407,23 +402,24 @@ def cmd_verify(args):
         ok = b2 == ro.payoff[1] and best1 <= b1 and best2 <= b2
         return _decision(ok, {"v2": _fr_str(b2)},
                          mode="exact" if args.sample is None else "sampled")
-    if args.what == "squares":
-        ro = _reduction(args, args.mode)
-        # all trials in one eval_bits pass: bit r of each mask is trial r,
-        # drawn one bit per player-2 variable in var_sets order
-        names = ro.game.var_sets[1]
-        draws = draw_trials(args.seed, args.trials * len(names))
-        index = {v: t for t, v in enumerate(names)}
-        oracle = bytes(
-            b"01"[reductions.oracle_requires(ro, DrawnTrial(draws, index, r))]
-            for r in range(0, len(draws), len(names)))
-        masks = dict(zip(names, draw_masks(draws, len(names))))
-        said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
-        mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()
-        return _decision(mismatches == 0,
-                         {"trials": args.trials, "mismatches": mismatches},
-                         mode="sampled")
-    raise UsageError("unknown verify command %r" % args.what)
+    if args.trials > args.cap_deviations:
+        raise ResourceCapError("%d trials to check; cap is %d"
+                               % (args.trials, args.cap_deviations))
+    ro = _reduction(args, args.mode)
+    # all trials in one eval_bits pass: bit r of each mask is trial r,
+    # drawn one bit per player-2 variable in var_sets order
+    names = ro.game.var_sets[1]
+    draws = draw_trials(args.seed, args.trials * len(names))
+    index = {v: t for t, v in enumerate(names)}
+    oracle = bytes(
+        b"01"[reductions.oracle_requires(ro, DrawnTrial(draws, index, r))]
+        for r in range(0, len(draws), len(names)))
+    masks = dict(zip(names, draw_masks(draws, len(names))))
+    said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
+    mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()
+    return _decision(mismatches == 0,
+                     {"trials": args.trials, "mismatches": mismatches},
+                     mode="sampled")
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -451,105 +447,100 @@ def _nonnegative(text):
     return _count(text, 0)
 
 
-# built on the first run, not at import, and reused: a build costs ~30 parses
+# built on the first run, not at import, and reused: a build costs ~100 parses
 @functools.lru_cache(maxsize=None)
 def _build_parser():
+    """``bg``'s parser.  Each command (a verb, or a verb's sub-verb) takes
+    only the flags its handler reads; any other flag is a usage error."""
     top = argparse.ArgumentParser(
         prog="bg", description="Boolean-games toolkit")
-    # each shared flag goes only to the verbs that read it
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    cells = argparse.ArgumentParser(add_help=False)
-    cells.add_argument("--cap-cells", type=_nonnegative,
-                       default=game.DEFAULT_CELL_CAP)
-    sweeps = argparse.ArgumentParser(add_help=False)
-    sweeps.add_argument(
+    verbs = top.add_subparsers(dest="verb", required=True)
+
+    def flag(name, **kwargs):
+        return name, kwargs
+
+    def command(parsers, name, fn, *flags):
+        p = parsers.add_parser(name)
+        for option, kwargs in (fmt, *flags):
+            p.add_argument(option, **kwargs)
+        p.set_defaults(fn=fn)
+
+    def queries(verb, fn, table):
+        """``verb`` with one sub-verb, in ``args.what``, per entry of
+        ``table``: the sub-verb's name and its flags."""
+        parsers = verbs.add_parser(verb).add_subparsers(dest="what",
+                                                        required=True)
+        for name, flags in table:
+            command(parsers, name, fn, *flags)
+
+    fmt = flag("--format", choices=("json", "text"), default="json")
+    the_game = flag("--game", required=True)
+    cells = flag("--cap-cells", type=_nonnegative,
+                 default=game.DEFAULT_CELL_CAP)
+    caps = flag(
         "--cap-deviations", type=_nonnegative,
         default=game.DEFAULT_DEVIATION_CAP,
         help="work allowed before exit 3: pure deviations per player, "
              "or the --sample size (nash is, verify witness); rays each "
              "best-response polytope's double description holds at once "
              "(nash find, guarantee, unique, irrational, forall-guarantee, "
-             "sat)")
-    sweeps.add_argument("--sample", type=_positive, default=None)
-    sweeps.add_argument("--seed", type=int, default=0)
-    sub = top.add_subparsers(dest="verb", required=True)
+             "sat); trials (verify squares --trials)")
+    sample = flag("--sample", type=_positive, default=None)
+    seed = flag("--seed", type=int, default=0)
+    mode = flag("--mode", choices=("exists", "forall"), default="exists")
+    payoffs = flag("--payoffs",
+                   help="comma-separated rationals, one per player")
+    machine = (flag("--machine"), flag("--input", default=""),
+               flag("--bound", type=int, default=2))
 
-    p = sub.add_parser("check", parents=[common])
-    p.add_argument("--game", required=True)
-    p.set_defaults(fn=cmd_check)
+    command(verbs, "check", cmd_check, the_game)
+    command(verbs, "eval", cmd_eval, flag("--game"), flag("--profile"),
+            flag("--formula"), flag("--assign"))
+    command(verbs, "normal-form", cmd_normal_form, the_game, cells)
+    command(verbs, "value", cmd_value, the_game, cells)
 
-    p = sub.add_parser("eval", parents=[common])
-    p.add_argument("--game")
-    p.add_argument("--profile")
-    p.add_argument("--formula")
-    p.add_argument("--assign")
-    p.set_defaults(fn=cmd_eval)
+    # every nash sub-verb reads --zero-sum: each one asserts it
+    pure = (the_game, cells, flag(
+        "--zero-sum", action="store_true",
+        help="assert the game is constant-sum (exit 2 if not)"))
+    nash = (*pure, caps)
+    queries("nash", cmd_nash, (
+        ("find", nash), ("unique", nash), ("guarantee", (*nash, payoffs)),
+        ("forall-guarantee", (*nash, payoffs)),
+        ("sat", (*nash, flag("--formula"), mode)),
+        ("is", (*nash, flag("--profile"), sample, seed)),
+        ("pure", pure), ("irrational", nash)))
 
-    p = sub.add_parser("normal-form", parents=[common, cells])
-    p.add_argument("--game", required=True)
-    p.set_defaults(fn=cmd_normal_form)
+    namespace = flag("--namespace", default="g")
+    queries("gadget", cmd_gadget, (
+        ("build", (flag("--value"), namespace)),
+        ("value", (flag("--value"), namespace, cells)),
+        ("combine", (flag("--kind", choices=("sum", "product", "complement")),
+                     flag("--a"), flag("--b"), namespace))))
 
-    p = sub.add_parser("value", parents=[common, cells])
-    p.add_argument("--game", required=True)
-    p.set_defaults(fn=cmd_value)
+    operands = (flag("--width", type=int, default=1),
+                flag("--args", help="comma-separated prefixes or integers"))
+    names = (flag("--names"),)
+    queries("encode", cmd_encode, (
+        *((what, operands) for what in (
+            "equal", "succ", "less", "lesseq", "add", "sub")),
+        ("square", (flag("--k", type=int, default=1),)),
+        ("oneof", names), ("noneof", names)))
 
-    p = sub.add_parser("nash", parents=[common, cells, sweeps])
-    p.add_argument("what", choices=(
-        "find", "unique", "guarantee", "forall-guarantee", "sat", "is",
-        "pure", "irrational"))
-    p.add_argument("--game", required=True)
-    p.add_argument("--payoffs", help="comma-separated rationals, one per player")
-    p.add_argument("--formula")
-    p.add_argument("--mode", choices=("exists", "forall"), default="exists")
-    p.add_argument("--profile")
-    p.add_argument("--zero-sum", action="store_true",
-                   help="assert the game is constant-sum (exit 2 if not)")
-    p.set_defaults(fn=cmd_nash)
+    build = (*machine, flag("--emit-witness", action="store_true"),
+             flag("--out"))
+    queries("reduce", cmd_reduce, (
+        ("nexptm", build), ("forall-nexptm", build),
+        ("transform", (flag("--kind", choices=(
+            "unique-nash", "forall-nash-sat", "irrational",
+            "exists-nash-sat")), *machine, flag("--game"), payoffs,
+            flag("--value"), flag("--namespace", default="t")))))
 
-    p = sub.add_parser("gadget", parents=[common, cells])
-    p.add_argument("what", choices=("build", "value", "combine"))
-    p.add_argument("--value")
-    p.add_argument("--kind", choices=("sum", "product", "complement"))
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--namespace", default="g")
-    p.set_defaults(fn=cmd_gadget)
-
-    p = sub.add_parser("encode", parents=[common])
-    p.add_argument("what", choices=(
-        "equal", "succ", "less", "lesseq", "add", "sub", "square",
-        "oneof", "noneof"))
-    p.add_argument("--width", type=int, default=1)
-    p.add_argument("--args", help="comma-separated prefixes or integers")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--names")
-    p.set_defaults(fn=cmd_encode)
-
-    p = sub.add_parser("reduce", parents=[common])
-    p.add_argument("what", choices=("nexptm", "forall-nexptm", "transform"))
-    p.add_argument("--machine")
-    p.add_argument("--input", default="")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--emit-witness", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--kind", choices=(
-        "unique-nash", "forall-nash-sat", "irrational", "exists-nash-sat"))
-    p.add_argument("--game")
-    p.add_argument("--payoffs")
-    p.add_argument("--value")
-    p.add_argument("--namespace", default="t")
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("verify", parents=[common, sweeps])
-    p.add_argument("what", choices=("witness", "squares", "cover-matrix"))
-    p.add_argument("--machine")
-    p.add_argument("--input", default="")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--mode", choices=("exists", "forall"), default="exists")
-    p.add_argument("--trials", type=_positive, default=10000)
-    p.add_argument("--m", type=int, default=2)
-    p.set_defaults(fn=cmd_verify)
+    queries("verify", cmd_verify, (
+        ("witness", (*machine, caps, sample, seed)),
+        ("squares", (*machine, mode, flag("--trials", type=_positive,
+                                          default=10000), seed, caps)),
+        ("cover-matrix", (flag("--m", type=int, default=2),))))
 
     return top
 

@@ -280,6 +280,8 @@ def combine_games(kind, g1, g2=None, namespace="c"):
     """
     _check_zero_sum_bundle(g1)
     if kind == "complement":
+        if g2 is not None:
+            raise GadgetError("complement takes one operand")
         var_sets, goals, role_vars, build = _namespaced_copy(g1, namespace)
         swapped = BooleanGame(var_sets[::-1], goals[::-1])
         value = None if g1.value is None else 1 - g1.value

@@ -265,11 +265,13 @@ class NormalForm:
 
     payoffs[i] is nested lists with one nesting level per player; each cell
     is an exact int when integral and a Fraction otherwise.
-    strategy_index[i] optionally records what each index means (assignment
-    dicts for Boolean-game expansions).
+    strategy_index[i] records what each index means, where a subclass knows
+    (assignment dicts for Boolean-game expansions); None here.
     """
 
-    def __init__(self, payoffs, strategy_index=None):
+    strategy_index = None
+
+    def __init__(self, payoffs):
         if len(payoffs) < 2:
             raise ValidationError("a game needs at least two players")
         self.shape = _tensor_shape(payoffs[0])
@@ -278,16 +280,14 @@ class NormalForm:
         if 0 in self.shape:
             raise ValidationError("every player needs at least one strategy")
         self.payoffs = [_exact_tensor(t, self.shape) for t in payoffs]
-        self.strategy_index = strategy_index
 
     @classmethod
-    def _exact(cls, payoffs, shape, strategy_index):
+    def _exact(cls, payoffs, shape):
         """A normal form over tensors already of the given shape and holding
         exact cells, without the per-cell pass of ``__init__``."""
         nf = cls.__new__(cls)
         nf.payoffs = payoffs
         nf.shape = shape
-        nf.strategy_index = strategy_index
         return nf
 
     @property
@@ -328,7 +328,7 @@ def _grouped(rows, cols, cell, count):
     rows, cols = ([c[0] for c in side] for side in classes)
     a, b, *tables = [[[cell(t, i, j) for j in cols] for i in rows]
                      for t in range(count)]
-    small = NormalForm._exact([a, b], (len(rows), len(cols)), None)
+    small = NormalForm._exact([a, b], (len(rows), len(cols)))
     return small, classes, tables
 
 

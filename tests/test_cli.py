@@ -9,6 +9,7 @@ import pytest
 
 from boolgames import cli, gadgets, solver
 from boolgames.cli import DrawnTrial, run
+from boolgames.formula import eval_formula, parse_formula
 from boolgames.game import (MixedProfile, draw_trials, parse_game,
                             profile_from_json, profile_to_json, render_game,
                             to_normal_form)
@@ -51,6 +52,12 @@ def machine_file(tmp_path):
     path = tmp_path / "acc.json"
     path.write_text(machine_json(immediate_acceptor()))
     return str(path)
+
+
+# the flags a nash sub-verb needs besides --game, where it needs any
+NASH_FLAGS = {"guarantee": ["--payoffs", "0,0"],
+              "forall-guarantee": ["--payoffs", "0,0"],
+              "sat": ["--formula", "x"]}
 
 
 def run_json(argv, capsys, expect_code=0):
@@ -142,14 +149,23 @@ def test_gadget_value_and_combine_build_no_profile(monkeypatch, capsys):
         raise AssertionError("an equilibrium profile was built")
     monkeypatch.setattr(gadgets, "MixedProfile", no_profile)
     monkeypatch.setattr(gadgets, "product_profile", no_profile)
-    for kind, value in (("sum", "2/3"), ("product", "1/6"),
-                        ("complement", "1/2")):
-        data = run_json(["gadget", "combine", "--kind", kind, "--a", "1/2",
-                         "--b", "1/3"], capsys)
+    for kind, value, b in (("sum", "2/3", ["--b", "1/3"]),
+                           ("product", "1/6", ["--b", "1/3"]),
+                           ("complement", "1/2", [])):
+        data = run_json(["gadget", "combine", "--kind", kind, "--a", "1/2"]
+                        + b, capsys)
         assert data["value"] == value
     for value in ("0", "2/5", "1"):
         data = run_json(["gadget", "value", "--value", value], capsys)
         assert data == {"answer": "yes", "mode": "exact", "value": value}
+
+
+def test_complement_takes_one_operand(capsys):
+    assert run(["gadget", "combine", "--kind", "complement", "--a", "1/2",
+                "--b", "1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "complement takes one operand" in captured.err
 
 
 def test_encode_output_reparses(capsys):
@@ -158,6 +174,61 @@ def test_encode_output_reparses(capsys):
                     capsys)
     parse_formula(data["formula"])
     assert "x1" in data["vars"]
+
+
+def num(a, prefix, width):
+    """The number an MSB-first bit sequence prefix1..prefixwidth holds."""
+    return sum(a[prefix + str(i)] << (width - i) for i in range(1, width + 1))
+
+
+@pytest.mark.parametrize("argv,spec", [
+    # README's example: x + y = 5 (the sum fits in 3 bits)
+    ("add --width 3 --args x,y,5",
+     lambda a: num(a, "x", 3) + num(a, "y", 3) == 5),
+    ("add --width 2 --args x,y,z",
+     lambda a: num(a, "x", 2) + num(a, "y", 2) == num(a, "z", 2)),
+    ("sub --width 3 --args x,2,z",
+     lambda a: num(a, "x", 3) - 2 == num(a, "z", 3)),
+    ("sub --width 2 --args x,y,z",
+     lambda a: num(a, "x", 2) - num(a, "y", 2) == num(a, "z", 2)),
+    # summand S0 holds R when R's one bit is set, and the partial sums
+    # chain 0 = P0, P1 = P0 + S0 = Rsq
+    ("square --k 1",
+     lambda a: num(a, "S0", 2) == a["R1"] and num(a, "P0", 2) == 0
+     and num(a, "P1", 2) == num(a, "S0", 2) == num(a, "Rsq", 2)),
+    ("oneof --names a,b,c", lambda a: a["a"] + a["b"] + a["c"] == 1),
+    ("noneof --names a,b", lambda a: a["a"] + a["b"] == 0),
+])
+def test_encode_formulas_match_integer_arithmetic(capsys, argv, spec):
+    data = run_json(["encode"] + argv.split(), capsys)
+    f = parse_formula(data["formula"])
+    satisfied = 0
+    for bits in range(1 << len(data["vars"])):
+        a = {v: bool(bits >> t & 1) for t, v in enumerate(data["vars"])}
+        want = spec(a)
+        assert eval_formula(f, a) == want, a
+        satisfied += want
+    assert satisfied
+
+
+def test_encode_square_holds_exactly_for_the_square(capsys):
+    # k = 2 has 26 variables: fill the witnesses from R by integer
+    # arithmetic and try every Rsq
+    data = run_json(["encode", "square", "--k", "2"], capsys)
+    f = parse_formula(data["formula"])
+
+    def bits(prefix, value, width):
+        return {prefix + str(i): bool(value >> (width - i) & 1)
+                for i in range(1, width + 1)}
+    for r in range(4):
+        summands = [r << 1 if r & 2 else 0, r if r & 1 else 0]
+        a = {**bits("R", r, 2), **bits("S0", summands[0], 4),
+             **bits("S1", summands[1], 4), **bits("P0", 0, 4),
+             **bits("P1", summands[0], 4), **bits("P2", sum(summands), 4)}
+        for rsq in range(16):
+            full = {**a, **bits("Rsq", rsq, 4)}
+            assert sorted(full) == data["vars"]
+            assert eval_formula(f, full) == (rsq == r * r), (r, rsq)
 
 
 def test_reduce_emits_reparsable_artifacts(machine_file, tmp_path, capsys):
@@ -182,6 +253,22 @@ def test_verify_squares_sampled_mode(machine_file, capsys):
                      "--bound", "2", "--trials", "300"], capsys)
     assert data["answer"] == "yes"
     assert data["mode"] == "sampled"
+
+
+def test_verify_squares_honours_cap_deviations(machine_file, monkeypatch,
+                                              capsys):
+    argv = ["verify", "squares", "--machine", machine_file,
+            "--cap-deviations", "9", "--trials"]
+    assert run(argv + ["9"]) == 0
+    capsys.readouterr()
+    # the cap is checked before any trial is drawn
+    def no_draws(*args):
+        raise AssertionError("trials were drawn")
+    monkeypatch.setattr(cli, "draw_trials", no_draws)
+    assert run(argv + ["10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "10 trials to check; cap is 9" in captured.err
 
 
 @pytest.mark.parametrize("bound", [2, 4])
@@ -401,7 +488,7 @@ def test_nash_find_on_negative_payoffs(tmp_path, capsys):
 @pytest.mark.parametrize("what", ["find", "unique", "guarantee",
                                   "forall-guarantee", "irrational"])
 def test_nash_verbs_honour_cap_cells(mp_file, capsys, what):
-    argv = ["nash", what, "--game", mp_file, "--payoffs", "0,0"]
+    argv = ["nash", what, "--game", mp_file] + NASH_FLAGS.get(what, [])
     assert run(argv) in (0, 1)  # answered without a cap
     capsys.readouterr()
     assert run(argv + ["--cap-cells", "1"]) == 3
@@ -556,6 +643,30 @@ def test_unread_flags_are_usage_errors(mp_file, capsys, argv):
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    ("nash find --game GAME", "--payoffs 1,1"),
+    ("nash unique --game GAME", "--formula x"),
+    ("nash pure --game GAME", "--cap-deviations 5"),
+    ("nash guarantee --game GAME --payoffs 0,0", "--sample 3"),
+    ("verify witness --machine MACHINE --sample 10", "--mode forall"),
+    ("verify cover-matrix", "--machine MACHINE"),
+    ("gadget build --value 1/2", "--cap-cells 0"),
+    ("encode square", "--width 2"),
+    ("reduce nexptm --machine MACHINE", "--kind irrational"),
+])
+def test_flags_a_sub_verb_does_not_read_are_usage_errors(
+        mp_file, machine_file, capsys, argv, unread):
+    # each command answers without the flag, so the flag alone makes the
+    # usage error
+    files = {"GAME": mp_file, "MACHINE": machine_file}
+    argv = [files.get(a, a) for a in argv.split()]
+    assert run(argv) in (0, 1)
+    capsys.readouterr()
+    assert run(argv + [files.get(a, a) for a in unread.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
 def test_sample_and_trials_below_1_exit_2(mp_file, machine_file, tmp_path,
                                           capsys):
     # matching pennies at (T, T): player 1 gains by deviating
@@ -646,8 +757,8 @@ def test_zero_sum_flag_expands_once(mp_file, monkeypatch, capsys, what):
     monkeypatch.setattr(solver, "to_normal_form", counted)
     for flags in ([], ["--zero-sum"]):
         calls.clear()
-        assert run(["nash", what, "--game", mp_file, "--payoffs", "0,0",
-                    "--formula", "x"] + flags) in (0, 1)
+        assert run(["nash", what, "--game", mp_file]
+                   + NASH_FLAGS.get(what, []) + flags) in (0, 1)
         assert len(calls) == 1, flags
     capsys.readouterr()
 
@@ -673,10 +784,26 @@ def test_support_enumeration_needs_two_players(tmp_path, capsys, what, text):
     path.write_text(text)
     assert run(["check", "--game", str(path)]) == 0
     capsys.readouterr()
-    assert run(["nash", what, "--game", str(path), "--payoffs", "0,0"]) == 2
+    assert run(["nash", what, "--game", str(path)]
+               + NASH_FLAGS.get(what, [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "operation requires a two-player game" in captured.err
+
+
+@pytest.mark.parametrize("game,formula,message", [
+    ("bos", "x", "nash_sat needs a BooleanGame"),
+    ("three", "x", "nash_sat requires two players"),
+    ("mp", "zz", "formula uses foreign variables: zz"),
+])
+def test_nash_sat_input_errors_exit_2(mp_file, bos_file, tmp_path, capsys,
+                                      game, formula, message):
+    three = tmp_path / "three.bg"
+    three.write_text(THREE_PLAYER_TEXT)
+    path = {"mp": mp_file, "bos": bos_file, "three": str(three)}[game]
+    assert run(["nash", "sat", "--game", path, "--formula", formula]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_one_player_normal_form_exits_2(tmp_path, capsys):

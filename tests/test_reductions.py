@@ -214,6 +214,47 @@ def test_cover_matrix_check():
         cover_matrix_check(200, cap=64)
 
 
+def cover_determinant(m):
+    """The determinant of the cover-weight system of ``cover_matrix_check``
+    (4 x[i][j] + x[i-1][j] + x[i][j-1] + x[i-1][j-1], indices mod m), by
+    Gaussian elimination over Fractions with row swaps."""
+    n = m * m
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(m):
+        for j in range(m):
+            for di, dj, w in ((0, 0, 4), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+                rows[i * m + j][(i - di) % m * m + (j - dj) % m] += w
+    det = Fraction(1)
+    for c in range(n):
+        r = next(r for r in range(c, n) if rows[r][c])
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for rr in range(c + 1, n):
+            f = rows[rr][c] / rows[c][c]
+            rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("m,det", [(2, 189), (3, 283024), (4, 4184332425)])
+def test_cover_matrix_check_eliminates(monkeypatch, m, det):
+    # the matrix is nonsingular for every m, so a bare "yes" cannot tell an
+    # elimination from none: count its pivots and read its last
+    # denominator, the determinant up to sign
+    from boolgames import reductions
+    pivot, denominators = reductions._pivot, []
+
+    def spy(*args):
+        denominators.append(pivot(*args))
+        return denominators[-1]
+    monkeypatch.setattr(reductions, "_pivot", spy)
+    assert cover_matrix_check(m)
+    assert abs(cover_determinant(m)) == det
+    assert len(denominators) == m * m
+    assert denominators[-1] == det
+
+
 def test_transform_unique_nash_shape():
     g2, phi = transform_game("unique_nash", MP, (Fraction(1, 2), Fraction(1, 2)))
     assert phi is None
