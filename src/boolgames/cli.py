@@ -192,10 +192,17 @@ def cmd_check(args):
 
 
 def cmd_eval(args):
+    # two modes, --formula with --assign or --game with --profile: a flag of
+    # the other mode would change nothing
     if args.formula is not None:
+        for flag, value in (("--game", args.game), ("--profile", args.profile)):
+            if value is not None:
+                raise UsageError("%s is not read with --formula" % flag)
         f = parse_formula(args.formula)
         assign = _parse_assign(args.assign or "")
         return 0, {"value": bool(eval_formula(f, assign))}
+    if args.assign is not None:
+        raise UsageError("--assign is read only with --formula")
     if args.game is None or args.profile is None:
         raise UsageError("eval needs --formula or both --game and --profile")
     g = load_game(args.game)
@@ -311,8 +318,14 @@ def cmd_encode(args):
         k = args.k
         r = encodings.var_bits("R", k)
         rsq = encodings.var_bits("Rsq", 2 * k)
-        summands = [encodings.var_bits("S%d" % j, 2 * k) for j in range(k)]
-        partials = [encodings.var_bits("P%d" % j, 2 * k) for j in range(k + 1)]
+        # summand and partial-sum numbers are zero-padded to the digits of
+        # k, so a number and a bit index join into a name one way only
+        # (unpadded, P1 with bit 11 and P11 with bit 1 would both be P111)
+        pad = len(str(k))
+        summands = [encodings.var_bits("S%0*d" % (pad, j), 2 * k)
+                    for j in range(k)]
+        partials = [encodings.var_bits("P%0*d" % (pad, j), 2 * k)
+                    for j in range(k + 1)]
         f = encodings.build_square(r, rsq, summands, partials)
     else:
         names = [s.strip() for s in _need(args.names, "--names").split(",")]
@@ -367,15 +380,16 @@ def cmd_reduce(args):
 class DrawnTrial:
     """One trial of ``draw_trials`` bytes as a read-only assignment: the
     trial starts at byte ``at``, and ``index`` maps each variable to its
-    byte in the trial, so no dict is built per trial."""
+    byte in the trial, so no dict is built per trial.  Setting ``at`` moves
+    the view to another trial."""
 
-    __slots__ = ("_draws", "_index", "_at")
+    __slots__ = ("_draws", "_index", "at")
 
     def __init__(self, draws, index, at):
-        self._draws, self._index, self._at = draws, index, at
+        self._draws, self._index, self.at = draws, index, at
 
     def __getitem__(self, name):
-        return self._draws[self._at + self._index[name]] == 0x31  # b"1"
+        return self._draws[self.at + self._index[name]] == 0x31  # b"1"
 
     def __contains__(self, name):
         return name in self._index
@@ -410,10 +424,11 @@ def cmd_verify(args):
     # drawn one bit per player-2 variable in var_sets order
     names = ro.game.var_sets[1]
     draws = draw_trials(args.seed, args.trials * len(names))
-    index = {v: t for t, v in enumerate(names)}
-    oracle = bytes(
-        b"01"[reductions.oracle_requires(ro, DrawnTrial(draws, index, r))]
-        for r in range(0, len(draws), len(names)))
+    view = DrawnTrial(draws, {v: t for t, v in enumerate(names)}, 0)
+    oracle = bytearray(args.trials)  # one ASCII 0/1 per trial
+    for r in range(args.trials):
+        view.at = r * len(names)
+        oracle[r] = b"01"[reductions.oracle_requires(ro, view)]
     masks = dict(zip(names, draw_masks(draws, len(names))))
     said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
     mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()

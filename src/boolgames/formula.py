@@ -108,7 +108,8 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
 _IDENT_RE = re.compile(_IDENT)
 
 # every recursive walk here stays far within Python's default limit of 1000
-# frames: a parenthesis costs the parser five, an And/Or level the renderer two
+# frames: a parenthesis costs the parser five, an And/Or level the renderer
+# two and ``var_order`` one
 MAX_DEPTH = 100
 
 
@@ -266,21 +267,27 @@ def render_formula(f):
 
 def var_order(f):
     """The variables of ``f`` in order of first occurrence, left to right."""
-    seen = {}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Var:
-            seen[node.name] = None
-        elif t is And or t is Or:
-            stack.extend(reversed(node.children))
-        elif t is Not:
-            stack.append(node.child)
-        elif t is Implies or t is Iff:
-            stack.append(node.right)
-            stack.append(node.left)
-    return list(seen)
+    return list(_first_occurrences(f, {}))
+
+
+def _first_occurrences(node, seen):
+    """``seen`` with the variables of ``node`` added in order of first
+    occurrence; a Var child is read in place, as in ``eval_bits``."""
+    t = type(node)
+    if t is Var:
+        seen[node.name] = None
+    elif t is And or t is Or:
+        for c in node.children:
+            if type(c) is Var:
+                seen[c.name] = None
+            else:
+                _first_occurrences(c, seen)
+    elif t is Not:
+        _first_occurrences(node.child, seen)
+    elif t is Implies or t is Iff:
+        _first_occurrences(node.left, seen)
+        _first_occurrences(node.right, seen)
+    return seen
 
 
 def free_vars(f):

@@ -24,8 +24,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .formula import (
+    And,
     FormulaSyntaxError,
     compile_formula,  # noqa: F401 - perfbench/tracing.py patches it here
+    conj,
     eval_bits,
     is_valid_var,
     parse_formula,
@@ -56,12 +58,16 @@ class BooleanGame:
 
     Validation walks each goal once and the game keeps what it found:
     ``goal_vars[i]`` is goal i's variables in order of first occurrence
-    (``var_order``), and ``owners`` maps every variable to its player."""
+    (``var_order``), ``owners`` maps every variable to its player, and
+    ``own_parts[i]`` is (own, rest): the conjunction of goal i's root
+    conjuncts that read only player i's variables, and that of the others
+    (a goal that is not an ``And`` is one conjunct; either is ``T`` if it
+    has none)."""
 
     def __init__(self, var_sets, goals):
         self.var_sets = tuple(tuple(sorted(set(vs))) for vs in var_sets)
         self.goals = tuple(goals)
-        self.owners, self.goal_vars = validate_game(self)
+        self.owners, self.goal_vars, self.own_parts = validate_game(self)
 
     @property
     def players(self):
@@ -76,7 +82,7 @@ class BooleanGame:
 
 def validate_game(g):
     """Raise ValidationError unless ``g`` is well formed; otherwise return
-    (owners, goal_vars), as a ``BooleanGame`` keeps them."""
+    (owners, goal_vars, own_parts), as a ``BooleanGame`` keeps them."""
     if len(g.var_sets) < 2:
         raise ValidationError("a game needs at least two players")
     if len(g.goals) != len(g.var_sets):
@@ -93,15 +99,23 @@ def validate_game(g):
                     "variable %s owned by players %d and %d" % (v, seen[v] + 1, i + 1)
                 )
             seen[v] = i
-    goal_vars = tuple(tuple(var_order(goal)) for goal in g.goals)
-    for i, names in enumerate(goal_vars):
-        extra = [v for v in names if v not in seen]
+    goal_vars, own_parts = [], []
+    for i, goal in enumerate(g.goals):
+        # one walk per root conjunct: their orders joined are the goal's
+        mine, order, own, rest = set(g.var_sets[i]), {}, [], []
+        for part in goal.children if type(goal) is And else (goal,):
+            names = var_order(part)
+            order.update(dict.fromkeys(names))
+            (own if mine.issuperset(names) else rest).append(part)
+        extra = [v for v in order if v not in seen]
         if extra:
             raise ValidationError(
                 "goal %d references unowned variables: %s"
                 % (i + 1, ", ".join(sorted(extra)))
             )
-    return seen, goal_vars
+        goal_vars.append(tuple(order))
+        own_parts.append((conj(own), conj(rest)))
+    return seen, tuple(goal_vars), tuple(own_parts)
 
 
 # --- mixed profiles ---------------------------------------------------------
@@ -179,8 +193,11 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
     values on the goal's variables, and the merged combinations are laid
     side by side: combination c's rows are byte-aligned block c of every
     mask, so one evaluation covers a chunk of about ``SWEEP_BUDGET`` bits.
-    Each block of the result, times the combination's integer weight, is
-    added into bit-sliced counters.
+    The goal's own-only conjuncts (``BooleanGame.own_parts``) take the
+    same value in every block: they are evaluated once, over one block, and
+    the result is tiled across each chunk and ANDed with the rest.  Each
+    block of the result, times the combination's integer weight, is added
+    into bit-sliced counters.
     """
     validate_profile(g, profile)
     names = [[] for _ in g.var_sets]  # the goal's variables by owner
@@ -191,13 +208,17 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
     s = len(support)
     width = (s + deviations + 7) // 8  # bytes per block
     rows = (1 << (s + deviations)) - 1
-    own_masks = []
+    own_masks = {}
     for t, v in enumerate(names[i]):
         m = masks[t] << s if deviations else 0
         for r, (a, _) in enumerate(support):
             if a[v]:
                 m |= 1 << r
-        own_masks.append((v, m.to_bytes(width, "little")))
+        own_masks[v] = m
+    own_part, rest = g.own_parts[i]
+    own_sat = eval_bits(own_part, own_masks, rows).to_bytes(width, "little")
+    own_masks = [(v, m.to_bytes(width, "little"))
+                 for v, m in own_masks.items()]
     den, merged = 1, []
     for j, opp in enumerate(profile.strategies):
         if j == i:
@@ -232,8 +253,9 @@ def utility_sweep(g, profile, i, deviations=0, masks=()):
                     b"".join([ones if b else zeros for b in column]),
                     "little")
             var_masks[v] = by_column[column]
-        sat = eval_bits(g.goals[i], var_masks, full).to_bytes(n * width,
-                                                             "little")
+        sat = int.from_bytes(own_sat * n, "little")
+        sat = (sat and eval_bits(rest, var_masks, full) & sat).to_bytes(
+            n * width, "little")
         for c, (_, weight) in enumerate(chunk):
             block = int.from_bytes(sat[c * width:(c + 1) * width], "little")
             b = 0
@@ -589,22 +611,12 @@ def render_game(g):
 
 
 def profile_to_json(profile):
+    """The profile as JSON, each assignment's variables in sorted order."""
     return json.dumps(
-        {
-            "players": [
-                {
-                    "support": [
-                        {
-                            "assign": {k: v for k, v in sorted(a.items())},
-                            "weight": str(w),
-                        }
-                        for a, w in support
-                    ]
-                }
-                for support in profile.strategies
-            ]
-        }
-    )
+        {"players": [{"support": [{"assign": a, "weight": str(w)}
+                                  for a, w in support]}
+                     for support in profile.strategies]},
+        sort_keys=True)
 
 
 def profile_from_json(text, g=None):

@@ -387,16 +387,18 @@ ENTRY_OFFSETS = {"": (0, 0), "s": (0, 1), "n": (1, 0), "ns": (1, 1)}
 
 
 def _entry_flags(prefix, player, states):
-    """The descriptor flag names of one table entry of a player."""
+    """The descriptor flag names of one table entry of a player; "heads"
+    pairs each head marker with its flag: left, right, then the states."""
     flags = {f: "%s%s%d" % (prefix, f.capitalize(), player)
              for f in ("zero", "one", "left", "right")}
     flags["state"] = {q: "%sState%d.%s" % (prefix, player, q) for q in states}
+    flags["heads"] = ((LEFT, flags["left"]), (RIGHT, flags["right"]),
+                      *flags["state"].items())
     return flags
 
 
 def _entry_vars(flags):
-    return [flags["zero"], flags["one"], flags["left"], flags["right"]] + \
-        list(flags["state"].values())
+    return [flags["zero"], flags["one"], *(name for _, name in flags["heads"])]
 
 
 class VarIndex:
@@ -496,9 +498,8 @@ def _build_require(m, word, K, k, vi):
     ])
     well_formed = conj([
         conj([
-            build_cardinality("one_of", [vi.flags2[p]["left"],
-                                         vi.flags2[p]["right"]]
-                              + [vi.flags2[p]["state"][q] for q in m.states]),
+            build_cardinality("one_of",
+                              [name for _, name in vi.flags2[p]["heads"]]),
             Not(And((Var(vi.flags2[p]["one"]), Var(vi.flags2[p]["zero"])))),
         ])
         for p in ENTRY_PREFIXES
@@ -523,16 +524,21 @@ def _build_require(m, word, K, k, vi):
     positional = conj(positional)
 
     patterns = admissible_squares(m)
-    # the rules in the order of their reprs, each entry's formula built and
-    # rendered once: a rule is And((four entries)), its repr theirs joined
-    # inside a constant wrapper, and no repr is a proper prefix of another,
-    # so comparing the lists of entry reprs compares the rules' reprs
+    # the rules in the order of their reprs, each entry's formula built
+    # once.  A rule is And((four entries)), its repr theirs joined inside a
+    # constant wrapper, and no repr is a proper prefix of another, so the
+    # rules' reprs compare as the lists of their entries' reprs.  Entries at
+    # one prefix compare as (content name, head name): a blank's repr opens
+    # "And(" and a flag's "Var(name='", "One" sorts before "Zero", and a
+    # name is followed by "'", which sorts before every name character
     entries = {}
     for pat in patterns:
         for p, d in zip(ENTRY_PREFIXES, pat):
             if (p, d) not in entries:
                 f = _descriptor_formula(vi.flags2[p], d)
-                entries[p, d] = (repr(f), f)
+                content, head = f.children
+                key = (content.name if type(content) is Var else "", head.name)
+                entries[p, d] = (key, f)
     rules = sorted([entries[p, d] for p, d in zip(ENTRY_PREFIXES, pat)]
                    for pat in patterns)
     rule_disj = disj(conj([f for _, f in rule]) for rule in rules)
@@ -649,10 +655,9 @@ def build_forall_guarantee_game(m, word, K):
 
 def _entry_assign(flags, desc):
     """The flag values that describe ``desc``."""
-    heads = [LEFT, RIGHT, *flags["state"]]
-    return dict(zip(_entry_vars(flags),
-                    [desc.content == "0", desc.content == "1"]
-                    + [desc.head == h for h in heads]))
+    return {flags["zero"]: desc.content == "0",
+            flags["one"]: desc.content == "1",
+            **{name: desc.head == h for h, name in flags["heads"]}}
 
 
 def witness_profile(ro, table):
@@ -690,8 +695,7 @@ def _decode_entry(assign, flags):
     if zero and one:
         return None
     head = None
-    for h, name in [(LEFT, flags["left"]), (RIGHT, flags["right"]),
-                    *flags["state"].items()]:
+    for h, name in flags["heads"]:
         if assign[name]:
             if head is not None:
                 return None

@@ -17,7 +17,7 @@ from boolgames.reductions import (build_forall_guarantee_game,
                                   build_guarantee_game, immediate_acceptor,
                                   oracle_requires, simulate_tm,
                                   transform_game, witness_profile)
-from test_reductions import machine_json
+from test_reductions import machine_json, two_step_acceptor
 from windows import perturbed_windows
 
 MP_TEXT = """\
@@ -231,6 +231,15 @@ def test_encode_square_holds_exactly_for_the_square(capsys):
             assert eval_formula(f, full) == (rsq == r * r), (r, rsq)
 
 
+@pytest.mark.parametrize("k", [11, 12])
+def test_encode_square_names_never_collide(capsys, k):
+    # unpadded, P1 followed by bit 11 and P11 followed by bit 1 were one
+    # name, and the build refused the families as not variable-disjoint;
+    # R, Rsq, k summands and k + 1 partial sums of 2k bits each
+    data = run_json(["encode", "square", "--k", str(k)], capsys)
+    assert len(data["vars"]) == 3 * k + (2 * k + 1) * 2 * k
+
+
 def test_reduce_emits_reparsable_artifacts(machine_file, tmp_path, capsys):
     out = str(tmp_path / "red")
     data = run_json(["reduce", "nexptm", "--machine", machine_file,
@@ -328,6 +337,51 @@ def test_drawn_trial_reads_as_its_dict(bound, mode):
         verdicts.append(oracle_requires(ro, a))
         assert oracle_requires(ro, view) == verdicts[-1]
     assert set(verdicts[:300]) == {False, True}
+
+
+@pytest.mark.parametrize("machine, bound, mode", [
+    (immediate_acceptor, 2, "exists"), (immediate_acceptor, 4, "exists"),
+    (immediate_acceptor, 4, "forall"), (two_step_acceptor, 4, "exists"),
+    (two_step_acceptor, 4, "forall")])
+def test_verify_squares_view_answers_as_trial_dicts(machine, bound, mode,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    # verify squares reads every trial through one view moved from trial to
+    # trial: the oracle's answer on it must be its answer on a dict of the
+    # trial, on windows a few bits from legal ones (which reach the square
+    # oracle) and on uniform draws (mostly rejected at the first entry's
+    # flags)
+    build = build_guarantee_game if mode == "exists" else \
+        build_forall_guarantee_game
+    ro = build(machine(), "", bound)
+    names = ro.game.var_sets[1]
+    near = list(perturbed_windows(ro, random.Random(bound + 10), 300))
+    draws = b"".join(bytes(b"01"[a[v]] for v in names) for a in near)
+    draws += draw_trials(bound + 10, 300 * len(names))
+    width = len(names)
+    want = [oracle_requires(ro, dict(zip(names, (c == ord("1") for c in
+                                                  draws[r:r + width]))))
+            for r in range(0, len(draws), width)]
+    assert set(want[:300]) == {False, True}
+    said = []
+
+    def spy(ro, trial):
+        said.append(oracle_requires(ro, trial))
+        return said[-1]
+
+    def replay(seed, n):
+        assert n == len(draws)
+        return draws
+
+    monkeypatch.setattr(cli, "draw_trials", replay)
+    monkeypatch.setattr(cli.reductions, "oracle_requires", spy)
+    path = tmp_path / "m.json"
+    path.write_text(machine_json(machine()))
+    data = run_json(["verify", "squares", "--machine", str(path), "--bound",
+                     str(bound), "--mode", mode, "--trials", str(len(want))],
+                    capsys)
+    assert said == want
+    assert (data["answer"], data["mismatches"]) == ("yes", 0)
 
 
 def test_nash_is_with_sample_flag(machine_file, tmp_path, capsys):
@@ -665,6 +719,27 @@ def test_flags_a_sub_verb_does_not_read_are_usage_errors(
     assert run(argv + [files.get(a, a) for a in unread.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    ("eval --formula x --assign x=1", "--game GAME"),
+    ("eval --formula x --assign x=1", "--profile PROFILE"),
+    ("eval --game GAME --profile PROFILE", "--assign x=1"),
+])
+def test_eval_refuses_the_other_modes_flags(mp_file, tmp_path, capsys, argv,
+                                            unread):
+    # eval reads --formula with --assign, or --game with --profile: each
+    # command answers without the flag, and names it when it is given
+    profile = tmp_path / "tt.json"
+    profile.write_text(profile_to_json(MixedProfile([
+        [({"x": True}, Fraction(1))], [({"y": True}, Fraction(1))]])))
+    files = {"GAME": mp_file, "PROFILE": str(profile)}
+    argv = [files.get(a, a) for a in argv.split()]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + [files.get(a, a) for a in unread.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and unread.split()[0] in captured.err
 
 
 def test_sample_and_trials_below_1_exit_2(mp_file, machine_file, tmp_path,

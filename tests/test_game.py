@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,15 @@ from boolgames.game import (
     validate_game,
     validate_profile,
 )
+
+from boolgames.reductions import (
+    build_guarantee_game,
+    immediate_acceptor,
+    simulate_tm,
+    witness_profile,
+)
+
+from test_reductions import two_step_acceptor
 
 MP_TEXT = """\
 # matching pennies, boolean form
@@ -289,3 +299,18 @@ def test_three_player_expected_utility_factorizes(num1, num2):
     validate_profile(g, prof)
     assert expected_utility(g, prof, 0) == w1 * w2
     assert expected_utility(g, prof, 2) == 1
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor])
+def test_profile_to_json_sorts_as_a_sorted_dict_per_entry(machine):
+    # json's sort_keys against a sorted dict built for every entry, on the
+    # bound-4 witness, whose entries list their variables unsorted
+    # (player 2's 64 windows start Time21, Time22, Tape21)
+    m = machine()
+    ro = build_guarantee_game(m, "", 4)
+    wp = witness_profile(ro, simulate_tm(m, "", 4, 4, accept_row=3))
+    old = json.dumps({"players": [
+        {"support": [{"assign": {k: v for k, v in sorted(a.items())},
+                      "weight": str(w)} for a, w in support]}
+        for support in wp.strategies]})
+    assert profile_to_json(wp) == old

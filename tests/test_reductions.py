@@ -405,9 +405,9 @@ def test_reduction_text_is_pinned(machine, bound, mode):
                                      one_reader])
 @pytest.mark.parametrize("bound", [2, 4])
 def test_window_rules_sorted_by_their_text(machine, bound):
-    # the rules of the window disjunction are sorted on their entries'
-    # cached reprs; the order, and so every rendered game, must be that of
-    # sorting the rules on their own text
+    # the rules of the window disjunction are sorted on a key read from
+    # their entries' variable names; the order, and so every rendered game,
+    # must be that of sorting the rules on their own text
     m = machine()
     ro = build_guarantee_game(m, "", bound)
     consistency = _build_require(m, "", bound, ro.k, ro.var_index)[3]

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from reference import truth
 
 from boolgames import game
-from boolgames.formula import And, Not, Or, Var, compile_formula
+from boolgames.formula import (And, Iff, Not, Or, Var, compile_formula,
+                               free_vars)
 from boolgames.game import (
     BooleanGame,
     MixedProfile,
@@ -37,13 +38,17 @@ from boolgames.reductions import (
 )
 from boolgames.solver import best_deviation_gain, is_nash
 
-from test_expansion import games
+from test_expansion import formulas, games
 from test_reductions import two_step_acceptor
 
 
 @st.composite
 def game_and_profile(draw):
     g = draw(st.integers(min_value=2, max_value=3).flatmap(games))
+    return g, draw_profile(draw, g)
+
+
+def draw_profile(draw, g):
     strategies = []
     for i in range(g.players):
         pure = player_assignments(g, i)
@@ -53,7 +58,7 @@ def game_and_profile(draw):
                                 max_size=len(picks)))
         strategies.append([(pure[k], Fraction(w, sum(weights)))
                            for k, w in zip(picks, weights)])
-    return g, MixedProfile(strategies)
+    return MixedProfile(strategies)
 
 
 def brute_eu(g, profile, i, own=None):
@@ -116,6 +121,50 @@ def test_sweep_chunks_match_brute_force(budget, gp, sample, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(game, "SWEEP_BUDGET", budget)
         check_sweep(*gp, sample, seed)
+
+
+@st.composite
+def conjunct_games(draw):
+    """A game whose goals are root ``And``s of conjuncts over the player's
+    own variables and conjuncts that read an opponent's, in any order; or
+    ``And``s of own-only conjuncts; or any formula (mostly not an ``And``).
+    Each player owns one or two variables, so an own conjunct is often a
+    single variable or a constant."""
+    players = draw(st.integers(min_value=2, max_value=3))
+    var_sets = [["v%d%s" % (i, c) for c in "ab"[:draw(st.integers(1, 2))]]
+                for i in range(players)]
+    names = [v for vs in var_sets for v in vs]
+    goals = []
+    for i, own in enumerate(var_sets):
+        kind = draw(st.sampled_from(["mixed", "own", "any"]))
+        if kind == "any":
+            goals.append(draw(formulas(names)))
+            continue
+        parts = draw(st.lists(formulas(own), min_size=1 if kind == "mixed"
+                              else 2, max_size=3))
+        if kind == "mixed":
+            others = [v for v in names if v not in own]
+            # an Iff with an opponent's variable reads it whatever f is
+            parts += [Iff(f, Var(v)) for f, v in draw(st.lists(
+                st.tuples(formulas(names), st.sampled_from(others)),
+                min_size=1, max_size=2))]
+        goals.append(And(tuple(draw(st.permutations(parts)))))
+    g = BooleanGame(var_sets, goals)
+    return g, draw_profile(draw, g)
+
+
+# the own-only conjuncts of a goal are evaluated once per sweep and tiled
+# across each chunk: budget 1 tiles them over one block, 24 over up to three
+@pytest.mark.parametrize("budget", [1, 24])
+@settings(deadline=None, max_examples=100)
+@given(conjunct_games(), st.integers(0, 4), st.integers(0, 99))
+def test_sweep_own_conjuncts_match_brute_force(budget, gp, sample, seed):
+    g, profile = gp
+    for i, (own, _) in enumerate(g.own_parts):
+        assert all(g.owners[v] == i for v in free_vars(own))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game, "SWEEP_BUDGET", budget)
+        check_sweep(g, profile, sample, seed)
 
 
 def test_sweep_exact_gain_off_equilibrium():
