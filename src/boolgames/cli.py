@@ -293,6 +293,19 @@ def cmd_gadget(args):
     return _decision(value == b.value, {"value": _fr_str(value)})
 
 
+# the largest encode --width and encode square --k: the formulas grow as
+# the cube of either (add and sub; square), and at the bounds the largest
+# renders under 2 MB of text
+ENCODE_WIDTH_CAP = 64
+SQUARE_K_CAP = 16
+
+
+def _bounded(value, cap, flag):
+    if value > cap:
+        raise ResourceCapError("%s %d exceeds the bound %d" % (flag, value, cap))
+    return value
+
+
 def cmd_encode(args):
     kind = args.what
     def operand(tok, m):
@@ -304,18 +317,18 @@ def cmd_encode(args):
         ops = _need(args.args, "--args").split(",")
         if len(ops) != 2:
             raise UsageError("%s takes two operands" % kind)
-        m = args.width
+        m = _bounded(args.width, ENCODE_WIDTH_CAP, "--width")
         name = "less_eq" if kind == "lesseq" else kind
         f = encodings.build_comparison(name, operand(ops[0], m), operand(ops[1], m))
     elif kind in ("add", "sub"):
         ops = _need(args.args, "--args").split(",")
         if len(ops) != 3:
             raise UsageError("%s takes three operands" % kind)
-        m = args.width
+        m = _bounded(args.width, ENCODE_WIDTH_CAP, "--width")
         f = encodings.build_arithmetic(kind, operand(ops[0], m),
                                        operand(ops[1], m), operand(ops[2], m))
     elif kind == "square":
-        k = args.k
+        k = _bounded(args.k, SQUARE_K_CAP, "--k")
         r = encodings.var_bits("R", k)
         rsq = encodings.var_bits("Rsq", 2 * k)
         # summand and partial-sum numbers are zero-padded to the digits of
@@ -419,10 +432,12 @@ def cmd_verify(args):
     if args.trials > args.cap_deviations:
         raise ResourceCapError("%d trials to check; cap is %d"
                                % (args.trials, args.cap_deviations))
-    ro = _reduction(args, args.mode)
-    # all trials in one eval_bits pass: bit r of each mask is trial r,
-    # drawn one bit per player-2 variable in var_sets order
-    names = ro.game.var_sets[1]
+    # Require alone, not the game: all trials in one eval_bits pass, bit r
+    # of each mask is trial r, drawn one bit per player-2 variable in the
+    # game's var_sets order
+    ro = reductions.build_require(load_machine(args.machine), args.input,
+                                  args.bound, args.mode)
+    names = ro.player2_vars
     draws = draw_trials(args.seed, args.trials * len(names))
     view = DrawnTrial(draws, {v: t for t, v in enumerate(names)}, 0)
     oracle = bytearray(args.trials)  # one ASCII 0/1 per trial

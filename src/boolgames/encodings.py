@@ -56,7 +56,10 @@ def _check_seq(s):
         seen.add(t)
 
 
-def _check_same_width(*seqs):
+def check_bits(*seqs):
+    """Raise EncodingError unless every sequence is well formed (nonempty,
+    its terms constants or valid variable names, no variable twice) and all
+    have one width."""
     for s in seqs:
         _check_seq(s)
     if len({len(s) for s in seqs}) != 1:
@@ -71,7 +74,6 @@ def seq_vars(s):
 
 def decode_bits(s, assignment):
     """Numeric value of the sequence under the assignment."""
-    _check_seq(s)
     value = 0
     for t in s:
         if isinstance(t, bool):
@@ -133,9 +135,11 @@ def _less(p, q):
     )
 
 
-def build_comparison(kind, p, q):
-    """Formula true iff decode(p) R decode(q), R in = / +1= / < / <=."""
-    _check_same_width(p, q)
+def build_comparison(kind, p, q, checked=False):
+    """Formula true iff decode(p) R decode(q), R in = / +1= / < / <=;
+    ``checked`` skips ``check_bits(p, q)``, for sequences known to pass it."""
+    if not checked:
+        check_bits(p, q)
     if kind == "equal":
         return _equal(p, q)
     if kind == "succ":
@@ -160,7 +164,7 @@ def _carry(p, q, i, generate, propagate):
 
 def build_arithmetic(kind, p, q, r):
     """Formula true iff p+q=r without overflow (add) or p-q=r with p>=q (sub)."""
-    _check_same_width(p, q, r)
+    check_bits(p, q, r)
     m = len(p)
     if kind == "add":
         def gen(a, b):

@@ -55,21 +55,25 @@ def _assign_all(pairs):
             for name, bit in assign_bits(seq, value).items()}
 
 
-def fixed_value_game(v, namespace):
-    """The zero-sum game G(a/b) with value exactly v = a/b."""
+def fixed_value_roles(v, namespace):
+    """(role_vars, var_sets) of ``fixed_value_game(v, namespace)``, without
+    building its goals: player 1 owns p, q, s and t, player 2 owns r."""
     v = Fraction(v)
     if v < 0 or v > 1:
         raise GadgetError("value must lie in [0, 1]")
+    m = max(1, (v.denominator - 1).bit_length())
+    role_vars = {x: var_bits("%s.%s" % (namespace, x), m) for x in "pqstr"}
+    p, q, s, t, r = role_vars.values()
+    return role_vars, [list(p) + list(q) + list(s) + list(t), list(r)]
+
+
+def fixed_value_game(v, namespace):
+    """The zero-sum game G(a/b) with value exactly v = a/b."""
+    v = Fraction(v)
+    role_vars, var_sets = fixed_value_roles(v, namespace)
     a, b = v.numerator, v.denominator
-    m = max(1, (b - 1).bit_length())
-    ns = namespace
-    p = var_bits(ns + ".p", m)
-    q = var_bits(ns + ".q", m)
-    s = var_bits(ns + ".s", m)
-    t = var_bits(ns + ".t", m)
-    r = var_bits(ns + ".r", m)
-    role_vars = {"p": p, "q": q, "s": s, "t": t, "r": r}
-    var_sets = [list(p) + list(q) + list(s) + list(t), list(r)]
+    p, q, s, t, r = role_vars.values()
+    m = len(r)
 
     if a == 0 or a == b:
         # boundary games: one side's goal is unsatisfiable; the variable

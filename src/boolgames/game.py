@@ -53,6 +53,11 @@ class ResourceCapError(Exception):
     """An explicit resource cap was exceeded (not an input error)."""
 
 
+def var_set(names):
+    """A player's variables as a game keeps them: distinct, sorted."""
+    return tuple(sorted(set(names)))
+
+
 class BooleanGame:
     """n players, pairwise-disjoint variable sets, one goal formula each.
 
@@ -65,7 +70,7 @@ class BooleanGame:
     has none)."""
 
     def __init__(self, var_sets, goals):
-        self.var_sets = tuple(tuple(sorted(set(vs))) for vs in var_sets)
+        self.var_sets = tuple(var_set(vs) for vs in var_sets)
         self.goals = tuple(goals)
         self.owners, self.goal_vars, self.own_parts = validate_game(self)
 
@@ -130,7 +135,9 @@ class MixedProfile:
 
     def __init__(self, strategies):
         self.strategies = tuple(
-            tuple((dict(a), Fraction(w)) for a, w in player) for player in strategies
+            tuple((dict(a), w if type(w) is Fraction else Fraction(w))
+                  for a, w in player)
+            for player in strategies
         )
 
     @property

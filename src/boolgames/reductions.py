@@ -29,6 +29,7 @@ from .encodings import (
     assign_bits,
     build_cardinality,
     build_comparison,
+    check_bits,
     const_bits,
     decode_bits,
     var_bits,
@@ -40,8 +41,9 @@ from .game import (
     ResourceCapError,
     namespaced,
     product_profile,
+    var_set,
 )
-from .gadgets import fixed_value_game
+from .gadgets import fixed_value_game, fixed_value_roles
 from .lp import _pivot
 
 SYMBOLS = ("0", "1", "_")
@@ -341,9 +343,15 @@ def admissible_squares(m):
     """The content/head patterns consistent with some transition rule.
 
     Each pattern is a (tl, tr, bl, br) tuple of CellDescriptors; generation
-    expands each rule's head-position schemata over all tape symbols.
+    expands each rule's head-position schemata over all tape symbols.  With
+    the head outside the window the contents copy down whatever the rule:
+    those patterns are added once.
     """
     pats = set()
+    for y, z in itertools.product(SYMBOLS, SYMBOLS):
+        for h in (LEFT, RIGHT):
+            pats.add((CellDescriptor(y, h), CellDescriptor(z, h),
+                      CellDescriptor(y, h), CellDescriptor(z, h)))
     for t in m.transitions:
         qx, a, b, qy = t.frm, t.read, t.write, t.to
         for z in SYMBOLS:
@@ -364,18 +372,14 @@ def admissible_squares(m):
             else:
                 pats.add((tl, tr, CellDescriptor(y, RIGHT), CellDescriptor(b, RIGHT)))
         for y, z in itertools.product(SYMBOLS, SYMBOLS):
-            # head outside to the left: contents copy down
-            tl = CellDescriptor(y, LEFT)
-            tr = CellDescriptor(z, LEFT)
-            pats.add((tl, tr, CellDescriptor(y, LEFT), CellDescriptor(z, LEFT)))
             if t.move == "R":
-                pats.add((tl, tr, CellDescriptor(y, qy), CellDescriptor(z, LEFT)))
-            # head outside to the right
-            tl = CellDescriptor(y, RIGHT)
-            tr = CellDescriptor(z, RIGHT)
-            pats.add((tl, tr, CellDescriptor(y, RIGHT), CellDescriptor(z, RIGHT)))
-            if t.move == "L":
-                pats.add((tl, tr, CellDescriptor(y, RIGHT), CellDescriptor(z, qy)))
+                # the head outside to the left steps into the left column
+                pats.add((CellDescriptor(y, LEFT), CellDescriptor(z, LEFT),
+                          CellDescriptor(y, qy), CellDescriptor(z, LEFT)))
+            else:
+                # the head outside to the right steps into the right column
+                pats.add((CellDescriptor(y, RIGHT), CellDescriptor(z, RIGHT),
+                          CellDescriptor(y, RIGHT), CellDescriptor(z, qy)))
     return pats
 
 
@@ -402,7 +406,9 @@ def _entry_vars(flags):
 
 
 class VarIndex:
-    """Named access to a reduction's variable families."""
+    """Named access to a reduction's variable families.  Its time and tape
+    sequences are checked here, once (``check_bits``), so the formulas over
+    them skip the check."""
 
     def __init__(self, m, k, gadget_roles):
         self.k = k
@@ -413,6 +419,8 @@ class VarIndex:
         self.tape2 = {p: var_bits(p + "Tape2", k) for p in ENTRY_PREFIXES}
         self.flags2 = {p: _entry_flags(p, 2, m.states) for p in ENTRY_PREFIXES}
         self.gadget = gadget_roles
+        check_bits(self.time1, self.tape1, *self.time2.values(),
+                   *self.tape2.values())
 
     def entry1_vars(self):
         return _entry_vars(self.flags1)
@@ -435,16 +443,23 @@ class VarIndex:
 
 
 @dataclass
-class ReductionOutput:
-    game: BooleanGame
-    payoff: list
-    var_index: VarIndex
-    k: int
-    mode: str
+class RequireOutput:
+    """What the window checks read of a reduction (``build_require``)."""
     machine: TuringMachine
     word: str
     bound: int
+    mode: str
+    k: int
+    var_index: VarIndex
     require: object       # the Require (or Illegal) formula
+    player2_vars: tuple   # var_set: the game's var_sets[1]
+
+
+@dataclass
+class ReductionOutput(RequireOutput):
+    """A reduction's game, on top of its ``RequireOutput``."""
+    game: BooleanGame
+    payoff: list
     gadget: object        # the 3/4-value gadget bundle
 
 
@@ -470,31 +485,36 @@ def _descriptor_formula(flags, desc):
                 _head_formula(flags, desc.head)))
 
 
+def _compare(kind, p, q):
+    """``build_comparison`` of ``VarIndex`` sequences, which it has checked,
+    and constants of their width: the check is not repeated."""
+    return build_comparison(kind, p, q, checked=True)
+
+
 def _eq_const(bits, value, k):
-    return build_comparison("equal", bits, const_bits(value, k))
+    return _compare("equal", bits, const_bits(value, k))
 
 
 def _succ_mod(x, y, k):
     top = const_bits((1 << k) - 1, k)
     zero = const_bits(0, k)
     return Or((
-        build_comparison("succ", x, y),
-        And((build_comparison("equal", x, top),
-             build_comparison("equal", y, zero))),
+        _compare("succ", x, y),
+        And((_compare("equal", x, top), _compare("equal", y, zero))),
     ))
 
 
-def _build_require(m, word, K, k, vi):
+def _require_parts(m, word, K, k, vi):
     """(shape, well_formed, positional, consistency) subformulas."""
     size = 1 << k
     tape, time = vi.tape2, vi.time2
     shape = conj([
         _succ_mod(tape[""], tape["s"], k),
         _succ_mod(time[""], time["n"], k),
-        build_comparison("equal", tape[""], tape["n"]),
-        build_comparison("equal", time[""], time["s"]),
-        build_comparison("equal", tape["s"], tape["ns"]),
-        build_comparison("equal", time["n"], time["ns"]),
+        _compare("equal", tape[""], tape["n"]),
+        _compare("equal", time[""], time["s"]),
+        _compare("equal", tape["s"], tape["ns"]),
+        _compare("equal", time["n"], time["ns"]),
     ])
     well_formed = conj([
         conj([
@@ -565,8 +585,8 @@ def _build_require(m, word, K, k, vi):
 
 def _corner_match(vi, prefix):
     return And((
-        build_comparison("equal", vi.tape1, vi.tape2[prefix]),
-        build_comparison("equal", vi.time1, vi.time2[prefix]),
+        _compare("equal", vi.tape1, vi.tape2[prefix]),
+        _compare("equal", vi.time1, vi.time2[prefix]),
     ))
 
 
@@ -587,15 +607,46 @@ def _bound_width(K):
     return max(1, (K - 1).bit_length())
 
 
-def _build_reduction(m, word, K, mode):
+# the side game of value 3/4 and its namespace
+GADGET_VALUE, GADGET_NAMESPACE = Fraction(3, 4), "g34"
+
+
+def build_require(m, word, K, mode):
+    """The Require formula (mode "exists") or Illegal ("forall") over player
+    2's variables, without the game around it: all that the window checks
+    read (``decode_square``, ``oracle_requires``, ``bg verify squares``).
+    Player 2's variables are the game's, the side game's included, named by
+    ``fixed_value_roles`` so that no gadget game is built."""
     _check_word(word)
     k = _bound_width(K)
     size = 1 << k
     if size * size > DEFAULT_NODE_CAP:
         raise ResourceCapError("table of %d entries exceeds cap" % (size * size))
-    gadget = fixed_value_game(Fraction(3, 4), "g34")
-    vi = VarIndex(m, k, gadget.role_vars)
-    shape, well_formed, positional, consistency = _build_require(m, word, K, k, vi)
+    roles, (_, gadget2) = fixed_value_roles(GADGET_VALUE, GADGET_NAMESPACE)
+    vi = VarIndex(m, k, roles)
+    shape, well_formed, positional, consistency = _require_parts(m, word, K, k,
+                                                                 vi)
+    if mode == "exists":
+        require = conj([shape, well_formed, positional, consistency])
+    else:
+        if k < 2:
+            raise ReductionError("the guaranteed-payoff formula needs k >= 2")
+        require = conj([shape, well_formed,
+                        Not(And((positional, consistency)))])
+    var2 = []
+    for p in ENTRY_PREFIXES:
+        var2 += list(vi.time2[p]) + list(vi.tape2[p]) + vi.entry2_vars(p)
+    var2 += gadget2
+    return RequireOutput(machine=m, word=word, bound=K, mode=mode, k=k,
+                         var_index=vi, require=require,
+                         player2_vars=var_set(var2))
+
+
+def _build_reduction(m, word, K, mode):
+    req = build_require(m, word, K, mode)
+    vi, k = req.var_index, req.k
+    size = 1 << k
+    gadget = fixed_value_game(GADGET_VALUE, GADGET_NAMESPACE)
 
     corners = {p: _corner_match(vi, p) for p in ENTRY_PREFIXES}
     avoid_corner = Not(corners[""])
@@ -603,39 +654,26 @@ def _build_reduction(m, word, K, mode):
     g1_goal, g2_goal = gadget.game.goals
 
     gamma1 = And((avoid_corner, Or((avoid, g1_goal))))
-    if mode == "exists":
-        require = conj([shape, well_formed, positional, consistency])
-    else:
-        require = conj([shape, well_formed,
-                        Not(And((positional, consistency)))])
     gamma2 = conj([
         Or((Not(avoid_corner), And((Not(avoid), g2_goal)))),
         _agree(vi, corners),
-        require,
+        req.require,
     ])
 
     var1 = (list(vi.time1) + list(vi.tape1) + vi.entry1_vars()
             + list(gadget.game.var_sets[0]))
-    var2 = []
-    for p in ENTRY_PREFIXES:
-        var2 += list(vi.time2[p]) + list(vi.tape2[p]) + vi.entry2_vars(p)
-    var2 += list(gadget.game.var_sets[1])
-    game = BooleanGame([var1, var2], [gamma1, gamma2])
+    game = BooleanGame([var1, req.player2_vars], [gamma1, gamma2])
 
     if mode == "exists":
         v2 = Fraction(1, size * size) + Fraction(3, size * size * 4)
     else:
-        if k < 2:
-            raise ReductionError("the guaranteed-payoff formula needs k >= 2")
         n2k = 1 << (2 * k)
         n2k2 = 1 << (2 * k + 2)
         delta = Fraction(1, n2k2) - Fraction(1, n2k2 * n2k)
         v2 = (Fraction(1, n2k) + delta / (n2k - 4)
               + Fraction(2, n2k2) + 2 * delta / (n2k2 - 16))
-    return ReductionOutput(
-        game=game, payoff=[Fraction(0), v2], var_index=vi, k=k, mode=mode,
-        machine=m, word=word, bound=K, require=require, gadget=gadget,
-    )
+    return ReductionOutput(**vars(req), game=game, payoff=[Fraction(0), v2],
+                           gadget=gadget)
 
 
 def build_guarantee_game(m, word, K):

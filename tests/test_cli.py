@@ -211,6 +211,25 @@ def test_encode_formulas_match_integer_arithmetic(capsys, argv, spec):
     assert satisfied
 
 
+@pytest.mark.parametrize("argv,flag,cap", [
+    ("less --width N --args x,y", "--width", cli.ENCODE_WIDTH_CAP),
+    ("add --width N --args x,y,3", "--width", cli.ENCODE_WIDTH_CAP),
+    ("square --k N", "--k", cli.SQUARE_K_CAP),
+])
+def test_encode_widths_are_bounded(capsys, argv, flag, cap):
+    # the formulas grow as a power of the width: past the bound the command
+    # stops before building anything (exit 3), naming the bound and value
+    def at(n):
+        return ["encode"] + argv.replace("N", str(n)).split()
+    for n in (cap + 1, 100000):
+        assert run(at(n)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "%s %d exceeds the bound %d" % (flag, n, cap) in captured.err
+    assert run(at(cap)) == 0
+    capsys.readouterr()
+
+
 def test_encode_square_holds_exactly_for_the_square(capsys):
     # k = 2 has 26 variables: fill the witnesses from R by integer
     # arithmetic and try every Rsq
@@ -278,6 +297,28 @@ def test_verify_squares_honours_cap_deviations(machine_file, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "10 trials to check; cap is 9" in captured.err
+
+
+@pytest.mark.parametrize("bound,mode,code", [(2, "exists", 0),
+                                             (2, "forall", 2),
+                                             (4, "exists", 0),
+                                             (4, "forall", 0)])
+def test_verify_squares_builds_no_game(machine_file, monkeypatch, capsys,
+                                       bound, mode, code):
+    # verify squares reads Require and player 2's variable names only: it
+    # builds neither the reduction's game nor the side game (a 2x2 table is
+    # too small for the forall payoff, refused as by the full build)
+    def no_game(*args):
+        raise AssertionError("a game was built")
+    monkeypatch.setattr(cli.reductions, "BooleanGame", no_game)
+    monkeypatch.setattr(cli.reductions, "fixed_value_game", no_game)
+    assert run(["verify", "squares", "--machine", machine_file, "--bound",
+                str(bound), "--mode", mode, "--trials", "200"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "the guaranteed-payoff formula needs k >= 2" in captured.err
+    else:
+        assert json.loads(captured.out)["mismatches"] == 0
 
 
 @pytest.mark.parametrize("bound", [2, 4])

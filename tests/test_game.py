@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from reference import truth
 
+from boolgames.formula import FALSE, TRUE, Not, Or, Var
 from boolgames.game import (
     BooleanGame,
     GameError,
@@ -218,6 +219,17 @@ def test_normal_form_rejects_float_cells():
 def test_normal_form_rejects_ragged_or_empty_tensors(payoffs):
     with pytest.raises(ValidationError):
         NormalForm(payoffs)
+
+
+def test_own_parts_of_a_goal_that_is_not_a_conjunction():
+    # one conjunct: the goal itself is on the side of its variables' owner
+    own, mixed = Or((Var("x"), Not(Var("z")))), Or((Var("x"), Var("y")))
+    g = BooleanGame([["x", "z"], ["y"]], [own, mixed])
+    assert g.own_parts == ((own, TRUE), (TRUE, mixed))
+    assert g.goal_vars == (("x", "z"), ("x", "y"))
+    # a constant goal reads no variable: it is its player's own
+    g = BooleanGame([["x"], ["y"]], [FALSE, Not(FALSE)])
+    assert g.own_parts == ((FALSE, TRUE), (Not(FALSE), TRUE))
 
 
 def test_product_profile_pairs_entries_row_major():

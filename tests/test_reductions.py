@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import rule_patterns
 from windows import perturbed_windows
 
 from boolgames.encodings import decode_bits
@@ -26,10 +27,11 @@ from boolgames.reductions import (
     Square2x2,
     Transition,
     TuringMachine,
-    _build_require,
+    _require_parts,
     admissible_squares,
     build_forall_guarantee_game,
     build_guarantee_game,
+    build_require,
     cover_matrix_check,
     decode_square,
     immediate_acceptor,
@@ -389,6 +391,53 @@ REDUCTION_TEXT = {
 }
 
 
+def random_machine(rng):
+    """A machine of one to three working states and one to six transition
+    rules drawn at random besides the accept state's own."""
+    states = ["q%d" % i for i in range(rng.randint(1, 3))]
+    rules = [Transition(rng.choice(states), rng.choice(SYMBOLS),
+                        rng.choice(SYMBOLS), rng.choice("LR"),
+                        rng.choice(states + ["qa"]))
+             for _ in range(rng.randint(1, 6))]
+    halt = [Transition("qa", s, s, "L", "qa") for s in SYMBOLS]
+    return TuringMachine(states + ["qa"], "q0", "qa", rules + halt)
+
+
+def test_admissible_squares_match_the_per_rule_reference():
+    # the patterns that hold whatever the rule are added once; the set
+    # must be the one generated rule by rule
+    machines = [immediate_acceptor(), two_step_acceptor(), never_acceptor(),
+                *(random_machine(random.Random(seed)) for seed in range(8))]
+    for m in machines:
+        assert admissible_squares(m) == rule_patterns(m), m.transitions
+
+
+@pytest.mark.parametrize("machine", [immediate_acceptor, two_step_acceptor,
+                                     never_acceptor])
+@pytest.mark.parametrize("bound", [2, 4, 8])
+@pytest.mark.parametrize("mode", ["exists", "forall"])
+def test_build_require_is_the_games_require(machine, bound, mode):
+    # verify squares reads Require and player 2's variables from
+    # build_require alone: they must be the full build's
+    m = machine()
+    build = build_guarantee_game if mode == "exists" else \
+        build_forall_guarantee_game
+    if (bound, mode) == (2, "forall"):
+        # a 2x2 table is too small for the forall payoff: both refuse it
+        with pytest.raises(ReductionError) as full:
+            build(m, "", bound)
+        with pytest.raises(ReductionError) as alone:
+            build_require(m, "", bound, mode)
+        assert str(alone.value) == str(full.value)
+        return
+    ro = build(m, "", bound)
+    req = build_require(m, "", bound, mode)
+    assert req.require == ro.require
+    assert req.player2_vars == ro.game.var_sets[1]
+    assert (req.k, req.mode, req.bound, req.word) == (ro.k, mode, bound, "")
+    assert req.var_index.to_json() == ro.var_index.to_json()
+
+
 @pytest.mark.parametrize("machine,bound,mode", list(REDUCTION_TEXT))
 def test_reduction_text_is_pinned(machine, bound, mode):
     # the same formulas with the same disjunct order, byte for byte: the
@@ -410,7 +459,7 @@ def test_window_rules_sorted_by_their_text(machine, bound):
     # must be that of sorting the rules on their own text
     m = machine()
     ro = build_guarantee_game(m, "", bound)
-    consistency = _build_require(m, "", bound, ro.k, ro.var_index)[3]
+    consistency = _require_parts(m, "", bound, ro.k, ro.var_index)[3]
     rules = consistency.children[2].children[1].children
     assert len(rules) > 1
     assert list(rules) == sorted(rules, key=str)
