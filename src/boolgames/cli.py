@@ -298,6 +298,9 @@ def cmd_gadget(args):
 # renders under 2 MB of text
 ENCODE_WIDTH_CAP = 64
 SQUARE_K_CAP = 16
+# the most encode oneof and noneof --names: oneof grows as their square,
+# and 256 four-character names render 0.5 MB in 0.2 s (512: 2 MB, 0.5 s)
+ENCODE_NAMES_CAP = 256
 
 
 def _bounded(value, cap, flag):
@@ -342,6 +345,7 @@ def cmd_encode(args):
         f = encodings.build_square(r, rsq, summands, partials)
     else:
         names = [s.strip() for s in _need(args.names, "--names").split(",")]
+        _bounded(len(names), ENCODE_NAMES_CAP, "--names")
         f = encodings.build_cardinality(
             "one_of" if kind == "oneof" else "none_of", names)
     return 0, {"formula": render_formula(f),
@@ -369,21 +373,30 @@ def cmd_reduce(args):
             else:
                 data["witness"] = json.loads(profile_to_json(wp))
         return 0, data
-    if _need(args.kind, "--kind") == "exists-nash-sat":
+    kind = _need(args.kind, "--kind")
+    # a given flag that the kind does not read would change nothing
+    reads = (("machine", "input", "bound") if kind == "exists-nash-sat" else
+             ("game", "value" if kind == "irrational" else "payoffs",
+              "namespace"))
+    for name in ("machine", "input", "bound", "game", "payoffs", "value",
+                 "namespace"):
+        if name not in reads and getattr(args, name) is not None:
+            raise UsageError("--%s is not read with --kind %s" % (name, kind))
+    if kind == "exists-nash-sat":
         m = load_machine(args.machine)
         g2, phi = reductions.transform_exists_nash_sat(
-            m, args.input, args.bound)
+            m, args.input or "", 2 if args.bound is None else args.bound)
     else:
         g = load_game(args.game)
         if isinstance(g, NormalForm):
             raise UsageError("transform works on Boolean games")
-        kind = args.kind.replace("-", "_")
         if kind == "irrational":
             v = _fr(_need(args.value, "--value"))
         else:
             v = _payoff_pair(args)
-        g2, phi = reductions.transform_game(kind, g, v,
-                                            namespace=args.namespace)
+        g2, phi = reductions.transform_game(
+            kind.replace("-", "_"), g, v,
+            namespace="t" if args.namespace is None else args.namespace)
     data = {"game": render_game(g2)}
     if phi is not None:
         data["phi"] = render_formula(phi)
@@ -561,10 +574,12 @@ def _build_parser():
              flag("--out"))
     queries("reduce", cmd_reduce, (
         ("nexptm", build), ("forall-nexptm", build),
+        # no defaults: cmd_reduce tells which flags were given
         ("transform", (flag("--kind", choices=(
             "unique-nash", "forall-nash-sat", "irrational",
-            "exists-nash-sat")), *machine, flag("--game"), payoffs,
-            flag("--value"), flag("--namespace", default="t")))))
+            "exists-nash-sat")), flag("--machine"), flag("--input"),
+            flag("--bound", type=int), flag("--game"), payoffs,
+            flag("--value"), flag("--namespace")))))
 
     queries("verify", cmd_verify, (
         ("witness", (*machine, caps, sample, seed)),

@@ -2,10 +2,11 @@
 
 A Boolean game's normal form (``Expansion``) keeps each goal as one int
 mask over the pure profiles, evaluated once; its nested payoff lists are
-built only when read.  Two-player strategy classes group the strategies
-that agree in both payoff tables and in any extra tables:
-``NormalForm.collapse`` groups the nested lists of an explicit normal form,
-and ``Expansion.collapse`` the same keys read from the goal masks.
+built only when read (``bg normal-form``).  Two-player strategy classes
+group the strategies that agree in both payoff tables and in any extra
+tables: ``NormalForm.collapse`` groups the nested lists of an explicit
+normal form, and ``Expansion.collapse`` the same keys read from the goal
+masks.
 
 Players are indexed from 0 in this API; serialized formats (game files,
 profile JSON) use the 1-based numbering of the text format.
@@ -20,7 +21,6 @@ import math
 import operator
 import random
 import struct
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .formula import (
@@ -294,11 +294,7 @@ class NormalForm:
 
     payoffs[i] is nested lists with one nesting level per player; each cell
     is an exact int when integral and a Fraction otherwise.
-    strategy_index[i] records what each index means, where a subclass knows
-    (assignment dicts for Boolean-game expansions); None here.
     """
-
-    strategy_index = None
 
     def __init__(self, payoffs):
         if len(payoffs) < 2:
@@ -309,15 +305,6 @@ class NormalForm:
         if 0 in self.shape:
             raise ValidationError("every player needs at least one strategy")
         self.payoffs = [_exact_tensor(t, self.shape) for t in payoffs]
-
-    @classmethod
-    def _exact(cls, payoffs, shape):
-        """A normal form over tensors already of the given shape and holding
-        exact cells, without the per-cell pass of ``__init__``."""
-        nf = cls.__new__(cls)
-        nf.payoffs = payoffs
-        nf.shape = shape
-        return nf
 
     @property
     def players(self):
@@ -357,7 +344,9 @@ def _grouped(rows, cols, cell, count):
     rows, cols = ([c[0] for c in side] for side in classes)
     a, b, *tables = [[[cell(t, i, j) for j in cols] for i in rows]
                      for t in range(count)]
-    small = NormalForm._exact([a, b], (len(rows), len(cols)))
+    # the cells are exact already: no per-cell pass of NormalForm.__init__
+    small = NormalForm.__new__(NormalForm)
+    small.payoffs, small.shape = [a, b], (len(rows), len(cols))
     return small, classes, tables
 
 
@@ -386,23 +375,6 @@ def _tensor_shape(t):
             break
         t = t[0]
     return tuple(shape)
-
-
-class _Assignments(Sequence):
-    """``player_assignments`` as a sequence that builds each assignment
-    dict when it is looked up, for the strategy index of an expansion."""
-
-    def __init__(self, names):
-        self._names = names
-
-    def __len__(self):
-        return 1 << len(self._names)
-
-    def __getitem__(self, j):
-        if not 0 <= j < len(self):
-            raise IndexError("strategy index out of range")
-        top = len(self._names) - 1
-        return {v: bool(j >> (top - t) & 1) for t, v in enumerate(self._names)}
 
 
 def player_assignments(g, i):
@@ -490,14 +462,15 @@ def _nested(mask, shape):
 class Expansion(NormalForm):
     """The normal form of a Boolean game, kept as its goals' masks:
     ``masks[i]`` is player i's payoff at every pure profile
-    (``profile_masks``).  With two players, row s of a mask is its bits
-    [s n, (s + 1) n) and column t every n-th bit from t, n the column
-    count.  The nested ``payoffs`` are built from the masks when first
-    read; the two-player queries read the masks instead (``collapse``)."""
+    (``profile_masks``), whose index spells ``names`` from its top bit.
+    With two players, row s of a mask is its bits [s n, (s + 1) n) and
+    column t every n-th bit from t, n the column count.  The nested
+    ``payoffs`` are built from the masks when first read; the queries read
+    the masks instead."""
 
     def __init__(self, g):
         self.shape = tuple(1 << len(vs) for vs in g.var_sets)
-        self.strategy_index = [_Assignments(vs) for vs in g.var_sets]
+        self.names = g.all_vars()
         self.masks = profile_masks(g, g.goals)
 
     @functools.cached_property

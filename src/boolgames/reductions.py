@@ -780,13 +780,17 @@ def oracle_requires(ro, assign):
 # --- cover-weight system ----------------------------------------------------------
 
 
-def cover_matrix_check(m, cap=64):
+# the largest m: the elimination grows as m^6, m = 16 takes 1 s, 20 takes 5 s
+COVER_MATRIX_CAP = 16
+
+
+def cover_matrix_check(m, cap=COVER_MATRIX_CAP):
     """Nonsingularity of the m^2 x m^2 cover-weight system: each equation
     reads 4*x[i][j] + x[i-1][j] + x[i][j-1] + x[i-1][j-1], indices mod m."""
     if m < 2:
         raise ReductionError("need m >= 2")
     if m > cap:
-        raise ResourceCapError("matrix dimension %d exceeds cap" % m)
+        raise ResourceCapError("cover matrix m = %d exceeds cap %d" % (m, cap))
     n = m * m
 
     def idx(i, j):

@@ -9,8 +9,9 @@ on its first member; an equilibrium that weights a class of two or more is
 a continuum.  Classes group by both payoff matrices
 (``NormalForm.collapse``), also if A + B = c, where rows agree in A
 exactly when they agree in B.  A Boolean game's expansion answers the
-constant-sum test with bit operations on its goal masks and collapses from
-them (``game.Expansion``), so no query builds its nested payoff tables.
+constant-sum test and finds the pure equilibria with bit operations on its
+goal masks, and collapses from them (``game.Expansion``), so no query
+builds its nested payoff tables.
 
 The guarantee, uniqueness and irrationality queries read one stream of
 equilibria of the collapsed game (``_equilibria``).  In a general-sum game
@@ -463,20 +464,25 @@ def _is_nash_nf(nf, weights):
 
 def pure_equilibria(g_or_nf, cap=DEFAULT_CELL_CAP):
     """All pure-strategy equilibria, in strategy enumeration order: full
-    assignments when the normal form has a strategy index (a Boolean game
-    or its expansion), else index tuples."""
+    assignments for a Boolean game or its expansion, else index tuples.
+    An expansion folds each goal mask over its player's variable bits into
+    ``wins``, the profiles from which that player can win, and keeps the
+    profiles where every player wins already or ``wins`` is clear."""
     nf = as_normal_form(g_or_nf, cap)
-
-    def stable(idx):
-        return all(nf.payoff(i, idx[:i] + (alt,) + idx[i + 1:])
+    if isinstance(nf, Expansion):
+        cells = math.prod(nf.shape)
+        stable, top = (1 << cells) - 1, len(nf.names)
+        for sat, size in zip(nf.masks, nf.shape):
+            wins, low = sat, top - size.bit_length() + 1
+            for b in range(low, top):  # the player's bits
+                high, step = var_mask(b, cells), 1 << b
+                wins |= (wins & high) >> step | (wins & ~high) << step
+            stable &= sat | ~wins
+            top = low
+        bits = "0%db" % len(nf.names)
+        return [dict(zip(nf.names, (c == "1" for c in format(p, bits))))
+                for p in _bits(stable)]
+    return [idx for idx in itertools.product(*map(range, nf.shape))
+            if all(nf.payoff(i, idx[:i] + (alt,) + idx[i + 1:])
                    <= nf.payoff(i, idx)
-                   for i in range(nf.players) for alt in range(nf.shape[i]))
-
-    result = [idx for idx in itertools.product(*map(range, nf.shape))
-              if stable(idx)]
-    if nf.strategy_index is not None:
-        return [{k: v for i, j in enumerate(idx)
-                 for k, v in nf.strategy_index[i][j].items()}
-                for idx in result]
-    return result
-
+                   for i in range(nf.players) for alt in range(nf.shape[i]))]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from boolgames import cli, gadgets, solver
+from boolgames import cli, gadgets, reductions, solver
 from boolgames.cli import DrawnTrial, run
 from boolgames.formula import eval_formula, parse_formula
 from boolgames.game import (MixedProfile, draw_trials, parse_game,
@@ -95,6 +95,29 @@ def test_nash_find_and_guarantee(bos_file, capsys):
 def test_nash_pure(bos_file, capsys):
     data = run_json(["nash", "pure", "--game", bos_file], capsys)
     assert data["equilibria"] == [[0, 0], [1, 1]]
+
+
+def test_nash_pure_reads_goal_masks_on_2_20_cells(tmp_path, monkeypatch,
+                                                   capsys):
+    # the win-lose game with ten variables a player: player 2 wins where
+    # b = a, and player 1 then wins by setting some a_t where b_t is 0, so
+    # the one equilibrium is everything true; no nested table is built
+    def nested(*args):
+        raise AssertionError("nash pure built a nested payoff table")
+    monkeypatch.setattr(cli.game, "_nested", nested)
+    n = 10
+    path = tmp_path / "winlose.bg"
+    path.write_text(
+        "players: 2\nvars 1: %s\nvars 2: %s\ngoal 1: %s\ngoal 2: %s\n" % (
+            " ".join("a%d" % t for t in range(n)),
+            " ".join("b%d" % t for t in range(n)),
+            " | ".join("(a%d & ~b%d)" % (t, t) for t in range(n)),
+            " & ".join("(a%d <-> b%d)" % (t, t) for t in range(n))))
+    data = run_json(["nash", "pure", "--game", str(path)], capsys)
+    assert data["answer"] == "yes"
+    assert data["equilibria"] == [dict.fromkeys(sorted(
+        ["a%d" % t for t in range(n)] + ["b%d" % t for t in range(n)]),
+        True)]
 
 
 def test_normal_form_payoffs_as_strings(mp_file, capsys):
@@ -230,6 +253,22 @@ def test_encode_widths_are_bounded(capsys, argv, flag, cap):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("what", ["oneof", "noneof"])
+def test_encode_names_are_bounded(capsys, what):
+    # oneof grows as the square of the name count: past the bound the
+    # command stops before building anything (exit 3), naming the bound
+    cap = cli.ENCODE_NAMES_CAP
+
+    def at(n):
+        return ["encode", what, "--names",
+                ",".join("v%d" % t for t in range(n))]
+    assert run(at(cap + 1)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--names %d exceeds the bound %d" % (cap + 1, cap) in captured.err
+    assert len(run_json(at(cap), capsys)["vars"]) == cap
+
+
 def test_encode_square_holds_exactly_for_the_square(capsys):
     # k = 2 has 26 variables: fill the witnesses from R by integer
     # arithmetic and try every Rsq
@@ -274,6 +313,16 @@ def test_reduce_emits_reparsable_artifacts(machine_file, tmp_path, capsys):
 def test_verify_cover_matrix(capsys):
     data = run_json(["verify", "cover-matrix", "--m", "3"], capsys)
     assert data["answer"] == "yes"
+
+
+def test_verify_cover_matrix_m_is_capped(capsys):
+    # the elimination grows as about m^6: past the cap it exits 3 before
+    # building the matrix
+    cap = reductions.COVER_MATRIX_CAP
+    assert run(["verify", "cover-matrix", "--m", str(cap + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m = %d exceeds cap %d" % (cap + 1, cap) in captured.err
 
 
 def test_verify_squares_sampled_mode(machine_file, capsys):
@@ -781,6 +830,40 @@ def test_eval_refuses_the_other_modes_flags(mp_file, tmp_path, capsys, argv,
     assert run(argv + [files.get(a, a) for a in unread.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and unread.split()[0] in captured.err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    ("--kind exists-nash-sat --machine MACHINE", "--game GAME"),
+    ("--kind exists-nash-sat --machine MACHINE", "--value 1/2"),
+    ("--kind exists-nash-sat --machine MACHINE", "--namespace t"),
+    ("--kind unique-nash --game GAME --payoffs 0,0", "--machine MACHINE"),
+    ("--kind unique-nash --game GAME --payoffs 0,0", "--bound 2"),
+    ("--kind forall-nash-sat --game GAME --payoffs 0,0", "--input 0"),
+    ("--kind forall-nash-sat --game GAME --payoffs 0,0", "--value 1/2"),
+    ("--kind irrational --game GAME --value 1/2", "--payoffs 0,0"),
+])
+def test_reduce_transform_refuses_flags_its_kind_does_not_read(
+        mp_file, machine_file, capsys, argv, unread):
+    # each command answers without the flag, and names it when it is
+    # given, also at its default value (--bound 2)
+    files = {"GAME": mp_file, "MACHINE": machine_file}
+    argv = ["reduce", "transform"] + [files.get(a, a) for a in argv.split()]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + [files.get(a, a) for a in unread.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s is not read with --kind %s" % (unread.split()[0], argv[3]) \
+        in captured.err
+
+
+def test_reduce_transform_machine_defaults(machine_file, capsys):
+    # exists-nash-sat reads --input "" and --bound 2 when they are not given
+    argv = ["reduce", "transform", "--kind", "exists-nash-sat",
+            "--machine", machine_file]
+    bare = run_json(argv, capsys)
+    assert run_json(argv + ["--input", "", "--bound", "2"], capsys) == bare
+    assert run_json(argv + ["--bound", "4"], capsys) != bare
 
 
 def test_sample_and_trials_below_1_exit_2(mp_file, machine_file, tmp_path,

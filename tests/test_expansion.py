@@ -6,9 +6,10 @@ reference evaluator (the masks also by ``eval_formula``); the goal-mask
 route of the two-player queries (constant-sum test, classes, collapsed
 payoffs and the sat matrix of ``nash_sat``) is compared with
 ``NormalForm.collapse`` on nested lists of those cells, and a constant-sum
-game's classes with a grouping on player 1's table alone; and the zero-sum
-route is run on an expansion and on the same payoffs loaded as a JSON
-normal form.
+game's classes with a grouping on player 1's table alone; the pure
+equilibria folded from the goal masks are compared with a brute force
+over every profile and deviation; and the zero-sum route is run on an
+expansion and on the same payoffs loaded as a JSON normal form.
 """
 
 import itertools
@@ -42,7 +43,12 @@ from boolgames.game import (
     profile_masks,
     to_normal_form,
 )
-from boolgames.solver import constant_sum, nash_sat, zero_sum_value
+from boolgames.solver import (
+    constant_sum,
+    nash_sat,
+    pure_equilibria,
+    zero_sum_value,
+)
 
 VARS = ["a", "b", "c", "d", "e", "f"]
 
@@ -102,11 +108,38 @@ def test_expansion_cells_match_pure_utilities(g):
             got = nf.payoff(i, idx)
             assert type(got) is int
             assert got == truth(g.goals[i], merged)
-    for i in range(g.players):
-        index = nf.strategy_index[i]
-        assert list(index) == player_assignments(g, i)
-        with pytest.raises(IndexError):
-            index[len(index)]
+    # profile p spells its assignment over ``names``, most significant
+    # bit first: the rule by which pure_equilibria decodes its answers
+    width = len(nf.names)
+    for p, (_, merged) in enumerate(profiles(g)):
+        bits = [p >> (width - 1 - t) & 1 for t in range(width)]
+        assert dict(zip(nf.names, map(bool, bits))) == merged
+
+
+def brute_force_pure(g):
+    """The pure equilibria of ``g``, in profile order: the profiles at
+    which every player wins, or wins under none of their own assignments,
+    by ``truth`` at every profile and deviation."""
+    found = []
+    for _, merged in profiles(g):
+        if all(truth(g.goals[i], merged)
+               or not any(truth(g.goals[i], {**merged, **a})
+                          for a in player_assignments(g, i))
+               for i in range(g.players)):
+            found.append(merged)
+    return found
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=3).flatmap(games))
+@example(parse_game("players: 2\nvars 1: x\nvars 2: y\n"
+                    "goal 1: ~(x <-> y)\ngoal 2: x <-> y\n"))
+def test_pure_equilibria_match_brute_force(g):
+    # the goal-mask folds against every cell and deviation one by one,
+    # including the order of the list and of each assignment's names
+    want = [list(e.items()) for e in brute_force_pure(g)]
+    for route in (g, to_normal_form(g)):
+        assert [list(e.items()) for e in pure_equilibria(route)] == want
 
 
 @settings(deadline=None)
