@@ -403,24 +403,6 @@ def cmd_reduce(args):
     return 0, data
 
 
-class DrawnTrial:
-    """One trial of ``draw_trials`` bytes as a read-only assignment: the
-    trial starts at byte ``at``, and ``index`` maps each variable to its
-    byte in the trial, so no dict is built per trial.  Setting ``at`` moves
-    the view to another trial."""
-
-    __slots__ = ("_draws", "_index", "at")
-
-    def __init__(self, draws, index, at):
-        self._draws, self._index, self.at = draws, index, at
-
-    def __getitem__(self, name):
-        return self._draws[self.at + self._index[name]] == 0x31  # b"1"
-
-    def __contains__(self, name):
-        return name in self._index
-
-
 def cmd_verify(args):
     if args.what == "cover-matrix":
         return _decision(reductions.cover_matrix_check(args.m))
@@ -451,17 +433,26 @@ def cmd_verify(args):
     ro = reductions.build_require(load_machine(args.machine), args.input,
                                   args.bound, args.mode)
     names = ro.player2_vars
-    draws = draw_trials(args.seed, args.trials * len(names))
-    view = DrawnTrial(draws, {v: t for t, v in enumerate(names)}, 0)
-    oracle = bytearray(args.trials)  # one ASCII 0/1 per trial
-    for r in range(args.trials):
-        view.at = r * len(names)
-        oracle[r] = b"01"[reductions.oracle_requires(ro, view)]
-    masks = dict(zip(names, draw_masks(draws, len(names))))
-    said = eval_bits(ro.require, masks, (1 << args.trials) - 1)
-    mismatches = (said ^ int(b"0" + oracle[::-1], 2)).bit_count()
+    width, full = len(names), (1 << args.trials) - 1
+    draws = draw_trials(args.seed, args.trials * width)
+    masks = dict(zip(names, draw_masks(draws, width)))
+    said = eval_bits(ro.require, masks, full)
+    # the oracle says no off the screen: it reads only the screened trials
+    screen, oracle = reductions.decodable_trials(ro, masks, full), 0
+    while screen:
+        r = (screen & -screen).bit_length() - 1
+        screen ^= 1 << r
+        at = r * width
+        trial = dict(zip(names, (c == 0x31 for c in draws[at:at + width])))
+        oracle |= reductions.oracle_requires(ro, trial) << r
+    if not (said or oracle):
+        print("note: neither route accepts a trial, so mismatches: 0 cannot "
+              "tell them apart", file=sys.stderr)
+    mismatches = (said ^ oracle).bit_count()
     return _decision(mismatches == 0,
-                     {"trials": args.trials, "mismatches": mismatches},
+                     {"trials": args.trials, "mismatches": mismatches,
+                      "require_accepts": said.bit_count(),
+                      "oracle_accepts": oracle.bit_count()},
                      mode="sampled")
 
 

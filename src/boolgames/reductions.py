@@ -743,6 +743,21 @@ def _decode_entry(assign, flags):
     return CellDescriptor("0" if zero else "1" if one else "_", head)
 
 
+def decodable_trials(ro, masks, full):
+    """The trials (bit r of each mask is trial r) whose four window entries
+    ``_decode_entry`` decodes: at most one content flag and exactly one head
+    flag each.  No other trial passes ``decode_square``."""
+    ok = full
+    for p in ENTRY_PREFIXES:
+        flags = ro.var_index.flags2[p]
+        once = twice = 0
+        for _, name in flags["heads"]:
+            twice |= once & masks[name]
+            once |= masks[name]
+        ok &= once & ~twice & ~(masks[flags["zero"]] & masks[flags["one"]])
+    return ok
+
+
 def decode_square(ro, assign):
     """Player 2's assignment as a positioned window, or None if the shape
     or well-formedness conditions fail."""

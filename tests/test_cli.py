@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from boolgames import cli, gadgets, reductions, solver
-from boolgames.cli import DrawnTrial, run
+from boolgames.cli import run
 from boolgames.formula import eval_formula, parse_formula
 from boolgames.game import (MixedProfile, draw_trials, parse_game,
                             profile_from_json, profile_to_json, render_game,
@@ -18,7 +18,7 @@ from boolgames.reductions import (build_forall_guarantee_game,
                                   oracle_requires, simulate_tm,
                                   transform_game, witness_profile)
 from test_reductions import machine_json, two_step_acceptor
-from windows import perturbed_windows
+from windows import entries_decode, perturbed_windows
 
 MP_TEXT = """\
 players: 2
@@ -403,75 +403,121 @@ def test_verify_squares_aligns_trials(machine_file, monkeypatch, capsys,
     assert (data["answer"], data["mismatches"]) == ("yes", 0)
 
 
-@pytest.mark.parametrize("bound, mode",
-                         [(2, "exists"), (4, "exists"), (4, "forall")])
-def test_drawn_trial_reads_as_its_dict(bound, mode):
-    # the view of a trial's bytes against the dict of the same trial, on
-    # uniform draws (rejected at the first entry's flags) and on windows a
-    # few bits from legal ones (which reach the square oracle)
-    build = build_guarantee_game if mode == "exists" else \
-        build_forall_guarantee_game
-    ro = build(immediate_acceptor(), "", bound)
-    names = ro.game.var_sets[1]
-    index = {v: t for t, v in enumerate(names)}
-    near = list(perturbed_windows(ro, random.Random(bound), 300))
-    draws = b"".join(bytes(b"01"[a[v]] for v in names) for a in near)
-    draws += draw_trials(bound, 300 * len(names))
-    verdicts = []
-    for r in range(0, len(draws), len(names)):
-        view = DrawnTrial(draws, index, r)
-        a = {v: c == "1" for v, c in zip(names,
-                                          draws[r:r + len(names)].decode())}
-        assert [view[v] for v in names] == [a[v] for v in names]
-        assert "x.nowhere" not in view and all(v in view for v in names)
-        verdicts.append(oracle_requires(ro, a))
-        assert oracle_requires(ro, view) == verdicts[-1]
-    assert set(verdicts[:300]) == {False, True}
-
-
-@pytest.mark.parametrize("machine, bound, mode", [
-    (immediate_acceptor, 2, "exists"), (immediate_acceptor, 4, "exists"),
-    (immediate_acceptor, 4, "forall"), (two_step_acceptor, 4, "exists"),
-    (two_step_acceptor, 4, "forall")])
-def test_verify_squares_view_answers_as_trial_dicts(machine, bound, mode,
-                                                    tmp_path, monkeypatch,
-                                                    capsys):
-    # verify squares reads every trial through one view moved from trial to
-    # trial: the oracle's answer on it must be its answer on a dict of the
-    # trial, on windows a few bits from legal ones (which reach the square
-    # oracle) and on uniform draws (mostly rejected at the first entry's
-    # flags)
+def squares_draws(machine, bound, mode, seed):
+    """``machine``'s reduction and replayable draws for its squares check:
+    300 windows a few bits from legal ones (which reach the square oracle),
+    then 300 uniform trials (mostly screened out), with each trial's
+    dict."""
     build = build_guarantee_game if mode == "exists" else \
         build_forall_guarantee_game
     ro = build(machine(), "", bound)
     names = ro.game.var_sets[1]
-    near = list(perturbed_windows(ro, random.Random(bound + 10), 300))
+    near = list(perturbed_windows(ro, random.Random(seed), 300))
     draws = b"".join(bytes(b"01"[a[v]] for v in names) for a in near)
-    draws += draw_trials(bound + 10, 300 * len(names))
+    draws += draw_trials(seed, 300 * len(names))
     width = len(names)
-    want = [oracle_requires(ro, dict(zip(names, (c == ord("1") for c in
-                                                  draws[r:r + width]))))
-            for r in range(0, len(draws), width)]
-    assert set(want[:300]) == {False, True}
-    said = []
+    trials = [dict(zip(names, (c == ord("1") for c in draws[r:r + width])))
+              for r in range(0, len(draws), width)]
+    return ro, draws, trials
 
-    def spy(ro, trial):
-        said.append(oracle_requires(ro, trial))
-        return said[-1]
 
+def run_squares(machine, bound, mode, draws, trials, tmp_path, monkeypatch,
+                capsys):
+    """``verify squares`` on replayed draws: exit code, stdout, stderr."""
     def replay(seed, n):
         assert n == len(draws)
         return draws
 
     monkeypatch.setattr(cli, "draw_trials", replay)
-    monkeypatch.setattr(cli.reductions, "oracle_requires", spy)
     path = tmp_path / "m.json"
     path.write_text(machine_json(machine()))
-    data = run_json(["verify", "squares", "--machine", str(path), "--bound",
-                     str(bound), "--mode", mode, "--trials", str(len(want))],
-                    capsys)
-    assert said == want
-    assert (data["answer"], data["mismatches"]) == ("yes", 0)
+    code = run(["verify", "squares", "--machine", str(path), "--bound",
+                str(bound), "--mode", mode, "--trials", str(len(trials))])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+def spy_on_squares(machine, bound, mode, negate, tmp_path, monkeypatch,
+                   capsys):
+    """``verify squares`` on replayed draws, its oracle spied on (and its
+    verdict negated if ``negate``): the trials that decode, the trials the
+    oracle was handed, the exit code and stdout."""
+    ro, draws, trials = squares_draws(machine, bound, mode, bound + 10)
+    screened = [a for a in trials if entries_decode(ro, a)]
+    assert 0 < len(screened) < len(trials)
+    seen = []
+
+    def spy(ro, trial):
+        assert type(trial) is dict
+        seen.append(trial)
+        return oracle_requires(ro, trial) != negate
+
+    monkeypatch.setattr(cli.reductions, "oracle_requires", spy)
+    code, data, _ = run_squares(machine, bound, mode, draws, trials,
+                                tmp_path, monkeypatch, capsys)
+    return screened, seen, code, data
+
+
+SQUARES_CASES = [(immediate_acceptor, 2, "exists"),
+                 (immediate_acceptor, 4, "exists"),
+                 (immediate_acceptor, 4, "forall"),
+                 (two_step_acceptor, 4, "exists"),
+                 (two_step_acceptor, 4, "forall")]
+
+
+@pytest.mark.parametrize("machine, bound, mode", SQUARES_CASES)
+def test_verify_squares_oracle_reads_only_decodable_trials(
+        machine, bound, mode, tmp_path, monkeypatch, capsys):
+    # the oracle is called on exactly the trials whose four window entries
+    # decode, in increasing order, each as a dict of the trial; the others
+    # fail decode_square, so the oracle would say no on them
+    screened, seen, code, data = spy_on_squares(
+        machine, bound, mode, False, tmp_path, monkeypatch, capsys)
+    assert seen == screened
+    assert (code, data["answer"], data["mismatches"]) == (0, "yes", 0)
+
+
+@pytest.mark.parametrize("machine, bound, mode", SQUARES_CASES)
+def test_verify_squares_answers_no_to_a_negated_oracle(
+        machine, bound, mode, tmp_path, monkeypatch, capsys):
+    # with the oracle's verdict negated, every screened trial is a mismatch
+    # and no other trial is: the check can answer no.  Require accepts only
+    # screened trials, and the negated oracle accepts the other screened ones.
+    screened, seen, code, data = spy_on_squares(
+        machine, bound, mode, True, tmp_path, monkeypatch, capsys)
+    assert seen == screened
+    assert (code, data["answer"]) == (1, "no")
+    assert data["mismatches"] == len(screened)
+    assert data["require_accepts"] + data["oracle_accepts"] == len(screened)
+
+
+@pytest.mark.parametrize("machine, bound, mode", SQUARES_CASES)
+def test_verify_squares_reports_each_routes_accepts(machine, bound, mode,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    # require_accepts and oracle_accepts count the trials each route
+    # accepts, as Require and the oracle count them trial by trial
+    ro, draws, trials = squares_draws(machine, bound, mode, bound + 20)
+    code, data, err = run_squares(machine, bound, mode, draws, trials,
+                                  tmp_path, monkeypatch, capsys)
+    assert data["require_accepts"] == sum(
+        eval_formula(ro.require, a) for a in trials)
+    assert data["oracle_accepts"] == sum(
+        oracle_requires(ro, a) for a in trials)
+    assert data["require_accepts"] > 0 and code == 0 and err == ""
+
+
+def test_verify_squares_notes_when_no_route_accepts(machine_file, capsys):
+    # on uniform draws neither route accepts a trial: mismatches 0 then
+    # says nothing, and stderr says so, without changing the answer
+    code = run(["verify", "squares", "--machine", machine_file, "--bound",
+                "4", "--trials", "300"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert code == 0 and data["answer"] == "yes"
+    assert (data["require_accepts"], data["oracle_accepts"],
+            data["mismatches"]) == (0, 0, 0)
+    assert "mismatches: 0 cannot tell them apart" in captured.err
 
 
 def test_nash_is_with_sample_flag(machine_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from reference import rule_patterns
-from windows import perturbed_windows
+from windows import entries_decode, perturbed_windows, random_table
 
 from boolgames.encodings import decode_bits
 from boolgames.formula import (And, Iff, Not, Var, compile_formula,
@@ -34,6 +34,7 @@ from boolgames.reductions import (
     build_require,
     cover_matrix_check,
     decode_square,
+    decodable_trials,
     immediate_acceptor,
     oracle_requires,
     simulate_tm,
@@ -436,6 +437,39 @@ def test_build_require_is_the_games_require(machine, bound, mode):
     assert req.player2_vars == ro.game.var_sets[1]
     assert (req.k, req.mode, req.bound, req.word) == (ro.k, mode, bound, "")
     assert req.var_index.to_json() == ro.var_index.to_json()
+
+
+SCREEN_CASES = [(machine, bound, mode)
+                for machine in (immediate_acceptor, two_step_acceptor,
+                                never_acceptor)
+                for bound in (2, 4, 8)
+                for mode in ("exists", "forall")
+                if (bound, mode) != (2, "forall")]
+
+
+@pytest.mark.parametrize("machine,bound,mode", SCREEN_CASES)
+def test_decodable_trials_is_the_decoders_rule(machine, bound, mode):
+    # the bit-parallel screen of verify squares against _decode_entry run
+    # trial by trial, on windows a few bits from well-formed ones (of the
+    # accepting run, or of a random table where there is none) and on
+    # uniform draws; Require (or Illegal) holds only inside the screen
+    build = build_guarantee_game if mode == "exists" else \
+        build_forall_guarantee_game
+    ro = build(machine(), "", bound)
+    rng = random.Random(bound)
+    size = 1 << ro.k
+    table = simulate_tm(ro.machine, "", size, size) or random_table(ro, rng)
+    names = ro.game.var_sets[1]
+    trials = list(perturbed_windows(ro, rng, 300, table))
+    trials += [{v: bool(rng.getrandbits(1)) for v in names}
+               for _ in range(300)]
+    masks = {v: sum(a[v] << r for r, a in enumerate(trials)) for v in names}
+    full = (1 << len(trials)) - 1
+    screen = decodable_trials(ro, masks, full)
+    decodes = [entries_decode(ro, a) for a in trials]
+    assert [bool(screen >> r & 1) for r in range(len(trials))] == decodes
+    assert set(decodes) == {False, True}
+    assert eval_bits(ro.require, masks, full) & ~screen == 0
 
 
 @pytest.mark.parametrize("machine,bound,mode", list(REDUCTION_TEXT))
