@@ -111,7 +111,11 @@ def _reduction(args, mode):
 
 def _witness(ro):
     """The witness profile of ``ro``'s accepting run, or None if none."""
-    size = 1 << ro.k
+    size, cap = 1 << ro.k, reductions.WITNESS_SIDE_CAP
+    if size > cap:
+        raise ResourceCapError("--bound %d needs a %dx%d witness table; the "
+                               "bound is %dx%d" % (ro.bound, size, size, cap,
+                                                   cap))
     table = reductions.simulate_tm(ro.machine, ro.word, size, size,
                                    accept_row=ro.bound - 1)
     return None if table is None else reductions.witness_profile(ro, table)
@@ -357,6 +361,7 @@ def cmd_reduce(args):
         ro = _reduction(args, "exists" if args.what == "nexptm" else "forall")
         data = {"v2": _fr_str(ro.payoff[1]), "v1": _fr_str(ro.payoff[0]),
                 "k": ro.k, "mode": ro.mode}
+        wp = _witness(ro) if args.emit_witness else None
         if args.out:
             data["game_file"] = _write(args.out + ".game",
                                        render_game(ro.game))
@@ -364,7 +369,6 @@ def cmd_reduce(args):
         else:
             data["game"] = render_game(ro.game)
         if args.emit_witness:
-            wp = _witness(ro)
             if wp is None:
                 data["witness"] = None
             elif args.out:

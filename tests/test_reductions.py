@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import rule_patterns
+from hypothesis import example, given, settings, strategies as st
+from reference import rule_patterns, simulate_dfs
 from windows import entries_decode, perturbed_windows, random_table
 
 from boolgames.encodings import decode_bits
@@ -12,6 +13,7 @@ from boolgames.formula import (And, Iff, Not, Var, compile_formula,
                                eval_bits, render_formula)
 from boolgames.game import (
     BooleanGame,
+    ResourceCapError,
     expected_utility,
     render_game,
     validate_game,
@@ -108,6 +110,36 @@ def test_simulate_respects_input_word():
     assert table[0][0].content == "1"
     assert table[0][1].content == "0"
     assert table[0][2].content == "_"
+    # a word longer than the tape has no run
+    assert simulate_tm(m, "101", 4, 2) is None
+
+
+def test_simulate_cuts_right_moves_past_the_width():
+    # q0 first tries a right move into the accept state, which needs one
+    # more row to step back to cell 0; on a one-cell tape that move falls
+    # off, and the second rule, accepting in place, is all that is left
+    halt = [Transition("qa", s, s, "L", "qa") for s in SYMBOLS]
+    m = TuringMachine(["q0", "qa"], "q0", "qa",
+                      [Transition("q0", "_", "0", "R", "qa"),
+                       Transition("q0", "_", "1", "L", "qa")] + halt)
+    assert simulate_tm(m, "", 3, 2)[2][0] == CellDescriptor("0", "qa")
+    assert simulate_tm(m, "", 3, 1) == [[CellDescriptor("_", "q0")]] + \
+        [[CellDescriptor("1", "qa")]] * 2
+    # at width 2 the right move reaches the accept state on cell 1 at row
+    # 1, not cell 0: acceptance at row 1 backtracks to the second rule
+    assert simulate_tm(m, "", 3, 2, accept_row=1)[1] == [
+        CellDescriptor("1", "qa"), CellDescriptor("_", LEFT)]
+
+
+def test_simulate_searches_a_1024_row_table():
+    # every bound from 513 to 1024 has a 1024 x 1024 table; a recursive
+    # search one call deep per row exceeds Python's default recursion limit
+    table = simulate_tm(immediate_acceptor(), "", 1024, 1024, accept_row=999)
+    assert len(table) == 1024
+    assert table[0][:2] == [CellDescriptor("_", "q0"),
+                            CellDescriptor("_", LEFT)]
+    assert all(row == table[1] for row in table[1:])
+    assert table[999][0] == CellDescriptor("0", "qa")
 
 
 @pytest.mark.parametrize("word", ["2", "0a", "1 "])
@@ -360,6 +392,70 @@ def never_acceptor():
                          [Transition("q0", "_", "1", "R", "q0")] + halt)
 
 
+def round_trip_acceptor():
+    """Writes 0 and 1 stepping right, then steps back left twice, reading
+    the 1, and accepts at step 4 (bound 5, k = 3).  Its head moves right
+    from the right column of a window, which no other test machine does."""
+    halt = [Transition("qa", s, s, "L", "qa") for s in SYMBOLS]
+    return TuringMachine(
+        ["q0", "q1", "q2", "q3", "qa"], "q0", "qa",
+        [Transition("q0", "_", "0", "R", "q1"),
+         Transition("q1", "_", "1", "R", "q2"),
+         Transition("q2", "_", "_", "L", "q3"),
+         Transition("q3", "1", "1", "L", "qa")] + halt)
+
+
+@st.composite
+def searches(draw):
+    """A machine of two to four states (the accept state last) with zero to
+    two rules for each working state and symbol, in a drawn order, and a
+    search of at most 8 x 8 for it: a word of up to three bits and an
+    accept row that may be out of range."""
+    states = ["q%d" % i for i in range(draw(st.integers(1, 3)))] + ["qa"]
+    rule = st.tuples(st.sampled_from(SYMBOLS), st.sampled_from("LR"),
+                     st.sampled_from(states))
+    rules = [Transition(q, s, *r) for q in states[:-1] for s in SYMBOLS
+             for r in draw(st.lists(rule, max_size=2))]
+    halt = [Transition("qa", s, s, "L", "qa") for s in SYMBOLS]
+    m = TuringMachine(states, draw(st.sampled_from(states)), "qa",
+                      draw(st.permutations(rules + halt)))
+    return (m, draw(st.text("01", max_size=3)), draw(st.integers(0, 8)),
+            draw(st.integers(0, 8)), draw(st.none() | st.integers(-1, 8)))
+
+
+def search_outcome(search, case):
+    """The table ``search`` returns on ``case``, or the type it raises."""
+    try:
+        return search(*case)
+    except (ReductionError, ResourceCapError) as e:
+        return type(e)
+
+
+@settings(deadline=None, max_examples=500)
+@given(searches())
+@example((round_trip_acceptor(), "", 8, 8, 4))
+@example((round_trip_acceptor(), "1", 8, 8, 4))
+def test_simulate_is_the_recursive_search(case):
+    # the same first accepting run (declared transition order), the same
+    # padding after its accept row, None or the same error
+    assert search_outcome(simulate_tm, case) == \
+        search_outcome(simulate_dfs, case)
+
+
+@pytest.mark.parametrize("machine,accepts_at", [
+    (immediate_acceptor, 1), (two_step_acceptor, 2), (never_acceptor, None),
+    (round_trip_acceptor, 4)])
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_simulate_matches_the_reference_on_every_accept_row(machine,
+                                                            accepts_at, size):
+    m = machine()
+    tables = [simulate_tm(m, "", size, size, row) for row in range(size)]
+    assert tables == [simulate_dfs(m, "", size, size, row)
+                      for row in range(size)]
+    assert [t is not None for t in tables] == [
+        accepts_at is not None and row >= accepts_at for row in range(size)]
+
+
 # sha256 of render_game(ro.game) and of render_formula(ro.require)
 REDUCTION_TEXT = {
     (immediate_acceptor, 2, "exists"): (
@@ -509,7 +605,7 @@ def check_witness_windows(machine, build, bound):
     m = machine()
     ro = build(m, "", bound)
     size = 1 << ro.k
-    table = simulate_tm(m, "", size, size, accept_row=3)
+    table = simulate_tm(m, "", size, size, accept_row=bound - 1)
     assert table is not None
     windows = [a for a, _ in witness_profile(ro, table).strategies[1]]
     assert len(windows) == 4 * size * size
@@ -548,6 +644,21 @@ def test_oracle_agrees_with_require_on_witness_windows_k2(machine, build):
                                    build_forall_guarantee_game])
 def test_oracle_agrees_with_require_on_witness_windows_k3(machine, build):
     check_witness_windows(machine, build, 8)
+
+
+@pytest.mark.parametrize("build", [build_guarantee_game,
+                                   build_forall_guarantee_game])
+def test_oracle_agrees_with_require_on_a_right_moving_head(build):
+    # the witness windows of a head moving right from a window's right
+    # column, and windows a few bits from them
+    check_witness_windows(round_trip_acceptor, build, 5)
+    ro = build(round_trip_acceptor(), "", 5)
+    req = compile_formula(ro.require)
+    verdicts = set()
+    for a in perturbed_windows(ro, random.Random(5), 300):
+        verdicts.add(req(a))
+        assert req(a) == oracle_requires(ro, a)
+    assert verdicts == {False, True}
 
 
 def flag_entry(assign, flags, states):
