@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .game import (
     NormalForm,
     ResourceCapError,
     draw_masks,
-    draw_trials,
     parse_game,
     profile_from_json,
     profile_to_json,
@@ -432,23 +432,29 @@ def cmd_verify(args):
         raise ResourceCapError("%d trials to check; cap is %d"
                                % (args.trials, args.cap_deviations))
     # Require alone, not the game: all trials in one eval_bits pass, bit r
-    # of each mask is trial r, drawn one bit per player-2 variable in the
-    # game's var_sets order
+    # of each mask is trial r, one mask per player-2 variable in the game's
+    # var_sets order
     ro = reductions.build_require(load_machine(args.machine), args.input,
                                   args.bound, args.mode)
     names = ro.player2_vars
-    width, full = len(names), (1 << args.trials) - 1
-    draws = draw_trials(args.seed, args.trials * width)
-    masks = dict(zip(names, draw_masks(draws, width)))
+    full, size = (1 << args.trials) - 1, (args.trials + 7) >> 3
+    drawn = draw_masks(args.seed, args.trials, len(names))
+    masks = dict(zip(names, drawn))
     said = eval_bits(ro.require, masks, full)
-    # the oracle says no off the screen: it reads only the screened trials
-    screen, oracle = reductions.decodable_trials(ro, masks, full), 0
-    while screen:
-        r = (screen & -screen).bit_length() - 1
-        screen ^= 1 << r
-        at = r * width
-        trial = dict(zip(names, (c == 0x31 for c in draws[at:at + width])))
-        oracle |= reductions.oracle_requires(ro, trial) << r
+    # the oracle says no off the screen: it reads only the screened trials,
+    # trial r from bit r & 7 of byte r >> 3 of each mask's bytes
+    screen = reductions.decodable_trials(ro, masks, full)
+    columns = [m.to_bytes(size, "little") for m in drawn] if screen else ()
+    screened, hits = screen.to_bytes(size, "little"), bytearray(size)
+    for at in itertools.compress(range(size), screened):
+        byte = screened[at]
+        while byte:
+            bit = byte & -byte
+            byte ^= bit
+            trial = dict(zip(names, (c[at] & bit != 0 for c in columns)))
+            if reductions.oracle_requires(ro, trial):
+                hits[at] |= bit
+    oracle = int.from_bytes(hits, "little")
     if not (said or oracle):
         print("note: neither route accepts a trial, so mismatches: 0 cannot "
               "tell them apart", file=sys.stderr)

@@ -608,7 +608,15 @@ def build_require(m, word, K, mode):
     k = _bound_width(K)
     size = 1 << k
     if size * size > DEFAULT_NODE_CAP:
-        raise ResourceCapError("table of %d entries exceeds cap" % (size * size))
+        most = 1 << (DEFAULT_NODE_CAP.bit_length() - 1) // 2
+        raise ResourceCapError(
+            "--bound %d needs a %dx%d run table (%d entries); the cap is %d "
+            "entries, --bound %d at most" % (K, size, size, size * size,
+                                             DEFAULT_NODE_CAP, most))
+    if len(word) > size:
+        raise ReductionError(
+            "input word of %d symbols is longer than the %d-cell run table "
+            "of --bound %d" % (len(word), size, K))
     roles, (_, gadget2) = fixed_value_roles(GADGET_VALUE, GADGET_NAMESPACE)
     vi = VarIndex(m, k, roles)
     shape, well_formed, positional, consistency = _require_parts(m, word, K, k,

@@ -44,7 +44,6 @@ from .game import (
     NormalForm,
     ResourceCapError,
     draw_masks,
-    draw_trials,
     profile_masks,
     to_normal_form,
     utility_sweep,
@@ -417,15 +416,16 @@ def best_deviation_gain(g, sigma, i, cap=DEFAULT_DEVIATION_CAP, sample=None,
     exhaustively by default; more than ``cap`` of them raise
     ResourceCapError before any work (``check_deviation_cap``).  With
     ``sample`` set, that many uniformly random pure strategies are tried
-    instead (no-counterexample-found semantics): deviation r takes the r-th
-    ``used`` bytes of ``game.draw_trials(seed, sample * used)``, one per used
-    variable in the goal's first-occurrence order (``formula.var_order``).
+    instead (no-counterexample-found semantics): deviation r takes bit r of
+    each mask of ``game.draw_masks(seed, sample, used)``, mask t for the
+    t-th used variable in the goal's first-occurrence order
+    (``formula.var_order``).
     """
     used, count = check_deviation_cap(g, i, cap, sample)
     if sample is None:
         masks = [var_mask(t, count) for t in range(used)]
     else:
-        masks = draw_masks(draw_trials(seed, count * used), used)
+        masks = draw_masks(seed, count, used)
     return utility_sweep(g, sigma, i, count, masks)
 
 
@@ -434,8 +434,10 @@ def is_nash(g_or_nf, sigma, cap=DEFAULT_DEVIATION_CAP, sample=None, seed=0):
 
     Exact over all pure deviations by default; with ``sample`` set, each
     player's deviations are checked on that many uniformly random pure
-    strategies instead, drawn for each player from ``seed`` as
-    ``best_deviation_gain`` documents (no-counterexample-found semantics).
+    strategies instead, drawn for each player from a fresh
+    ``random.Random(seed)``, one ``getrandbits(sample)`` mask per used goal
+    variable, as ``best_deviation_gain`` documents
+    (no-counterexample-found semantics).
     """
     if isinstance(g_or_nf, NormalForm):
         return _is_nash_nf(g_or_nf, sigma)

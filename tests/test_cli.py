@@ -10,7 +10,7 @@ import pytest
 from boolgames import cli, gadgets, reductions, solver
 from boolgames.cli import run
 from boolgames.formula import eval_formula, parse_formula
-from boolgames.game import (MixedProfile, draw_trials, parse_game,
+from boolgames.game import (MixedProfile, draw_masks, parse_game,
                             profile_from_json, profile_to_json, render_game,
                             to_normal_form)
 from boolgames.reductions import (build_forall_guarantee_game,
@@ -18,7 +18,7 @@ from boolgames.reductions import (build_forall_guarantee_game,
                                   oracle_requires, simulate_tm,
                                   transform_game, witness_profile)
 from test_reductions import machine_json, two_step_acceptor
-from windows import entries_decode, perturbed_windows
+from windows import entries_decode, perturbed_windows, trial_masks
 
 MP_TEXT = """\
 players: 2
@@ -351,7 +351,7 @@ def test_verify_squares_honours_cap_deviations(machine_file, monkeypatch,
     # the cap is checked before any trial is drawn
     def no_draws(*args):
         raise AssertionError("trials were drawn")
-    monkeypatch.setattr(cli, "draw_trials", no_draws)
+    monkeypatch.setattr(cli, "draw_masks", no_draws)
     assert run(argv + ["10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -393,20 +393,22 @@ def test_verify_squares_aligns_trials(machine_file, monkeypatch, capsys,
     table = simulate_tm(m, "", size, size, accept_row=bound - 1)
     windows = [a for a, _ in witness_profile(ro, table).strategies[1]]
     names = ro.game.var_sets[1]
-    plan = [1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0]  # 1 = a window
+    # windows at trials 0, 7, 8 and the last: the oracle reads them across
+    # the edges of the masks' bytes
+    plan = [1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1]  # 1 = a window
     rng = random.Random(7)
     drawn = [windows[r % len(windows)] if genuine else
              {v: bool(rng.getrandbits(1)) for v in names}
              for r, genuine in enumerate(plan)]
     assert [oracle_requires(ro, a) for a in drawn] == plan
-    # the drawer's bytes: one per player-2 variable, trial by trial
-    draws = bytes(b"01"[a[v]] for a in drawn for v in names)
+    assert all(entries_decode(ro, drawn[r]) for r in (0, 7, 8, -1))
+    masks = trial_masks(drawn, names)
 
-    def replay(seed, n):
-        assert n == len(draws)
-        return draws
+    def replay(seed, trials, width):
+        assert (trials, width) == (len(plan), len(names))
+        return masks
 
-    monkeypatch.setattr(cli, "draw_trials", replay)
+    monkeypatch.setattr(cli, "draw_masks", replay)
     data = run_json(["verify", "squares", "--machine", machine_file,
                      "--bound", str(bound), "--trials", str(len(plan))],
                     capsys)
@@ -414,31 +416,31 @@ def test_verify_squares_aligns_trials(machine_file, monkeypatch, capsys,
 
 
 def squares_draws(machine, bound, mode, seed):
-    """``machine``'s reduction and replayable draws for its squares check:
-    300 windows a few bits from legal ones (which reach the square oracle),
-    then 300 uniform trials (mostly screened out), with each trial's
-    dict."""
+    """``machine``'s reduction and replayable trials for its squares check,
+    each a dict: 300 windows a few bits from legal ones (which reach the
+    square oracle), then 300 uniform trials (mostly screened out)."""
     build = build_guarantee_game if mode == "exists" else \
         build_forall_guarantee_game
     ro = build(machine(), "", bound)
     names = ro.game.var_sets[1]
-    near = list(perturbed_windows(ro, random.Random(seed), 300))
-    draws = b"".join(bytes(b"01"[a[v]] for v in names) for a in near)
-    draws += draw_trials(seed, 300 * len(names))
-    width = len(names)
-    trials = [dict(zip(names, (c == ord("1") for c in draws[r:r + width])))
-              for r in range(0, len(draws), width)]
-    return ro, draws, trials
+    trials = list(perturbed_windows(ro, random.Random(seed), 300))
+    uniform = draw_masks(seed, 300, len(names))
+    trials += [{v: bool(m >> r & 1) for v, m in zip(names, uniform)}
+               for r in range(300)]
+    return ro, trials
 
 
-def run_squares(machine, bound, mode, draws, trials, tmp_path, monkeypatch,
+def run_squares(machine, bound, mode, ro, trials, tmp_path, monkeypatch,
                 capsys):
-    """``verify squares`` on replayed draws: exit code, stdout, stderr."""
-    def replay(seed, n):
-        assert n == len(draws)
-        return draws
+    """``verify squares`` on replayed trials: exit code, stdout, stderr."""
+    names = ro.game.var_sets[1]
+    masks = trial_masks(trials, names)
 
-    monkeypatch.setattr(cli, "draw_trials", replay)
+    def replay(seed, count, width):
+        assert (count, width) == (len(trials), len(names))
+        return masks
+
+    monkeypatch.setattr(cli, "draw_masks", replay)
     path = tmp_path / "m.json"
     path.write_text(machine_json(machine()))
     code = run(["verify", "squares", "--machine", str(path), "--bound",
@@ -449,10 +451,10 @@ def run_squares(machine, bound, mode, draws, trials, tmp_path, monkeypatch,
 
 def spy_on_squares(machine, bound, mode, negate, tmp_path, monkeypatch,
                    capsys):
-    """``verify squares`` on replayed draws, its oracle spied on (and its
+    """``verify squares`` on replayed trials, its oracle spied on (and its
     verdict negated if ``negate``): the trials that decode, the trials the
     oracle was handed, the exit code and stdout."""
-    ro, draws, trials = squares_draws(machine, bound, mode, bound + 10)
+    ro, trials = squares_draws(machine, bound, mode, bound + 10)
     screened = [a for a in trials if entries_decode(ro, a)]
     assert 0 < len(screened) < len(trials)
     seen = []
@@ -463,8 +465,8 @@ def spy_on_squares(machine, bound, mode, negate, tmp_path, monkeypatch,
         return oracle_requires(ro, trial) != negate
 
     monkeypatch.setattr(cli.reductions, "oracle_requires", spy)
-    code, data, _ = run_squares(machine, bound, mode, draws, trials,
-                                tmp_path, monkeypatch, capsys)
+    code, data, _ = run_squares(machine, bound, mode, ro, trials, tmp_path,
+                                monkeypatch, capsys)
     return screened, seen, code, data
 
 
@@ -507,8 +509,8 @@ def test_verify_squares_reports_each_routes_accepts(machine, bound, mode,
                                                     capsys):
     # require_accepts and oracle_accepts count the trials each route
     # accepts, as Require and the oracle count them trial by trial
-    ro, draws, trials = squares_draws(machine, bound, mode, bound + 20)
-    code, data, err = run_squares(machine, bound, mode, draws, trials,
+    ro, trials = squares_draws(machine, bound, mode, bound + 20)
+    code, data, err = run_squares(machine, bound, mode, ro, trials,
                                   tmp_path, monkeypatch, capsys)
     assert data["require_accepts"] == sum(
         eval_formula(ro.require, a) for a in trials)
@@ -613,6 +615,56 @@ def test_witness_table_at_the_bound_is_simulated(machine_file, monkeypatch,
     data = run_json(["reduce", "nexptm", "--machine", machine_file, "--bound",
                      str(cap), "--emit-witness"], capsys)
     assert data["witness"] is None and calls == [(cap, cap, cap - 1)]
+
+
+# every command that builds Require, with the flags it needs besides
+# --machine, --input and --bound
+REQUIRE_VERBS = [["reduce", "nexptm", "--emit-witness"],
+                 ["reduce", "forall-nexptm"],
+                 ["reduce", "transform", "--kind", "exists-nash-sat"],
+                 ["verify", "witness", "--sample", "10"],
+                 ["verify", "squares", "--trials", "10"]]
+
+
+@pytest.mark.parametrize("argv", REQUIRE_VERBS,
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_input_longer_than_the_run_table_exits_2(tmp_path, capsys, argv):
+    # the machine accepts 010 in one step (q0 reads 0), but at bound 2 the
+    # table is 2 cells wide: the word is refused, not cut to 01
+    halt = [reductions.Transition("qa", s, s, "L", "qa")
+            for s in ("0", "1", "_")]
+    m = reductions.TuringMachine(
+        ["q0", "qa"], "q0", "qa",
+        [reductions.Transition("q0", "0", "0", "L", "qa")] + halt)
+    path = tmp_path / "m.json"
+    path.write_text(machine_json(m))
+    argv = argv + ["--machine", str(path), "--input", "010"]
+    out = tmp_path / "red"
+    if "nexptm" in argv[1]:
+        argv += ["--out", str(out)]
+    assert run(argv + ["--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.listdir(tmp_path) == ["m.json"]
+    assert ("input word of 3 symbols is longer than the 2-cell run table of "
+            "--bound 2") in captured.err
+    # at bound 3 the table is 4 cells wide
+    assert run(argv + ["--bound", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    if argv[1] == "nexptm":
+        assert data["witness"] == str(out) + ".witness.json"
+    if argv[0] == "verify":
+        assert data["answer"] == "yes"
+
+
+@pytest.mark.parametrize("argv", REQUIRE_VERBS,
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_run_table_cap_names_the_largest_bound(machine_file, capsys, argv):
+    cap = reductions.DEFAULT_NODE_CAP
+    assert run(argv + ["--machine", machine_file, "--bound", "1025"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("--bound 1025 needs a 2048x2048 run table (4194304 entries); the "
+            "cap is %d entries, --bound 1024 at most" % cap) in captured.err
 
 
 @pytest.mark.parametrize("edit,message", [

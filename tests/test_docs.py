@@ -1,12 +1,15 @@
 """The documents stay true to the code: README.md's Python examples run,
 every test that PAPER.md's claim map names exists, every dotted name
 that PAPER.md's code column or README.md's module table puts in backticks
-(``module.name``, ``Class.method``) is a real attribute, and README.md's
-flag table states every fixed command-line bound with its value."""
+(``module.name``, ``Class.method``), and every one headed by a
+``boolgames`` module anywhere in either file, is a real attribute, and
+README.md's flag table states every fixed command-line bound with its
+value."""
 
 import ast
 import importlib
 import os
+import pkgutil
 import re
 
 import pytest
@@ -56,6 +59,8 @@ def table_cells(name, row, column):
 
 CODE_CELLS = (table_cells("PAPER.md", r"\| \d+ \|", 2)
               + table_cells("README.md", r"\| `boolgames\.", 1))
+MODULES = {m.name for m in pkgutil.iter_modules(boolgames.__path__)}
+DOTTED = r"`(\w+(?:\.\w+)+)"
 
 
 def resolve(dotted):
@@ -72,9 +77,13 @@ def resolve(dotted):
 
 
 def test_code_names_resolve():
-    names = {name for cell in CODE_CELLS
-             for name in re.findall(r"`(\w+(?:\.\w+)+)", cell)}
+    names = {name for cell in CODE_CELLS for name in re.findall(DOTTED, cell)}
     assert len(names) > 10  # the pattern still finds the claim map's names
+    prose = {name for doc in ("README.md", "PAPER.md")
+             for name in re.findall(DOTTED, read(doc))
+             if name.split(".")[0] in MODULES}
+    assert len(prose) > 20  # and the names in prose, headed by a module
+    names |= prose
     missing = []
     for name in sorted(names):
         try:

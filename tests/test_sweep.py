@@ -26,7 +26,6 @@ from boolgames.game import (
     MixedProfile,
     ResourceCapError,
     draw_masks,
-    draw_trials,
     expected_utility,
     player_assignments,
 )
@@ -79,15 +78,17 @@ def brute_eu(g, profile, i, own=None):
 
 
 def sampled_deviations(g, i, sample, seed):
-    """The pure deviations a sampled sweep tries: one ``getrandbits(1)``
-    per own goal variable, in the goal's first-occurrence order (the
-    argument order of ``compile_formula``), unused variables left False."""
+    """The pure deviations a sampled sweep tries: one ``getrandbits(sample)``
+    mask per own goal variable, in the goal's first-occurrence order (the
+    argument order of ``compile_formula``), deviation r reading bit r of
+    each; unused variables left False."""
     own = set(g.var_sets[i])
     used = [v for v in compile_formula(g.goals[i]).keys if v in own]
     rng = random.Random(seed)
-    for _ in range(sample):
+    masks = [rng.getrandbits(sample) for _ in used]
+    for r in range(sample):
         a = dict.fromkeys(g.var_sets[i], False)
-        a.update({v: bool(rng.getrandbits(1)) for v in used})
+        a.update({v: bool(m >> r & 1) for v, m in zip(used, masks)})
         yield a
 
 
@@ -181,8 +182,8 @@ def test_sweep_exact_gain_off_equilibrium():
     assert best_deviation_gain(g, profile, 0) == (Fraction(2, 3), 1)
     assert best_deviation_gain(g, profile, 1) == (Fraction(2, 3), 1)
     assert not is_nash(g, profile)
-    # seed 3 draws (a, b) = (0, 1), (1, 0), (0, 1) and misses the gain;
-    # seed 0 draws (1, 0), (1, 1), (0, 0) and finds it
+    # seed 3 draws (a, b) = (1, 0), (0, 0), (0, 1) and misses the gain;
+    # seed 0 draws (0, 1), (1, 1), (1, 0) and finds it
     assert best_deviation_gain(g, profile, 0, sample=3, seed=3) == (
         Fraction(2, 3), Fraction(2, 3))
     assert best_deviation_gain(g, profile, 0, sample=3, seed=0) == (
@@ -191,17 +192,24 @@ def test_sweep_exact_gain_off_equilibrium():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_draw_trials_match_one_bit_draws(seed):
-    # whole-word draws read as one-bit draws, across word and call edges
-    for n in (0, 1, 31, 32, 33, 84000):
-        rng = random.Random(seed)
-        want = bytes(b"01"[rng.getrandbits(1)] for _ in range(n))
-        assert draw_trials(seed, n) == want, n
+    # mask t is the t-th getrandbits(trials) call, across word edges
+    for trials in (1, 31, 32, 33, 2000):
+        for width in (0, 1, 42):
+            rng = random.Random(seed)
+            want = [rng.getrandbits(trials) for _ in range(width)]
+            masks = draw_masks(seed, trials, width)
+            assert masks == want, (trials, width)
+            assert all(m < 1 << trials for m in masks)
+    # one trial: one getrandbits(1) per variable, as one-bit draws gave
+    rng = random.Random(seed)
+    assert draw_masks(seed, 1, 42) == [rng.getrandbits(1) for _ in range(42)]
 
 
 def test_draw_masks_read_trial_by_trial():
-    # trial 0 draws 1, 0, 1 and trial 1 draws 0, 1, 1: bit r is trial r
-    assert draw_masks(b"101011", 3) == [0b01, 0b10, 0b11]
-    assert draw_masks(b"", 2) == [0, 0]
+    # bit r of mask t is variable t in trial r: seed 3 draws the trials
+    # (1, 0), (0, 0), (0, 1) of test_sweep_exact_gain_off_equilibrium
+    assert draw_masks(3, 3, 2) == [0b001, 0b100]
+    assert draw_masks(3, 0, 2) == [0, 0]
 
 
 def test_sampled_draw_order_is_first_occurrence():

@@ -15,7 +15,7 @@ import types
 
 from test_reductions import machine_json
 from test_tracer_targets import load_tracing
-from windows import entries_decode, perturbed_windows
+from windows import entries_decode, perturbed_windows, trial_masks
 
 from boolgames.reductions import build_guarantee_game, immediate_acceptor
 
@@ -36,8 +36,8 @@ def test_tracer_sees_the_verify_and_reduce_verbs(tmp_path, monkeypatch,
     trials = list(perturbed_windows(ro, rng, 25))
     trials += [{v: bool(rng.getrandbits(1)) for v in names}
                for _ in range(25)]
-    draws = bytes(b"01"[a[v]] for a in trials for v in names)
-    monkeypatch.setattr(bg.cli, "draw_trials", lambda seed, n: draws)
+    masks = trial_masks(trials, names)
+    monkeypatch.setattr(bg.cli, "draw_masks", lambda *args: masks)
     screened = sum(entries_decode(ro, a) for a in trials)
     assert screened > 0
     argvs = [["verify", "squares", "--trials", str(len(trials))],

@@ -39,3 +39,9 @@ def entries_decode(ro, a):
     screens its trials with)."""
     return all(_decode_entry(a, ro.var_index.flags2[p]) is not None
                for p in ENTRY_PREFIXES)
+
+
+def trial_masks(trials, names):
+    """The masks ``game.draw_masks`` would draw for ``trials``: one per
+    variable of ``names``, bit r its value in ``trials[r]``."""
+    return [sum(a[v] << r for r, a in enumerate(trials)) for v in names]
