@@ -325,16 +325,15 @@ def formula_depth(f):
 
 def rename_vars(f, mapping):
     """Rename free variables of ``f`` by ``mapping`` (must be injective on them)."""
-    fv = free_vars(f)
-    relevant = {v: mapping[v] for v in fv if v in mapping}
-    targets = list(relevant.values())
-    if len(set(targets)) != len(targets):
-        raise RenameError("renaming is not injective on the formula's variables")
+    renamed = {}  # each variable of f that the walk renamed, to its name
 
     def go(node):
         t = type(node)
         if t is Var:
-            return Var(relevant[node.name]) if node.name in relevant else node
+            if node.name not in mapping:
+                return node
+            renamed[node.name] = name = mapping[node.name]
+            return Var(name)
         if t is And or t is Or:
             return t(tuple(go(c) for c in node.children))
         if t is Not:
@@ -343,7 +342,10 @@ def rename_vars(f, mapping):
             return t(go(node.left), go(node.right))
         return node
 
-    return go(f)
+    out = go(f)
+    if len(set(renamed.values())) != len(renamed):
+        raise RenameError("renaming is not injective on the formula's variables")
+    return out
 
 
 # --- evaluation ------------------------------------------------------------

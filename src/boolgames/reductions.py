@@ -34,7 +34,8 @@ from .encodings import (
     decode_bits,
     var_bits,
 )
-from .formula import And, Iff, Implies, Not, Or, Var, conj, disj
+from .formula import (And, Iff, Implies, Not, Or, Var, conj, disj,
+                      is_valid_var)
 from .game import (
     BooleanGame,
     MixedProfile,
@@ -86,6 +87,14 @@ class TuringMachine:
         self.validate()
 
     def validate(self):
+        # a state names the variables of its head flags (State1.q, ...), so
+        # it is text that extends "State." to a variable name; no state can
+        # then be the LEFT or RIGHT marker
+        for q in self.states:
+            if not (isinstance(q, str) and is_valid_var("State." + q)):
+                raise ReductionError(
+                    "state %r is not a name: states are strings of ASCII "
+                    "letters, digits, '_' and '.'" % (q,))
         if len(set(self.states)) != len(self.states) or not self.states:
             raise ReductionError("states must be a nonempty set")
         for q in (self.start, self.accept):
@@ -372,60 +381,61 @@ def admissible_squares(m):
 
 # --- game construction ----------------------------------------------------------
 
-ENTRY_PREFIXES = ("", "s", "n", "ns")
 # each window entry's (row, column) offset from the window's upper left
 ENTRY_OFFSETS = {"": (0, 0), "s": (0, 1), "n": (1, 0), "ns": (1, 1)}
+ENTRY_PREFIXES = tuple(ENTRY_OFFSETS)
 
 
-def _entry_flags(prefix, player, states):
-    """The descriptor flag names of one table entry of a player; "heads"
-    pairs each head marker with its flag: left, right, then the states."""
-    flags = {f: "%s%s%d" % (prefix, f.capitalize(), player)
-             for f in ("zero", "one", "left", "right")}
-    flags["state"] = {q: "%sState%d.%s" % (prefix, player, q) for q in states}
-    flags["heads"] = ((LEFT, flags["left"]), (RIGHT, flags["right"]),
-                      *flags["state"].items())
-    return flags
+class Entry(NamedTuple):
+    """The variables that name one run-table entry: its row (``time``) and
+    column (``tape``) bits, its two content flags (a blank sets neither),
+    and ``heads``, each head marker's flag: left, right, then the states."""
+    time: tuple
+    tape: tuple
+    zero: str
+    one: str
+    heads: dict
 
+    @classmethod
+    def named(cls, prefix, player, states, k):
+        """Player ``player``'s entry at window position ``prefix``."""
+        def name(field):
+            return "%s%s%d" % (prefix, field, player)
+        heads = {LEFT: name("Left"), RIGHT: name("Right")}
+        heads.update((q, "%s.%s" % (name("State"), q)) for q in states)
+        return cls(var_bits(name("Time"), k), var_bits(name("Tape"), k),
+                   name("Zero"), name("One"), heads)
 
-def _entry_vars(flags):
-    return [flags["zero"], flags["one"], *(name for _, name in flags["heads"])]
+    @property
+    def flags(self):
+        return [self.zero, self.one, *self.heads.values()]
 
 
 class VarIndex:
-    """Named access to a reduction's variable families.  Its time and tape
+    """A reduction's variables: player 1's entry, player 2's four window
+    entries and the side game's roles.  The entries' time and tape
     sequences are checked here, once (``check_bits``), so the formulas over
     them skip the check."""
 
     def __init__(self, m, k, gadget_roles):
         self.k = k
-        self.time1 = var_bits("Time1", k)
-        self.tape1 = var_bits("Tape1", k)
-        self.flags1 = _entry_flags("", 1, m.states)
-        self.time2 = {p: var_bits(p + "Time2", k) for p in ENTRY_PREFIXES}
-        self.tape2 = {p: var_bits(p + "Tape2", k) for p in ENTRY_PREFIXES}
-        self.flags2 = {p: _entry_flags(p, 2, m.states) for p in ENTRY_PREFIXES}
+        self.entry1 = Entry.named("", 1, m.states, k)
+        self.entry2 = {p: Entry.named(p, 2, m.states, k)
+                       for p in ENTRY_PREFIXES}
         self.gadget = gadget_roles
-        check_bits(self.time1, self.tape1, *self.time2.values(),
-                   *self.tape2.values())
-
-    def entry1_vars(self):
-        return _entry_vars(self.flags1)
-
-    def entry2_vars(self, prefix):
-        return _entry_vars(self.flags2[prefix])
+        check_bits(*(bits for e in (self.entry1, *self.entry2.values())
+                     for bits in (e.time, e.tape)))
 
     def to_json(self):
-        def seqs(d):
-            return {k: list(v) for k, v in d.items()}
+        e1, e2 = self.entry1, self.entry2
         return json.dumps({
             "k": self.k,
-            "Time1": list(self.time1), "Tape1": list(self.tape1),
-            "entry1": self.entry1_vars(),
-            "Time2": {p: list(v) for p, v in self.time2.items()},
-            "Tape2": {p: list(v) for p, v in self.tape2.items()},
-            "entry2": {p: self.entry2_vars(p) for p in ENTRY_PREFIXES},
-            "gadget": seqs(self.gadget),
+            "Time1": list(e1.time), "Tape1": list(e1.tape),
+            "entry1": e1.flags,
+            "Time2": {p: list(e.time) for p, e in e2.items()},
+            "Tape2": {p: list(e.tape) for p, e in e2.items()},
+            "entry2": {p: e.flags for p, e in e2.items()},
+            "gadget": {r: list(v) for r, v in self.gadget.items()},
         })
 
 
@@ -450,26 +460,13 @@ class ReductionOutput(RequireOutput):
     gadget: object        # the 3/4-value gadget bundle
 
 
-def _content_formula(flags, content):
-    zero, one = Var(flags["zero"]), Var(flags["one"])
-    if content == "0":
-        return zero  # exclusivity comes from well-formedness
-    if content == "1":
-        return one
-    return And((Not(zero), Not(one)))
-
-
-def _head_formula(flags, head):
-    if head == LEFT:
-        return Var(flags["left"])
-    if head == RIGHT:
-        return Var(flags["right"])
-    return Var(flags["state"][head])
-
-
-def _descriptor_formula(flags, desc):
-    return And((_content_formula(flags, desc.content),
-                _head_formula(flags, desc.head)))
+def _descriptor_formula(e, desc):
+    """``desc`` on entry ``e``: its content flag (a blank is neither;
+    exclusivity comes from well-formedness) and its head marker's flag."""
+    zero, one = Var(e.zero), Var(e.one)
+    content = (zero if desc.content == "0" else one if desc.content == "1"
+               else And((Not(zero), Not(one))))
+    return And((content, Var(e.heads[desc.head])))
 
 
 def _compare(kind, p, q):
@@ -494,39 +491,38 @@ def _succ_mod(x, y, k):
 def _require_parts(m, word, K, k, vi):
     """(shape, well_formed, positional, consistency) subformulas."""
     size = 1 << k
-    tape, time = vi.tape2, vi.time2
+    e = vi.entry2
     shape = conj([
-        _succ_mod(tape[""], tape["s"], k),
-        _succ_mod(time[""], time["n"], k),
-        _compare("equal", tape[""], tape["n"]),
-        _compare("equal", time[""], time["s"]),
-        _compare("equal", tape["s"], tape["ns"]),
-        _compare("equal", time["n"], time["ns"]),
+        _succ_mod(e[""].tape, e["s"].tape, k),
+        _succ_mod(e[""].time, e["n"].time, k),
+        _compare("equal", e[""].tape, e["n"].tape),
+        _compare("equal", e[""].time, e["s"].time),
+        _compare("equal", e["s"].tape, e["ns"].tape),
+        _compare("equal", e["n"].time, e["ns"].time),
     ])
     well_formed = conj([
         conj([
-            build_cardinality("one_of",
-                              [name for _, name in vi.flags2[p]["heads"]]),
-            Not(And((Var(vi.flags2[p]["one"]), Var(vi.flags2[p]["zero"])))),
+            build_cardinality("one_of", list(entry.heads.values())),
+            Not(And((Var(entry.one), Var(entry.zero)))),
         ])
-        for p in ENTRY_PREFIXES
+        for entry in e.values()
     ])
     positional = []
-    for p in ENTRY_PREFIXES:
-        tv, pv, flags = time[p], tape[p], vi.flags2[p]
-        at_zero = _eq_const(tv, 0, k)
+    for entry in e.values():
+        at_zero = _eq_const(entry.time, 0, k)
         for c in range(size):
             desc = CellDescriptor(
                 word[c] if c < len(word) else "_",
                 m.start if c == 0 else LEFT,
             )
             positional.append(Implies(
-                And((at_zero, _eq_const(pv, c, k))),
-                _descriptor_formula(flags, desc),
+                And((at_zero, _eq_const(entry.tape, c, k))),
+                _descriptor_formula(entry, desc),
             ))
         positional.append(Implies(
-            And((_eq_const(tv, K - 1, k), _eq_const(pv, 0, k))),
-            Var(flags["state"][m.accept]),
+            And((_eq_const(entry.time, K - 1, k),
+                 _eq_const(entry.tape, 0, k))),
+            Var(entry.heads[m.accept]),
         ))
     positional = conj(positional)
 
@@ -542,7 +538,7 @@ def _require_parts(m, word, K, k, vi):
     for pat in patterns:
         for p, d in zip(ENTRY_PREFIXES, pat):
             if (p, d) not in entries:
-                f = _descriptor_formula(vi.flags2[p], d)
+                f = _descriptor_formula(e[p], d)
                 content, head = f.children
                 key = (content.name if type(content) is Var else "", head.name)
                 entries[p, d] = (key, f)
@@ -550,30 +546,32 @@ def _require_parts(m, word, K, k, vi):
                    for pat in patterns)
     rule_disj = disj(conj([f for _, f in rule]) for rule in rules)
 
-    def wrap_row(pa, pb):
-        fa, fb = vi.flags2[pa], vi.flags2[pb]
-        a_state = disj([Var(fa["state"][q]) for q in m.states])
-        b_state = disj([Var(fb["state"][q]) for q in m.states])
+    def wrap_row(a, b):
+        a_state = disj([Var(a.heads[q]) for q in m.states])
+        b_state = disj([Var(b.heads[q]) for q in m.states])
+        a_left, b_right = Var(a.heads[LEFT]), Var(b.heads[RIGHT])
         return Or((
-            And((a_state, Var(fb["right"]))),
-            And((Var(fa["left"]), b_state)),
-            And((Var(fa["left"]), Var(fb["right"]))),
+            And((a_state, b_right)),
+            And((a_left, b_state)),
+            And((a_left, b_right)),
         ))
 
-    time_wrapped = _eq_const(time[""], size - 1, k)
-    col_wrapped = _eq_const(tape[""], size - 1, k)
+    time_wrapped = _eq_const(e[""].time, size - 1, k)
+    col_wrapped = _eq_const(e[""].tape, size - 1, k)
     consistency = Or((
         time_wrapped,
-        And((col_wrapped, wrap_row("", "s"), wrap_row("n", "ns"))),
+        And((col_wrapped, wrap_row(e[""], e["s"]),
+             wrap_row(e["n"], e["ns"]))),
         And((Not(col_wrapped), rule_disj)),
     ))
     return shape, well_formed, positional, consistency
 
 
 def _corner_match(vi, prefix):
+    e1, e2 = vi.entry1, vi.entry2[prefix]
     return And((
-        _compare("equal", vi.tape1, vi.tape2[prefix]),
-        _compare("equal", vi.time1, vi.time2[prefix]),
+        _compare("equal", e1.tape, e2.tape),
+        _compare("equal", e1.time, e2.time),
     ))
 
 
@@ -581,9 +579,9 @@ def _agree(vi, corners):
     """Player 2's entries agree with player 1's where their corners match
     (``corners``: each prefix's ``_corner_match``)."""
     parts = []
-    for p in ENTRY_PREFIXES:
-        same = conj(Iff(Var(a), Var(b)) for a, b in
-                    zip(vi.entry1_vars(), vi.entry2_vars(p)))
+    for p, e in vi.entry2.items():
+        same = conj(Iff(Var(a), Var(b))
+                    for a, b in zip(vi.entry1.flags, e.flags))
         parts.append(Implies(corners[p], same))
     return conj(parts)
 
@@ -628,9 +626,8 @@ def build_require(m, word, K, mode):
             raise ReductionError("the guaranteed-payoff formula needs k >= 2")
         require = conj([shape, well_formed,
                         Not(And((positional, consistency)))])
-    var2 = []
-    for p in ENTRY_PREFIXES:
-        var2 += list(vi.time2[p]) + list(vi.tape2[p]) + vi.entry2_vars(p)
+    var2 = [v for e in vi.entry2.values()
+            for v in (*e.time, *e.tape, *e.flags)]
     var2 += gadget2
     return RequireOutput(machine=m, word=word, bound=K, mode=mode, k=k,
                          var_index=vi, require=require,
@@ -655,8 +652,8 @@ def _build_reduction(m, word, K, mode):
         req.require,
     ])
 
-    var1 = (list(vi.time1) + list(vi.tape1) + vi.entry1_vars()
-            + list(gadget.game.var_sets[0]))
+    e1 = vi.entry1
+    var1 = [*e1.time, *e1.tape, *e1.flags, *gadget.game.var_sets[0]]
     game = BooleanGame([var1, req.player2_vars], [gamma1, gamma2])
 
     if mode == "exists":
@@ -686,11 +683,12 @@ def build_forall_guarantee_game(m, word, K):
 # --- witnesses and decoding -------------------------------------------------------
 
 
-def _entry_assign(flags, desc):
-    """The flag values that describe ``desc``."""
-    return {flags["zero"]: desc.content == "0",
-            flags["one"]: desc.content == "1",
-            **{name: desc.head == h for h, name in flags["heads"]}}
+def _entry_assign(e, row, col, desc):
+    """The values of entry ``e``'s variables that place ``desc`` at (row,
+    col)."""
+    return {**assign_bits(e.time, row), **assign_bits(e.tape, col),
+            e.zero: desc.content == "0", e.one: desc.content == "1",
+            **{name: desc.head == h for h, name in e.heads.items()}}
 
 
 def witness_profile(ro, table):
@@ -701,34 +699,29 @@ def witness_profile(ro, table):
         raise ReductionError("table does not match the game's dimensions")
     vi = ro.var_index
     cells = Fraction(1, size * size)
-
-    def entry(time, tape, flags, i, j):
-        return {**assign_bits(time, i), **assign_bits(tape, j),
-                **_entry_assign(flags, table[i][j])}
-
     support1, support2 = [], []
     for i in range(size):
         for j in range(size):
-            support1.append((entry(vi.time1, vi.tape1, vi.flags1, i, j),
+            support1.append((_entry_assign(vi.entry1, i, j, table[i][j]),
                              cells))
             window = {}
             for p, (di, dj) in ENTRY_OFFSETS.items():
-                window.update(entry(vi.time2[p], vi.tape2[p], vi.flags2[p],
-                                    (i + di) % size, (j + dj) % size))
+                r, c = (i + di) % size, (j + dj) % size
+                window.update(_entry_assign(vi.entry2[p], r, c, table[r][c]))
             support2.append((window, cells))
     return product_profile(MixedProfile([support1, support2]),
                            ro.gadget.equilibrium)
 
 
-def _decode_entry(assign, flags):
-    """The descriptor that the flags set in ``assign`` spell, or None unless
-    at most one content flag and exactly one head flag are set.  The head
-    flags are read until a second one is set."""
-    zero, one = assign[flags["zero"]], assign[flags["one"]]
+def _decode_entry(assign, e):
+    """The descriptor that entry ``e``'s flags set in ``assign`` spell, or
+    None unless at most one content flag and exactly one head flag are set.
+    The head flags are read until a second one is set."""
+    zero, one = assign[e.zero], assign[e.one]
     if zero and one:
         return None
     head = None
-    for h, name in flags["heads"]:
+    for h, name in e.heads.items():
         if assign[name]:
             if head is not None:
                 return None
@@ -743,38 +736,33 @@ def decodable_trials(ro, masks, full):
     ``_decode_entry`` decodes: at most one content flag and exactly one head
     flag each.  No other trial passes ``decode_square``."""
     ok = full
-    for p in ENTRY_PREFIXES:
-        flags = ro.var_index.flags2[p]
+    for e in ro.var_index.entry2.values():
         once = twice = 0
-        for _, name in flags["heads"]:
+        for name in e.heads.values():
             twice |= once & masks[name]
             once |= masks[name]
-        ok &= once & ~twice & ~(masks[flags["zero"]] & masks[flags["one"]])
+        ok &= once & ~twice & ~(masks[e.zero] & masks[e.one])
     return ok
 
 
 def decode_square(ro, assign):
     """Player 2's assignment as a positioned window, or None if the shape
     or well-formedness conditions fail."""
-    vi = ro.var_index
+    e2 = ro.var_index.entry2
     k, size = ro.k, 1 << ro.k
     # the flag checks first: they are cheaper than decoding positions
-    entries = []
-    for p in ENTRY_PREFIXES:
-        e = _decode_entry(assign, vi.flags2[p])
-        if e is None:
+    descs = []
+    for e in e2.values():
+        d = _decode_entry(assign, e)
+        if d is None:
             return None
-        entries.append(e)
-
-    def val(bits):
-        return decode_bits(bits, assign)
-
-    i, j = val(vi.time2[""]), val(vi.tape2[""])
+        descs.append(d)
+    i, j = decode_bits(e2[""].time, assign), decode_bits(e2[""].tape, assign)
     for p, (di, dj) in ENTRY_OFFSETS.items():
-        if (val(vi.time2[p]) != (i + di) % size
-                or val(vi.tape2[p]) != (j + dj) % size):
+        if (decode_bits(e2[p].time, assign) != (i + di) % size
+                or decode_bits(e2[p].tape, assign) != (j + dj) % size):
             return None
-    return Square2x2(entries[0], entries[1], entries[2], entries[3], i, j, k)
+    return Square2x2(*descs, i, j, k)
 
 
 def oracle_requires(ro, assign):

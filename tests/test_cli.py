@@ -17,7 +17,8 @@ from boolgames.reductions import (build_forall_guarantee_game,
                                   build_guarantee_game, immediate_acceptor,
                                   oracle_requires, simulate_tm,
                                   transform_game, witness_profile)
-from test_reductions import machine_json, two_step_acceptor
+from test_reductions import (BAD_STATES, acceptor_rules, machine_json,
+                             two_step_acceptor)
 from windows import entries_decode, perturbed_windows, trial_masks
 
 MP_TEXT = """\
@@ -683,6 +684,27 @@ def test_invalid_machine_files_exit_2(tmp_path, capsys, edit, message):
         assert run(argv + ["--machine", str(path), "--bound", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("q0,qa", BAD_STATES)
+@pytest.mark.parametrize("argv", REQUIRE_VERBS,
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_machine_states_must_be_names(tmp_path, monkeypatch, capsys, argv,
+                                      q0, qa):
+    # the machine is refused as it is loaded, before any formula is built
+    def build_require(*args):
+        raise AssertionError("Require was built")
+    monkeypatch.setattr(reductions, "build_require", build_require)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "states": [q0, qa], "start": q0, "accept": qa,
+        "transitions": [{"from": t.frm, "read": t.read, "write": t.write,
+                         "move": t.move, "to": t.to}
+                        for t in acceptor_rules(q0, qa)]}))
+    assert run(argv + ["--machine", str(path), "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: state %r is not a name" % (q0,) in captured.err
 
 
 def test_reduce_out_to_a_missing_directory_exits_2(machine_file, tmp_path,

@@ -248,6 +248,14 @@ def test_rename_rejects_collisions():
         rename_vars(f, {"p": "x", "q": "x"})
 
 
+def test_rename_needs_injectivity_only_on_the_formulas_variables():
+    # q and r collide, but r is not in the formula, so no two of its
+    # variables become one
+    f = parse_formula("p & ~q")
+    assert rename_vars(f, {"p": "y", "q": "x", "r": "x"}) == \
+        parse_formula("y & ~x")
+
+
 def test_compile_keys_cover_free_vars():
     f = parse_formula("p & q | r")
     comp = compile_formula(f)

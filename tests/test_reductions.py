@@ -15,12 +15,12 @@ from boolgames.game import (
     BooleanGame,
     ResourceCapError,
     expected_utility,
+    profile_to_json,
     render_game,
     validate_game,
     validate_profile,
 )
 from boolgames.reductions import (
-    ENTRY_PREFIXES,
     LEFT,
     RIGHT,
     SYMBOLS,
@@ -65,6 +65,28 @@ def test_machine_validation():
             ["q0", "qa"], "q0", "qa",
             [Transition("q0", "_", "0", "L", "qa")],
         )
+
+
+def acceptor_rules(q0, qa):
+    """``immediate_acceptor``'s rules with its states renamed ``q0`` and
+    ``qa``, which need not be valid state names."""
+    return [Transition(q0, "_", "0", "L", qa),
+            *(Transition(qa, x, x, "L", qa) for x in SYMBOLS)]
+
+
+# (q0, qa) pairs in which q0 is no state name: not text, text that names
+# no variable after "State1.", or a head marker
+BAD_STATES = [(None, "qa"), (True, "qa"), (1, "1"), ("q-0", "qa"),
+              (LEFT, "qa")]
+
+
+@pytest.mark.parametrize("q0,qa", BAD_STATES)
+def test_machine_states_must_be_names(q0, qa):
+    with pytest.raises(ReductionError) as err:
+        TuringMachine([q0, qa], q0, qa, acceptor_rules(q0, qa))
+    assert str(err.value).startswith("state %r is not a name" % (q0,))
+    # "." and digits may follow "State1."
+    TuringMachine(["0", "q.a"], "0", "q.a", acceptor_rules("0", "q.a"))
 
 
 def machine_json(m):
@@ -456,35 +478,46 @@ def test_simulate_matches_the_reference_on_every_accept_row(machine,
         accepts_at is not None and row >= accepts_at for row in range(size)]
 
 
-# sha256 of render_game(ro.game) and of render_formula(ro.require)
+# sha256 of render_game(ro.game), of render_formula(ro.require) and of
+# ro.var_index.to_json() followed, when the machine accepts within the
+# bound, by profile_to_json of its witness profile
 REDUCTION_TEXT = {
     (immediate_acceptor, 2, "exists"): (
         "8350ef36ffd97834ada629a2400028d4fbd48f082819ee0e36514f2c286f0cd4",
-        "95cfcee64a1f3093413bb6d236056d9a783144594a1602a28ed3f2f20ded5072"),
+        "95cfcee64a1f3093413bb6d236056d9a783144594a1602a28ed3f2f20ded5072",
+        "39532225d7d57fd348180e060808d097b0f0730ec2ad3c1a7f292792b7a5c06d"),
     (immediate_acceptor, 4, "exists"): (
         "ae2169a2d30a9b728035674daeb2355c5271516d9b63545570df72d5ec6ea846",
-        "bac3cbb25c03efc3c699e9814ca3b17523aa61ec60e2c70e56278fcd7c22f66b"),
+        "bac3cbb25c03efc3c699e9814ca3b17523aa61ec60e2c70e56278fcd7c22f66b",
+        "fb5246525d648c6027a968be60802f1d8e3e971f0a12f84ac46c433c14b7071c"),
     (immediate_acceptor, 4, "forall"): (
         "a5f9c437b114c2c7c4bc008a11eb247e676f1f253a1fee3113f82885a93ee492",
-        "63b61b75b954ed9fd503cac1347a70d1a37b2dddb124a56cda598e77f65f4735"),
+        "63b61b75b954ed9fd503cac1347a70d1a37b2dddb124a56cda598e77f65f4735",
+        "fb5246525d648c6027a968be60802f1d8e3e971f0a12f84ac46c433c14b7071c"),
     (two_step_acceptor, 2, "exists"): (
         "726179c631d3b07a643c9a15d929af021e0d51532ebd6109303c14121f3d75fa",
-        "77e1ba4521b1548b8ba0dd9748ab1c2b696a99f0a4319198e08c59daeaa08eb9"),
+        "77e1ba4521b1548b8ba0dd9748ab1c2b696a99f0a4319198e08c59daeaa08eb9",
+        "8149dff5e991e73dfe296ab0024aee1571237c839c5b4e1bb5700a28edce0f22"),
     (two_step_acceptor, 4, "exists"): (
         "9a5a575a817f11b2d58a10a4a2b0e0890077e88a2836a1c15e1d37a9c41def39",
-        "aff04f6bceed7bd36832342788eefcdf94cd1a75df1a9f5b5d5f772e0fa88e95"),
+        "aff04f6bceed7bd36832342788eefcdf94cd1a75df1a9f5b5d5f772e0fa88e95",
+        "35cb34c7e2dcd6741fd66da823e374855030feb4eadf172688feff57b79275bc"),
     (two_step_acceptor, 4, "forall"): (
         "afb383dfa9fdb53e33fa229f8e07ae9a93e69d117699baf1fa1e9dd6586aa336",
-        "a678a5a65b5793653f78dc5585f5f0753b65bfa89a9a043ad56489028b4acf09"),
+        "a678a5a65b5793653f78dc5585f5f0753b65bfa89a9a043ad56489028b4acf09",
+        "35cb34c7e2dcd6741fd66da823e374855030feb4eadf172688feff57b79275bc"),
     (never_acceptor, 2, "exists"): (
         "375a92d41a1c710a3fe176749dd8c6047583ce99a3eec7d8274b2388720c328a",
-        "3c5f1d0b40f5d1f6ae27afcdd7dc4b74436482db014fa08d4285535bd33b638c"),
+        "3c5f1d0b40f5d1f6ae27afcdd7dc4b74436482db014fa08d4285535bd33b638c",
+        "8e53ac06fe63a849b627807e605752092eb427b205b8590ddf6746007d4df533"),
     (never_acceptor, 4, "exists"): (
         "3c9fadeaf8047411092536d5bc53e3ed1a0c797a9cff04a4c145bba0c8e64197",
-        "46afb8f045f1db142813aab0487172157dddf090c509e78fd658cf465b5b9f8e"),
+        "46afb8f045f1db142813aab0487172157dddf090c509e78fd658cf465b5b9f8e",
+        "cb3712a1e65803eedf705d961e6620bd5573c309632cd4c09a68bc8c2f478bce"),
     (never_acceptor, 4, "forall"): (
         "b6bd16a5ce77616bc1511f9253f3795d080e413bac9720797d2d7e65dd8753aa",
-        "1d67657f46515b6015bd1442948743abe7313bc0a936c7c85149eb99bc4a2b57"),
+        "1d67657f46515b6015bd1442948743abe7313bc0a936c7c85149eb99bc4a2b57",
+        "cb3712a1e65803eedf705d961e6620bd5573c309632cd4c09a68bc8c2f478bce"),
 }
 
 
@@ -575,8 +608,13 @@ def test_reduction_text_is_pinned(machine, bound, mode):
     build = build_guarantee_game if mode == "exists" else \
         build_forall_guarantee_game
     ro = build(machine(), "", bound)
+    size = 1 << ro.k
+    table = simulate_tm(ro.machine, "", size, size, accept_row=bound - 1)
+    published = ro.var_index.to_json() + (
+        "" if table is None else profile_to_json(witness_profile(ro, table)))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
-                    (render_game(ro.game), render_formula(ro.require)))
+                    (render_game(ro.game), render_formula(ro.require),
+                     published))
     assert digests == REDUCTION_TEXT[machine, bound, mode]
 
 
@@ -611,8 +649,8 @@ def check_witness_windows(machine, build, bound):
     assert len(windows) == 4 * size * size
     legal = ro.mode == "exists"
     vi = ro.var_index
-    flips = [v for p in ENTRY_PREFIXES
-             for v in vi.entry2_vars(p) + list(vi.time2[p] + vi.tape2[p])]
+    flips = [v for e in vi.entry2.values()
+             for v in (*e.flags, *e.time, *e.tape)]
     cases = []
     for a in windows:
         assert oracle_requires(ro, a) == legal
@@ -661,12 +699,12 @@ def test_oracle_agrees_with_require_on_a_right_moving_head(build):
     assert verdicts == {False, True}
 
 
-def flag_entry(assign, flags, states):
-    """The descriptor that a one-hot flag block spells, read directly."""
-    content = "0" if assign[flags["zero"]] else (
-        "1" if assign[flags["one"]] else "_")
-    heads = [h for h, v in [(LEFT, flags["left"]), (RIGHT, flags["right"])]
-             + [(q, flags["state"][q]) for q in states] if assign[v]]
+def flag_entry(assign, entry):
+    """The descriptor that an entry's one-hot flag block spells, read
+    directly."""
+    content = "0" if assign[entry.zero] else (
+        "1" if assign[entry.one] else "_")
+    heads = [h for h, v in entry.heads.items() if assign[v]]
     assert len(heads) == 1
     return CellDescriptor(content, heads[0])
 
@@ -695,9 +733,9 @@ def test_witness_profile_is_table_times_gadget(machine, bound):
                 assert w == Fraction(1, size * size) * g_w
                 assert all(a[v] == b for v, b in g_a.items())
                 if player == 0:
-                    assert decode_bits(vi.time1, a) == i
-                    assert decode_bits(vi.tape1, a) == j
-                    assert flag_entry(a, vi.flags1, m.states) == table[i][j]
+                    assert decode_bits(vi.entry1.time, a) == i
+                    assert decode_bits(vi.entry1.tape, a) == j
+                    assert flag_entry(a, vi.entry1) == table[i][j]
                 else:
                     assert decode_square(ro, a) == table_window(table, i, j,
                                                                 ro.k)

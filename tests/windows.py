@@ -4,9 +4,8 @@ Uniform random player-2 assignments are rejected by Require and by the
 decoding oracle alike, so draws of that kind cannot tell the two apart.
 """
 
-from boolgames.reductions import (ENTRY_PREFIXES, LEFT, RIGHT, SYMBOLS,
-                                  CellDescriptor, _decode_entry, simulate_tm,
-                                  witness_profile)
+from boolgames.reductions import (LEFT, RIGHT, SYMBOLS, CellDescriptor,
+                                  _decode_entry, simulate_tm, witness_profile)
 
 
 def perturbed_windows(ro, rng, count, table=None):
@@ -37,8 +36,8 @@ def entries_decode(ro, a):
     """Whether ``_decode_entry`` decodes all four of the window entries that
     player 2's assignment ``a`` describes (the rule ``verify squares``
     screens its trials with)."""
-    return all(_decode_entry(a, ro.var_index.flags2[p]) is not None
-               for p in ENTRY_PREFIXES)
+    return all(_decode_entry(a, e) is not None
+               for e in ro.var_index.entry2.values())
 
 
 def trial_masks(trials, names):
